@@ -58,10 +58,8 @@ from .lemmas import (
 )
 from .cyclotomic import (
     CyclotomicNumber,
-    cyc_arith,
     cyclotomic_polynomial,
     euler_phi,
-    lift_pair,
 )
 from .polynomials import GradedSpan, MultiPoly
 from .invariants import (

@@ -32,9 +32,7 @@ from .presented import (
     PresentedGradedAlgebra,
     parse_generator_spec,
 )
-from .suite import verify_all
-
-SCHEMA_VERSION = "1"
+from .suite import SCHEMA_VERSION, verify_all
 
 
 def _abelian(spec: str) -> AbelianGroup:

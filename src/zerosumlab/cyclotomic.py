@@ -291,25 +291,3 @@ def _reduce_mod(coeffs, phi):
     _, rem = _poly_divmod(coeffs, list(phi))
     return rem
 
-
-def lift_pair(a: CyclotomicNumber, b: CyclotomicNumber):
-    """Both numbers lifted to the least common conductor."""
-    import math
-
-    M = math.lcm(a.m, b.m)
-    return a.lift(M), b.lift(M)
-
-
-def cyc_arith(a: CyclotomicNumber, b, op: str):
-    """add | mul | inv | eq with equal conductors (callers lift first)."""
-    if op == "inv":
-        return a.inverse()
-    if not isinstance(b, CyclotomicNumber) or a.m != b.m:
-        raise StructuralError("cyc_arith requires two numbers of equal conductor")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "eq":
-        return a.coeffs == b.coeffs
-    raise StructuralError(f"unknown op {op!r}")

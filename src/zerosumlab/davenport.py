@@ -21,6 +21,8 @@ from .errors import CapacityError, DomainError, VerificationError
 from .groups import AbelianGroup, automorphism_group, subgroup_embeddable
 from .sequences import (
     Sequence,
+    _canonical_items,
+    _has_short_zero_sum,
     _items_add_one,
     _kmax_items,
     k_max_naive,
@@ -84,23 +86,27 @@ class LinearityProfile:
 
 
 def _canonical_maps(A: AbelianGroup):
-    """Element maps of Aut(A), or None when symmetry reduction is skipped."""
+    """Element maps of Aut(A); empty when symmetry reduction is skipped."""
     try:
         auts = automorphism_group(A)
     except CapacityError:
-        return None
+        return []
     return [a.element_map() for a in auts]
 
 
-def _canonical_items(items, maps):
-    if maps is None:
-        return items
-    best = items
-    for m in maps:
-        mapped = tuple(sorted((m[elem], mult) for elem, mult in items))
-        if mapped < best:
-            best = mapped
-    return best
+def _extensions(A: AbelianGroup, frontier, maps):
+    """Each distinct canonical one-element extension of ``frontier``, once.
+
+    Only non-zero elements are appended; see the module docstring.
+    """
+    nonzero = [x for x in A.elements() if x != A.zero]
+    seen = set()
+    for items in frontier:
+        for g in nonzero:
+            cand = _canonical_items(_items_add_one(items, g), maps)
+            if cand not in seen:
+                seen.add(cand)
+                yield cand
 
 
 def _require_capacity(A: AbelianGroup, budget_seconds):
@@ -114,6 +120,9 @@ def _require_capacity(A: AbelianGroup, budget_seconds):
 
 def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
     """D_1 … D_{k_upto} in one shared frontier scan.
+
+    ``search_stats["nodes"]`` counts the distinct canonical candidates
+    examined, summed over all levels.
 
     >>> [r.value_Dk for r in davenport_table(AbelianGroup((3,)), 2)]
     [3, 6]
@@ -134,7 +143,6 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
         return reports
 
     maps = _canonical_maps(A)
-    nonzero = [x for x in A.elements() if x != A.zero]
     cutoff = k_upto * A.order + 1
     frontier = {(): 0}
     level = 0
@@ -152,23 +160,19 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
                 "this contradicts D_k <= k·|A|"
             )
         next_frontier: dict[tuple, int] = {}
-        for items in frontier:
-            for g in nonzero:
-                cand = _canonical_items(_items_add_one(items, g), maps)
-                if cand in next_frontier:
-                    continue
-                nodes += 1
-                if budget_seconds is not None and nodes % 256 == 0:
-                    if time.monotonic() - t0 > budget_seconds:
-                        raise CapacityError(
-                            f"time budget of {budget_seconds}s exhausted at "
-                            f"length {level} for {A.spec()}",
-                            limit=budget_seconds,
-                            partial={j: resolved_D[j] for j in resolved_D},
-                        )
-                km = _kmax_items(A, cand)
-                if km <= k_upto - 1:
-                    next_frontier[cand] = km
+        for cand in _extensions(A, frontier, maps):
+            nodes += 1
+            if budget_seconds is not None and nodes % 256 == 0:
+                if time.monotonic() - t0 > budget_seconds:
+                    raise CapacityError(
+                        f"time budget of {budget_seconds}s exhausted at "
+                        f"length {level} for {A.spec()}",
+                        limit=budget_seconds,
+                        partial={j: resolved_D[j] for j in resolved_D},
+                    )
+            km = _kmax_items(A, cand)
+            if km <= k_upto - 1:
+                next_frontier[cand] = km
         min_km = min(next_frontier.values()) if next_frontier else k_upto
         for j in sorted(unresolved):
             if j - 1 < min_km:
@@ -206,29 +210,6 @@ def davenport_k(A: AbelianGroup, k: int = 1, budget_seconds=None) -> DavenportRe
     return davenport_table(A, k, budget_seconds=budget_seconds)[k - 1]
 
 
-def _has_short_zero_sum(group, items, bound) -> bool:
-    """Any non-empty zero-sum sub-multiset of length <= bound?"""
-
-    n = len(items)
-
-    def rec(i, total, used, room):
-        if used and total == group.zero:
-            return True
-        if i == n or room == 0:
-            return False
-        elem, mult = items[i]
-        step = elem
-        acc = total
-        for c in range(0, min(mult, room) + 1):
-            if c:
-                acc = group.add(acc, step)
-            if rec(i + 1, acc, used + c, room - c):
-                return True
-        return False
-
-    return rec(0, group.zero, 0, bound)
-
-
 def eta(A: AbelianGroup, budget_seconds=None) -> int:
     """Least ℓ such that every length-ℓ sequence over A contains a
     non-empty zero-sum block of length at most exp(A).
@@ -241,10 +222,9 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
     if A.rank == 0:
         return 1
     maps = _canonical_maps(A)
-    nonzero = [x for x in A.elements() if x != A.zero]
     bound = A.exponent
     cap = 2 * A.order + 2
-    frontier = {()}
+    frontier = [()]
     level = 0
     while frontier:
         level += 1
@@ -258,15 +238,11 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
                 f"time budget of {budget_seconds}s exhausted in eta scan",
                 limit=budget_seconds,
             )
-        next_frontier = set()
-        for items in frontier:
-            for g in nonzero:
-                cand = _canonical_items(_items_add_one(items, g), maps)
-                if cand in next_frontier:
-                    continue
-                if not _has_short_zero_sum(A, cand, bound):
-                    next_frontier.add(cand)
-        frontier = next_frontier
+        frontier = [
+            cand
+            for cand in _extensions(A, frontier, maps)
+            if not _has_short_zero_sum(A, cand, bound)
+        ]
     return level
 
 

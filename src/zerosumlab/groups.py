@@ -491,11 +491,6 @@ class SemidirectGroup:
         return hash(("SemidirectGroup", self.p, self.d, self.e))
 
 
-def semidirect_elements(G: SemidirectGroup):
-    """All p·d elements of G; product/inverse live on the group object."""
-    return G.elements()
-
-
 _SD_RE = re.compile(r"SD\((\d+),(\d+),(\d+)\)\Z")
 
 

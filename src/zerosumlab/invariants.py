@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import (
     CapacityError,
@@ -27,7 +26,6 @@ from .errors import (
 from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
 from .cyclotomic import CyclotomicNumber
 from .polynomials import GradedSpan, MultiPoly
-from .sequences import Sequence
 from .davenport import davenport_k
 
 DEFAULT_DEGREE_CAP = 64

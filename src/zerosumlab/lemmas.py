@@ -4,7 +4,7 @@ over Z_p, and direct-product lower-bound witnesses for D_{r+s-1}.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .groups import AbelianGroup, direct_product, is_prime
 from .sequences import Sequence, k_max_naive, sequence_sum
 from .davenport import davenport_k
@@ -43,8 +43,10 @@ def zero_sum_with_support(p: int, S) -> Sequence:
         ((s,), n_of[s] + 1 if s == chosen else 1) for s in support
     )
     out = Sequence(group, items)
-    assert sequence_sum(out) == group.zero
-    assert len(out) <= p
+    if sequence_sum(out) != group.zero or len(out) > p:
+        raise VerificationError(
+            f"support construction over Z{p} broke its own bound", evidence=out
+        )
     return out
 
 

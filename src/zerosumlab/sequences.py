@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import DomainError, ParseError, StructuralError
+from .errors import DomainError, ParseError, StructuralError, VerificationError
 from .groups import AbelianGroup
 
 ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
@@ -215,13 +215,29 @@ def _zero_sum_subitems(group, items, force_first=False):
     return results
 
 
-def _is_minimal_zero_sum(group, items):
-    """items is zero-sum; minimal iff no proper non-empty zero-sum sub-multiset."""
-    total_len = _items_length(items)
-    for sub in _zero_sum_subitems(group, items):
-        if _items_length(sub) < total_len:
+def _has_short_zero_sum(group, items, bound) -> bool:
+    """Any non-empty zero-sum sub-multiset of length <= bound?
+
+    A zero-sum block B is minimal exactly when this is false for
+    bound = |B| - 1.
+    """
+    n = len(items)
+
+    def rec(i, total, used, room):
+        if used and total == group.zero:
+            return True
+        if i == n or room == 0:
             return False
-    return True
+        elem, mult = items[i]
+        acc = total
+        for c in range(0, min(mult, room) + 1):
+            if c:
+                acc = group.add(acc, elem)
+            if rec(i + 1, acc, used + c, room - c):
+                return True
+        return False
+
+    return rec(0, group.zero, 0, bound)
 
 
 def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
@@ -236,7 +252,7 @@ def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
     found = [
         sub
         for sub in _zero_sum_subitems(g, S.items)
-        if _is_minimal_zero_sum(g, sub)
+        if not _has_short_zero_sum(g, sub, _items_length(sub) - 1)
     ]
     found.sort()
     return [Sequence(g, sub) for sub in found]
@@ -250,7 +266,7 @@ def _minimal_blocks_with_pivot(group, items):
     blocks = [
         sub
         for sub in _zero_sum_subitems(group, items, force_first=True)
-        if _is_minimal_zero_sum(group, sub)
+        if not _has_short_zero_sum(group, sub, _items_length(sub) - 1)
     ]
     blocks.sort()
     return blocks
@@ -349,8 +365,10 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
     for elem in shed:
         remainder = remainder.with_extra(elem)
     packing = BlockPacking([Sequence(g, b) for b in blocks], remainder)
-    assert len(packing.blocks) == _kmax_items(g, S.items)
-    assert packing.verify_covers(S)
+    if len(packing.blocks) != _kmax_items(g, S.items) or not packing.verify_covers(S):
+        raise VerificationError(
+            f"witness packing disagrees with k_max for {S.literal()}", evidence=packing
+        )
     return len(packing.blocks), packing
 
 
@@ -380,18 +398,25 @@ def k_max_naive(S: Sequence) -> int:
 # -- canonical forms under automorphisms -------------------------------------
 
 
-def _apply_automorphism(aut, x):
-    return aut(x) if callable(aut) else aut[x]
-
-
 def apply_to_sequence(aut, S: Sequence) -> Sequence:
-    return Sequence(
-        S.group, ((_apply_automorphism(aut, elem), mult) for elem, mult in S.items)
-    )
+    return Sequence(S.group, ((aut(elem), mult) for elem, mult in S.items))
+
+
+def _canonical_items(items, maps):
+    """Least of ``items`` and its images under the element maps.
+
+    Automorphisms are injective, so mapped runs never need merging.
+    """
+    best = items
+    for m in maps:
+        mapped = tuple(sorted((m[elem], mult) for elem, mult in items))
+        if mapped < best:
+            best = mapped
+    return best
 
 
 def canonical_form(S: Sequence, auts) -> Sequence:
-    """Lexicographically least automorphism image of S.
+    """Lexicographically least of S and its automorphism images.
 
     Constant on orbits and idempotent; with auts the full automorphism
     group the result is a canonical orbit representative.
@@ -402,18 +427,11 @@ def canonical_form(S: Sequence, auts) -> Sequence:
     >>> canonical_form(S, automorphism_group(g)).literal()
     '[1,1]'
     """
-    best = None
-    for aut in auts:
-        mapped = sorted(
-            (_apply_automorphism(aut, elem), mult) for elem, mult in S.items
-        )
-        # merging is unnecessary: automorphisms are injective on elements
-        key = tuple(mapped)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return S
-    return Sequence(S.group, best)
+    # maps restricted to the support: a full element map per automorphism
+    # costs |A| images for a sequence that needs only a few
+    support = S.support()
+    maps = [{x: aut(x) for x in support} for aut in auts]
+    return Sequence(S.group, _canonical_items(S.items, maps))
 
 
 # -- sequence literals --------------------------------------------------------

@@ -1,0 +1,26 @@
+"""The benchmark's traced run still works against the library.
+
+The tracer wraps library attributes by name, so renaming one of them
+breaks the traced run; this runs it on the benchmark's tiny instances.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_smoke_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "smoke", "--seed", "3",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"], proc.stdout
+    assert result["failed"] == 0

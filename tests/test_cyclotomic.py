@@ -9,10 +9,8 @@ from zerosumlab import (
     CyclotomicNumber,
     DomainError,
     StructuralError,
-    cyc_arith,
     cyclotomic_polynomial,
     euler_phi,
-    lift_pair,
 )
 
 zeta = CyclotomicNumber.zeta
@@ -150,12 +148,6 @@ def test_lift_preserves_value():
     assert prod_low == prod_high
 
 
-def test_lift_pair_uses_lcm():
-    a, b = lift_pair(zeta(4), zeta(6))
-    assert a.m == b.m == 12
-    assert a == zeta(12, 3) and b == zeta(12, 2)
-
-
 def test_lift_rejects_non_multiple():
     with pytest.raises(StructuralError):
         zeta(4).lift(6)
@@ -177,27 +169,10 @@ def test_to_fraction():
         zeta(3).to_fraction()
 
 
-# --- cyc_arith facade -----------------------------------------------------------
-
-def test_cyc_arith_ops():
-    assert cyc_arith(zeta(4), zeta(4), "mul") == -1
-    assert cyc_arith(zeta(3), zeta(3, 2), "add") == -1
-    assert cyc_arith(zeta(5), None, "inv") == zeta(5, 4)
-    assert cyc_arith(zeta(3), zeta(3), "eq") is True
-    assert cyc_arith(zeta(3), zeta(3, 2), "eq") is False
-
-
-def test_cyc_arith_requires_equal_conductors():
-    with pytest.raises(StructuralError):
-        cyc_arith(zeta(4), zeta(3), "add")
-    with pytest.raises(StructuralError):
-        cyc_arith(zeta(4), zeta(4), "frobnicate")
-
-
 def test_rational_conductor_one_arithmetic():
     two_thirds = CyclotomicNumber.from_rational(Fraction(2, 3))
     third = CyclotomicNumber.from_rational(Fraction(1, 3))
-    assert cyc_arith(two_thirds, third, "add") == 1
+    assert two_thirds + third == 1
 
 
 # --- rendering -------------------------------------------------------------------

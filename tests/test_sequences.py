@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from zerosumlab.errors import DomainError, ParseError, StructuralError
+from zerosumlab.errors import DomainError, ParseError, StructuralError, VerificationError
 from zerosumlab.groups import AbelianGroup, automorphism_group, parse_groupspec
 from zerosumlab.sequences import (
+    _KMAX_MEMO,
     BlockPacking,
     Sequence,
     apply_to_sequence,
@@ -95,6 +97,44 @@ def test_minimal_zero_sum_subsequences():
     assert [b.literal() for b in zero_block] == ["[0]"]
 
 
+def _minimal_zero_sums_by_definition(S):
+    """Every sub-multiset, as a multiplicity vector, that sums to zero and
+    has no proper non-empty zero-sum sub-multiset."""
+    A = S.group
+    elems = [elem for elem, _ in S.items]
+
+    def total(counts):
+        acc = A.zero
+        for elem, c in zip(elems, counts):
+            acc = A.add(acc, A.scale(c, elem))
+        return acc
+
+    zero_sums = [
+        counts
+        for counts in itertools.product(*(range(m + 1) for _, m in S.items))
+        if any(counts) and total(counts) == A.zero
+    ]
+    minimal = [
+        c
+        for c in zero_sums
+        if not any(d != c and all(x <= y for x, y in zip(d, c)) for d in zero_sums)
+    ]
+    return sorted(
+        tuple((elem, n) for elem, n in zip(elems, counts) if n) for counts in minimal
+    )
+
+
+def test_minimal_zero_sums_match_the_definition():
+    rng = random.Random(1205)
+    groups = [AbelianGroup((6,)), AbelianGroup((2, 4)), AbelianGroup((3, 3))]
+    for _ in range(150):
+        A = rng.choice(groups)
+        elems = A.elements()
+        s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 7))])
+        found = [b.items for b in minimal_zero_sum_subsequences(s)]
+        assert found == _minimal_zero_sums_by_definition(s), s.literal()
+
+
 def test_k_max_known_values():
     assert k_max(Sequence.empty(Z2)) == 0
     assert k_max(seq(Z2, 1)) == 0
@@ -127,6 +167,16 @@ def test_k_max_witness_is_a_valid_packing():
         assert packing.verify_covers(s)
         for block in packing.blocks:
             assert sequence_sum(block) == A.zero
+
+
+def test_witness_check_rejects_a_poisoned_memo():
+    # k_max of [1,1] over Z3 is 0; a memo that claims 1 has no packing to show
+    _KMAX_MEMO[((3,), (((1,), 2),))] = 1
+    try:
+        with pytest.raises(VerificationError):
+            k_max_with_witness(seq(Z3, 1, 1))
+    finally:
+        _KMAX_MEMO.clear()
 
 
 def test_block_packing_rejects_non_zero_sum_blocks():

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import CapacityError, DomainError, ZeroSumLabError
+from .errors import CapacityError, DomainError, ValidationError, ZeroSumLabError
 from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
 from .sequences import load_kmax_cache, save_kmax_cache, ZSL_CACHE_ENV
 from .davenport import davenport_k, davenport_table, eta, linearity_profile
@@ -252,7 +252,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cache_dir = os.environ.get(ZSL_CACHE_ENV)
     if cache_dir:
-        load_kmax_cache(cache_dir)
+        try:
+            load_kmax_cache(cache_dir)
+        except ValidationError as exc:
+            # leave the file as found: a save would overwrite it
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         payload = args.handler(args)
         _emit(args, payload)

@@ -3,7 +3,9 @@
 A value is a rational coefficient vector representing a residue modulo
 the m-th cyclotomic polynomial Φ_m, which is computed by the defining
 iterated division of x^m − 1 by the Φ_d for proper divisors d | m.  No
-floating point anywhere: coefficients are Fractions.
+floating point anywhere: coefficients are Fractions.  Reduction mod Φ_m
+folds each power x^j onto the integer residue of x^(j mod m), which is
+valid because Φ_m divides x^m − 1.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, VerificationError
 
 
 def _poly_divmod(num, den):
@@ -53,7 +55,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             quot, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            assert not rem
+            if rem:
+                raise VerificationError(
+                    f"Phi_{d} does not divide the quotient of x^{m} - 1", evidence=rem
+                )
             num = quot
     return tuple(int(c) for c in num)
 
@@ -77,9 +82,9 @@ class CyclotomicNumber:
     def __init__(self, m: int, coeffs):
         self.m = m
         deg = euler_phi(m)
-        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > deg:
-            coeffs = _reduce_mod(coeffs, cyclotomic_polynomial(m))
+            coeffs = _reduce_mod(coeffs, m)
+        coeffs = [Fraction(c) for c in coeffs]
         coeffs += [Fraction(0)] * (deg - len(coeffs))
         self.coeffs = tuple(coeffs)
 
@@ -287,7 +292,42 @@ def _poly_sub(a, b):
     return out
 
 
-def _reduce_mod(coeffs, phi):
-    _, rem = _poly_divmod(coeffs, list(phi))
-    return rem
+@lru_cache(maxsize=None)
+def _residue_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row j holds the integer coefficients of x^j mod Φ_m, j = 0..m−1.
+
+    Each row is x times the previous one, with x^φ(m) replaced by
+    x^φ(m) − Φ_m (Φ_m is monic with integer coefficients).
+    """
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    row = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(m):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            for i in range(deg):
+                row[i] -= top * phi[i]
+    return tuple(rows)
+
+
+def _reduce_mod(coeffs, m: int) -> list:
+    """Residue of Σ c_j·x^j modulo Φ_m, as a list of length φ(m).
+
+    x^m ≡ 1 mod Φ_m, so a term of degree j ≥ φ(m) folds onto row
+    j mod m of the residue table.  Integer inputs stay integers.
+    """
+    table = _residue_table(m)
+    deg = len(table[0])
+    out = list(coeffs[:deg])
+    out += [0] * (deg - len(out))
+    for j in range(deg, len(coeffs)):
+        c = coeffs[j]
+        if c:
+            for i, r in enumerate(table[j % m]):
+                if r:
+                    out[i] += c * r
+    return out
 

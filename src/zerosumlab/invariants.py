@@ -3,7 +3,10 @@
 A group element acts by x_i ↦ ζ_m^{s_i}·x_{σ(i)}; the closure of the
 generators under composition is materialized and checked against the
 declared group order.  Invariants of degree d are spanned by transfers
-(sums over all group translates) of degree-d monomials; β_k is the
+(sums over all group translates) of degree-d monomials.  A translate of
+a monomial is ζ_m^j times another monomial, so a transfer is collected
+as one integer histogram of ζ powers per image monomial and reduced mod
+Φ_m once per histogram, not once per group element.  β_k is the
 largest degree where the invariants are not contained in the (k+1)-st
 power of the positive-degree ideal, with the scan ranges certified by
 the Noether bound (β ≤ |G| in characteristic 0) and the trivial bound
@@ -123,14 +126,43 @@ class MonomialRep:
 def transfer(rep: MonomialRep, f: MultiPoly) -> MultiPoly:
     """Σ over all group elements of the image of f; always invariant.
 
+    Each term c·x^e of f sends x^e to ζ_m^{⟨s, e⟩}·x^{σ(e)} under
+    (σ, s), as in ``act``.  The powers of ζ_m are counted in an integer
+    histogram of length m per (term, image monomial); each histogram
+    becomes one cyclotomic number, which is multiplied by c once.
+
     >>> rep = regular_representation(AbelianGroup((2,)))
     >>> str(transfer(rep, MultiPoly.variable(1, 2)))
     '0'
+    >>> str(transfer(rep, MultiPoly.variable(0, 2)))
+    '2*x1'
     """
-    total = MultiPoly.zero(rep.nvars, rep.conductor)
-    for g in rep.elements:
-        total = total + rep.act(g, f)
-    return total
+    if f.nvars != rep.nvars:
+        raise StructuralError("polynomial arity does not match the representation")
+    m = rep.conductor
+    M = math.lcm(f.conductor, m)
+    out = {}
+    for exp, coeff in f.terms.items():
+        support = [(i, e) for i, e in enumerate(exp) if e]
+        hists = {}
+        for sigma, s in rep.elements:
+            image = [0] * rep.nvars
+            power = 0
+            for i, e in support:
+                image[sigma[i]] += e
+                power += s[i] * e
+            image = tuple(image)
+            hist = hists.get(image)
+            if hist is None:
+                hist = hists[image] = [0] * m
+            hist[power % m] += 1
+        coeff = coeff.lift(M)
+        for image, hist in hists.items():
+            c = CyclotomicNumber(m, hist).lift(M) * coeff
+            if image in out:
+                c = out[image] + c
+            out[image] = c
+    return MultiPoly(rep.nvars, out, M)
 
 
 def _degree_monomials(nvars, d):

@@ -20,7 +20,13 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import DomainError, ParseError, StructuralError, VerificationError
+from .errors import (
+    DomainError,
+    ParseError,
+    StructuralError,
+    ValidationError,
+    VerificationError,
+)
 from .groups import AbelianGroup
 
 ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
@@ -490,32 +496,72 @@ def _is_int(text):
 # -- optional on-disk memo spill ---------------------------------------------
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
+def _cache_entry(entry):
+    """Memo (key, value) of one spilled entry; None if its shape is wrong."""
+    if not (isinstance(entry, list) and len(entry) == 3):
+        return None
+    factors, items, value = entry
+    if not (_is_int_list(factors) and isinstance(items, list) and type(value) is int):
+        return None
+    runs = []
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2
+                and _is_int_list(item[0]) and type(item[1]) is int):
+            return None
+        runs.append((tuple(item[0]), item[1]))
+    return (tuple(factors), tuple(runs)), value
+
+
 def load_kmax_cache(directory: str) -> int:
-    """Merge a previously spilled k_max memo; returns entries loaded."""
+    """Merge a previously spilled k_max memo; returns entries loaded.
+
+    A file that is not JSON or not of the spilled shape raises
+    ValidationError naming it, and leaves the memo unchanged.
+    """
     path = os.path.join(directory, _CACHE_FILE)
     if not os.path.exists(path):
         return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    loaded = 0
-    for factors, items, value in data.get("entries", ()):
-        key = (
-            tuple(factors),
-            tuple((tuple(elem), mult) for elem, mult in items),
-        )
-        _KMAX_MEMO[key] = value
-        loaded += 1
-    return loaded
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValidationError(f"k_max cache {path} is not valid JSON: {exc}") from exc
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValidationError(f"k_max cache {path} has no list of entries")
+    loaded = {}
+    for index, entry in enumerate(entries):
+        pair = _cache_entry(entry)
+        if pair is None:
+            raise ValidationError(f"k_max cache {path}: entry {index} has the wrong shape")
+        loaded[pair[0]] = pair[1]
+    _KMAX_MEMO.update(loaded)
+    return len(entries)
 
 
 def save_kmax_cache(directory: str) -> int:
-    """Spill the k_max memo (values only — they are version-stable facts)."""
+    """Spill the k_max memo (values only — they are version-stable facts).
+
+    The file is written under a per-process temporary name in the same
+    directory and then renamed over the cache, so a reader never sees a
+    partial file.
+    """
     os.makedirs(directory, exist_ok=True)
     entries = [
         [list(factors), [[list(elem), mult] for elem, mult in items], value]
         for (factors, items), value in sorted(_KMAX_MEMO.items())
     ]
     path = os.path.join(directory, _CACHE_FILE)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": 1, "entries": entries}, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"schema_version": 1, "entries": entries}, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return len(entries)

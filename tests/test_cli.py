@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zerosumlab
 from zerosumlab.cli import main
 
 
@@ -188,3 +192,40 @@ def test_cache_spill_and_reload(capsys, tmp_path, monkeypatch):
     # a second invocation loads the cache without error
     code, _, _ = run(capsys, "davenport", "Z2xZ2", "--k", "2")
     assert code == 0
+
+
+def test_cache_save_leaves_only_the_cache_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("ZSL_CACHE_DIR", str(tmp_path))
+    for _ in range(2):
+        code, _, _ = run(capsys, "davenport", "Z3", "--k", "2")
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["zsl_kmax_cache.json"]
+        assert json.loads((tmp_path / "zsl_kmax_cache.json").read_text())["entries"]
+
+
+_GOOD_CACHE = json.dumps({"schema_version": 1, "entries": [[[3], [[[1], 3]], 1]]})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _GOOD_CACHE[: len(_GOOD_CACHE) // 2],
+        json.dumps({"schema_version": 1, "entries": {"not": "a list"}}),
+        json.dumps({"schema_version": 1, "entries": [[[3], [[[1], 2]], "2"]]}),
+    ],
+    ids=["truncated", "entries-not-a-list", "value-not-an-int"],
+)
+def test_corrupt_cache_exits_2_and_is_left_alone(tmp_path, raw):
+    cache_file = tmp_path / "zsl_kmax_cache.json"
+    cache_file.write_text(raw)
+    env = dict(os.environ, ZSL_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerosumlab.cli", "davenport", "Z3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and str(cache_file) in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert cache_file.read_text() == raw

@@ -12,6 +12,7 @@ from zerosumlab import (
     cyclotomic_polynomial,
     euler_phi,
 )
+from zerosumlab.cyclotomic import _poly_divmod, _reduce_mod
 
 zeta = CyclotomicNumber.zeta
 
@@ -54,6 +55,29 @@ def test_product_over_divisors_recovers_x_to_m_minus_one():
                         out[i + j] += a * b
                 acc = out
         assert acc == [-1] + [0] * (m - 1) + [1]
+
+
+def test_residue_table_reduction_matches_long_division():
+    rng = random.Random(40)
+    for m in range(1, 41):
+        phi = cyclotomic_polynomial(m)
+        deg = euler_phi(m)
+        lengths = {0, 1, deg, deg + 1, m, m + 1, 2 * m + 1, 3 * m}
+        lengths.update(rng.randint(0, 3 * m) for _ in range(3))
+        for length in sorted(lengths):
+            ints = [rng.randint(-5, 5) for _ in range(length)]
+            fracs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(length)]
+            for coeffs in (ints, fracs):
+                _, rem = _poly_divmod(coeffs, phi)
+                got = _reduce_mod(coeffs, m)
+                assert len(got) == deg
+                assert got == rem + [0] * (deg - len(rem)), (m, coeffs)
+
+
+def test_zeta_powers_multiply_to_one():
+    for m in range(1, 41):
+        for j in range(m + 1):
+            assert zeta(m, j) * zeta(m, m - j) == 1, (m, j)
 
 
 def test_rejects_bad_conductor():

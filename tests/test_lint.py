@@ -1,0 +1,23 @@
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import zerosumlab
+
+PACKAGE = Path(zerosumlab.__file__).parent
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert, so a check written as one can be switched off
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert not found, f"assert statements in the package: {found}"

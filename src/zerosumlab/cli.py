@@ -261,18 +261,21 @@ def main(argv=None) -> int:
     try:
         payload = args.handler(args)
         _emit(args, payload)
+        code = 1 if payload.get("passed") is False else 0
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except ZeroSumLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     finally:
         if cache_dir:
-            save_kmax_cache(cache_dir)
-    if payload.get("passed") is False:
-        return 1
-    return 0
+            try:
+                save_kmax_cache(cache_dir)
+            except ValidationError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = 2
+    return code
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ a monomial is ζ_m^j times another monomial, so a transfer is collected
 as one integer histogram of ζ powers per image monomial and reduced mod
 Φ_m once per histogram, not once per group element.  β_k is the
 largest degree where the invariants are not contained in the (k+1)-st
-power of the positive-degree ideal, with the scan ranges certified by
-the Noether bound (β ≤ |G| in characteristic 0) and the trivial bound
-β_k ≤ k·β.
+power of the positive-degree ideal (the scan in ``polynomials``, shared
+with presented algebras), with the scan ranges certified by the Noether
+bound (β ≤ |G| in characteristic 0) and the trivial bound β_k ≤ k·β.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .errors import (
 )
 from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
 from .cyclotomic import CyclotomicNumber
-from .polynomials import GradedSpan, MultiPoly
+from .polynomials import GradedSpan, MultiPoly, escaping_degrees
+from .polynomials import power_span as _power_span
 from .davenport import davenport_k
 
 DEFAULT_DEGREE_CAP = 64
@@ -119,6 +120,16 @@ class MonomialRep:
     def is_invariant(self, f: MultiPoly) -> bool:
         return all(self.act(g, f) == f for g in self.generators)
 
+    def degree_span(self, d: int) -> GradedSpan:
+        return invariant_basis(self, d)
+
+    def power_span(self, j: int, d: int) -> GradedSpan:
+        return _power_span(self, j, d)
+
+    def normal_form(self, f: MultiPoly) -> MultiPoly:
+        """Products of invariants are invariant polynomials; nothing to reduce."""
+        return f
+
     def __repr__(self):
         return f"MonomialRep({self.name})"
 
@@ -195,32 +206,6 @@ def invariant_basis(rep: MonomialRep, d: int) -> GradedSpan:
     return span
 
 
-def _power_span(rep: MonomialRep, j: int, d: int) -> GradedSpan:
-    """(R_+^j)_d via P_{1,d} = R_d and P_{j+1,d} = Σ_e R_e · P_{j,d−e}."""
-    key = (j, d)
-    cached = rep._power_cache.get(key)
-    if cached is not None:
-        return cached
-    if j == 1:
-        span = invariant_basis(rep, d) if d >= 1 else GradedSpan(rep.nvars)
-    else:
-        span = GradedSpan(rep.nvars)
-        for e in range(1, d - j + 2):
-            left = invariant_basis(rep, e)
-            right = _power_span(rep, j - 1, d - e)
-            for a in left.rows:
-                for b in right.rows:
-                    span.insert(a * b)
-    rep._power_cache[key] = span
-    return span
-
-
-def _failing_rows(rep, d, j):
-    """Rows of R_d outside (R_+^j)_d."""
-    power = _power_span(rep, j, d)
-    return [row for row in invariant_basis(rep, d).rows if not power.contains(row)]
-
-
 def beta_k(rep: MonomialRep, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> dict:
     """β_k of the invariant ring: max degree d with R_d ⊄ (R_+^{k+1})_d.
 
@@ -239,47 +224,36 @@ def beta_k(rep: MonomialRep, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> di
             f"over the cap {degree_cap}",
             limit=degree_cap,
         )
-    failing_1 = [d for d in range(1, rep.group_order + 1) if _failing_rows(rep, d, 2)]
-    if not failing_1:
+    failing, witness = escaping_degrees(rep, 2, range(1, rep.group_order + 1))
+    if not failing:
         raise VerificationError(
             "no generator degrees found within the Noether bound; "
             "impossible in characteristic zero"
         )
-    beta_1 = max(failing_1)
+    beta_1 = max(failing)
     report = {
         "rep": rep.name,
         "k": k,
         "beta_1": beta_1,
         "group_order": rep.group_order,
     }
-    if k == 1:
-        witness_rows = _failing_rows(rep, beta_1, 2)
-        report.update(
-            {
-                "beta": beta_1,
-                "scan_limit": rep.group_order,
-                "failing_degrees": failing_1,
-                "witness": str(witness_rows[0]),
-            }
-        )
-        return report
-    limit = k * beta_1
-    if limit > degree_cap:
-        raise CapacityError(
-            f"beta_{k} scan needs degrees up to k·beta_1 = {limit}, over the cap "
-            f"{degree_cap}",
-            limit=degree_cap,
-            partial=report,
-        )
-    failing = [d for d in range(1, limit + 1) if _failing_rows(rep, d, k + 1)]
-    value = max(failing) if failing else 0
-    witness_rows = _failing_rows(rep, value, k + 1) if failing else []
+    limit = rep.group_order
+    if k > 1:
+        limit = k * beta_1
+        if limit > degree_cap:
+            raise CapacityError(
+                f"beta_{k} scan needs degrees up to k·beta_1 = {limit}, over the cap "
+                f"{degree_cap}",
+                limit=degree_cap,
+                partial=report,
+            )
+        failing, witness = escaping_degrees(rep, k + 1, range(1, limit + 1))
     report.update(
         {
-            "beta": value,
+            "beta": max(failing) if failing else 0,
             "scan_limit": limit,
             "failing_degrees": failing,
-            "witness": str(witness_rows[0]) if witness_rows else None,
+            "witness": str(witness) if witness is not None else None,
         }
     )
     return report

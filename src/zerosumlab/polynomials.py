@@ -342,3 +342,44 @@ class GradedSpan:
 
     def __repr__(self):
         return f"GradedSpan(dim={self.dim}, pivots={self.pivots()})"
+
+
+def power_span(algebra, j: int, d: int) -> GradedSpan:
+    """(A_+^j)_d via P_{1,d} = A_d and P_{j+1,d} = Σ_e A_e · P_{j,d−e}.
+
+    Degrees are positive, so only e ≤ d − j + 1 contribute.  ``algebra``
+    is an invariant ring or a presented quotient: it provides ``nvars``,
+    ``degree_span(d)``, ``power_span(j, d)``, ``normal_form(f)`` and a
+    ``_power_cache`` dict.
+    """
+    key = (j, d)
+    cached = algebra._power_cache.get(key)
+    if cached is not None:
+        return cached
+    if j == 1:
+        span = algebra.degree_span(d) if d >= 1 else GradedSpan(algebra.nvars)
+    else:
+        span = GradedSpan(algebra.nvars)
+        for e in range(1, d - j + 2):
+            left = algebra.degree_span(e)
+            if not left.rows:
+                continue
+            right = algebra.power_span(j - 1, d - e)
+            for a in left.rows:
+                for b in right.rows:
+                    span.insert(algebra.normal_form(a * b))
+    algebra._power_cache[key] = span
+    return span
+
+
+def escaping_degrees(algebra, j: int, degrees):
+    """The d in ``degrees`` with A_d ⊄ (A_+^j)_d, and the first such row of the last d."""
+    failing = []
+    witness = None
+    for d in degrees:
+        power = algebra.power_span(j, d)
+        row = next((r for r in algebra.degree_span(d).rows if not power.contains(r)), None)
+        if row is not None:
+            failing.append(d)
+            witness = row
+    return failing, witness

@@ -4,7 +4,8 @@ The algebra is Q[g_1, …, g_n]/(relations) with a positive weight per
 generator; every relation must be homogeneous for that weighting, so the
 quotient is graded.  A degree slice is handled as the normal-form image
 of the polynomial slice modulo the matching slice of the relation ideal,
-which makes quotient linear algebra exact row reduction.
+which makes quotient linear algebra exact row reduction; ideal powers and the
+β scan are those of ``polynomials``, shared with invariant rings.
 
 Degrees are only ever explored up to an explicit cutoff, so every
 reported β_k carries status ``verified-up-to-cutoff`` — the honest
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import CapacityError, DomainError, ParseError, ValidationError
-from .polynomials import GradedSpan, MultiPoly
+from .polynomials import GradedSpan, MultiPoly, escaping_degrees, power_span
 
 DEFAULT_RING_CUTOFF = 24
 DEFAULT_DEGREE_CAP = 48
@@ -275,24 +276,7 @@ class PresentedGradedAlgebra:
         """Degree-d slice of the j-th power of the positive-degree ideal."""
         if j < 1:
             raise DomainError(f"power must be >= 1, got {j}")
-        key = (j, d)
-        cached = self._power_cache.get(key)
-        if cached is not None:
-            return cached
-        if j == 1:
-            span = self.degree_span(d) if d >= 1 else GradedSpan(self.nvars)
-        else:
-            span = GradedSpan(self.nvars)
-            for e in range(1, d):
-                left = self.degree_span(e)
-                if not left.rows:
-                    continue
-                right = self.power_span(j - 1, d - e)
-                for a in left.rows:
-                    for b in right.rows:
-                        span.insert(self.normal_form(a * b))
-        self._power_cache[key] = span
-        return span
+        return power_span(self, j, d)
 
     def in_power(self, text: str, j: int) -> bool:
         """Whether the (homogeneous) expression lies in the j-th ideal power."""
@@ -318,23 +302,15 @@ class PresentedGradedAlgebra:
                 f"cutoff {cutoff} is over the materialization cap {self.degree_cap}",
                 limit=self.degree_cap,
             )
-        failing = []
-        witness = None
-        for d in range(1, cutoff + 1):
-            power = self.power_span(k + 1, d)
-            rows = [row for row in self.degree_span(d).rows if not power.contains(row)]
-            if rows:
-                failing.append(d)
-                witness = self.render(rows[0])
-        value = max(failing) if failing else 0
+        failing, witness = escaping_degrees(self, k + 1, range(1, cutoff + 1))
         return {
             "generators": [list(g) for g in self.generators],
             "relations": [self.render(r) for r in self.relations],
             "k": k,
             "cutoff": cutoff,
-            "beta": value,
+            "beta": max(failing) if failing else 0,
             "failing_degrees": failing,
-            "witness": witness,
+            "witness": self.render(witness) if witness is not None else None,
             "status": "verified-up-to-cutoff",
         }
 
@@ -347,13 +323,7 @@ class PresentedGradedAlgebra:
         """
         if start < 1 or end < start:
             raise DomainError(f"bad window [{start}, {end}]")
-        failures = []
-        for d in range(start, end + 1):
-            decomposable = self.power_span(2, d)
-            if not all(
-                decomposable.contains(row) for row in self.degree_span(d).rows
-            ):
-                failures.append(d)
+        failures, _ = escaping_degrees(self, 2, range(start, end + 1))
         return {
             "window": [start, end],
             "generated": not failures,

@@ -501,33 +501,46 @@ def _is_int_list(value) -> bool:
 
 
 def _cache_entry(entry):
-    """Memo (key, value) of one spilled entry; None if its shape is wrong."""
+    """Memo (key, value) of one spilled entry; None unless it can be a k_max fact."""
     if not (isinstance(entry, list) and len(entry) == 3):
         return None
     factors, items, value = entry
     if not (_is_int_list(factors) and isinstance(items, list) and type(value) is int):
         return None
+    try:
+        AbelianGroup(factors)
+    except ValidationError:
+        return None
     runs = []
     for item in items:
         if not (isinstance(item, list) and len(item) == 2
-                and _is_int_list(item[0]) and type(item[1]) is int):
+                and _is_int_list(item[0]) and type(item[1]) is int and item[1] >= 1
+                and len(item[0]) == len(factors)
+                and all(0 <= x < n for x, n in zip(item[0], factors))):
             return None
         runs.append((tuple(item[0]), item[1]))
+    if not 0 <= value <= sum(mult for _, mult in runs):
+        return None
     return (tuple(factors), tuple(runs)), value
 
 
 def load_kmax_cache(directory: str) -> int:
     """Merge a previously spilled k_max memo; returns entries loaded.
 
-    A file that is not JSON or not of the spilled shape raises
-    ValidationError naming it, and leaves the memo unchanged.
+    A directory path that names something else, or an unreadable or
+    malformed file (see ``_cache_entry``), raises ValidationError naming
+    it and leaves the memo unchanged.
     """
+    if os.path.exists(directory) and not os.path.isdir(directory):
+        raise ValidationError(f"k_max cache directory {directory} is not a directory")
     path = os.path.join(directory, _CACHE_FILE)
     if not os.path.exists(path):
         return 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read k_max cache {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ValidationError(f"k_max cache {path} is not valid JSON: {exc}") from exc
     entries = data.get("entries") if isinstance(data, dict) else None
@@ -537,7 +550,7 @@ def load_kmax_cache(directory: str) -> int:
     for index, entry in enumerate(entries):
         pair = _cache_entry(entry)
         if pair is None:
-            raise ValidationError(f"k_max cache {path}: entry {index} has the wrong shape")
+            raise ValidationError(f"k_max cache {path}: entry {index} is malformed")
         loaded[pair[0]] = pair[1]
     _KMAX_MEMO.update(loaded)
     return len(entries)
@@ -548,9 +561,8 @@ def save_kmax_cache(directory: str) -> int:
 
     The file is written under a per-process temporary name in the same
     directory and then renamed over the cache, so a reader never sees a
-    partial file.
+    partial file.  An unwritable path raises ValidationError naming it.
     """
-    os.makedirs(directory, exist_ok=True)
     entries = [
         [list(factors), [[list(elem), mult] for elem, mult in items], value]
         for (factors, items), value in sorted(_KMAX_MEMO.items())
@@ -558,9 +570,12 @@ def save_kmax_cache(directory: str) -> int:
     path = os.path.join(directory, _CACHE_FILE)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(directory, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump({"schema_version": 1, "entries": entries}, fh)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write k_max cache {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zerosumlab
+from zerosumlab import ValidationError, save_kmax_cache
 from zerosumlab.cli import main
 
 
@@ -206,26 +208,75 @@ def test_cache_save_leaves_only_the_cache_file(capsys, tmp_path, monkeypatch):
 _GOOD_CACHE = json.dumps({"schema_version": 1, "entries": [[[3], [[[1], 3]], 1]]})
 
 
+def _zsl_davenport_z3(cache_dir):
+    env = dict(os.environ, ZSL_CACHE_DIR=str(cache_dir),
+               PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "zerosumlab.cli", "davenport", "Z3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def _entry(factors, items, value):
+    return json.dumps({"schema_version": 1, "entries": [[factors, items, value]]})
+
+
 @pytest.mark.parametrize(
     "raw",
     [
         _GOOD_CACHE[: len(_GOOD_CACHE) // 2],
         json.dumps({"schema_version": 1, "entries": {"not": "a list"}}),
         json.dumps({"schema_version": 1, "entries": [[[3], [[[1], 2]], "2"]]}),
+        _entry([2, 3], [[[1, 1], 2]], 0),
+        _entry([3], [[[1, 0], 3]], 1),
+        _entry([3], [[[3], 3]], 1),
+        _entry([3], [[[-1], 3]], 1),
+        _entry([3], [[[1], 0]], 0),
+        _entry([3], [[[1], 3]], 4),
+        _entry([3], [[[1], 3]], -1),
     ],
-    ids=["truncated", "entries-not-a-list", "value-not-an-int"],
+    ids=["truncated", "entries-not-a-list", "value-not-an-int", "factors-not-a-chain",
+         "element-wrong-arity", "element-over-range", "element-negative",
+         "multiplicity-zero", "value-over-length", "value-negative"],
 )
 def test_corrupt_cache_exits_2_and_is_left_alone(tmp_path, raw):
     cache_file = tmp_path / "zsl_kmax_cache.json"
     cache_file.write_text(raw)
-    env = dict(os.environ, ZSL_CACHE_DIR=str(tmp_path),
-               PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "zerosumlab.cli", "davenport", "Z3"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = _zsl_davenport_z3(tmp_path)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and str(cache_file) in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert cache_file.read_text() == raw
+
+
+@pytest.mark.parametrize("blocked", ["cache-dir-is-a-file", "cache-file-is-a-directory"])
+def test_unusable_cache_path_exits_2_and_is_left_alone(tmp_path, blocked):
+    if blocked == "cache-dir-is-a-file":
+        cache_dir = tmp_path / "not-a-dir"
+        cache_dir.write_text("plain file")
+        culprit = cache_dir
+    else:
+        cache_dir = tmp_path
+        culprit = tmp_path / "zsl_kmax_cache.json"
+        culprit.mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    proc = _zsl_davenport_z3(cache_dir)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and str(culprit) in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+    if blocked == "cache-dir-is-a-file":
+        assert cache_dir.read_text() == "plain file"
+    else:
+        assert culprit.is_dir()
+
+
+def test_cache_save_to_an_unusable_path_raises_validation_error(tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("plain file")
+    with pytest.raises(ValidationError, match=re.escape(str(blocker))):
+        save_kmax_cache(str(blocker))
+    assert blocker.read_text() == "plain file"
+    assert [p.name for p in tmp_path.iterdir()] == ["not-a-dir"]

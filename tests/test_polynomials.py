@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from zerosumlab import (
+    AbelianGroup,
     CyclotomicNumber,
     GradedSpan,
     MultiPoly,
+    PresentedGradedAlgebra,
+    SemidirectGroup,
     StructuralError,
+    beta_k,
+    induced_module,
+    regular_representation,
 )
 
 zeta = CyclotomicNumber.zeta
@@ -189,3 +196,71 @@ def test_span_pivots_sorted_descending():
     span.extend([Y, X**2, X * Y])
     keys = [(sum(p), p) for p in span.pivots()]
     assert keys == sorted(keys, reverse=True)
+
+
+# --- ideal powers shared by invariant rings and presented algebras ----------------
+
+_EXAMPLE_RING = ([("a", 1), ("b", 3)], ["b^3-a^9", "a*b^2-a^7"])
+_WEIGHTED_RING = ([("a", 1), ("b", 2), ("c", 3)], ["a*c-b^2"])
+
+
+def _brute_power_span(algebra, j, d):
+    """Span of the normal forms of all products of j rows of positive degrees summing to d."""
+    span = GradedSpan(algebra.nvars)
+    for cut in itertools.combinations(range(1, d), j - 1):
+        degrees = [b - a for a, b in zip((0,) + cut, cut + (d,))]
+        if min(degrees) < 1:
+            continue
+        for rows in itertools.product(*(algebra.degree_span(e).rows for e in degrees)):
+            product = rows[0]
+            for row in rows[1:]:
+                product = product * row
+            span.insert(algebra.normal_form(product))
+    return span
+
+
+@pytest.mark.parametrize(
+    "make, max_degree",
+    [
+        (lambda: regular_representation(AbelianGroup((3,))), 6),
+        (lambda: induced_module(SemidirectGroup(3, 2, 2)), 6),
+        (lambda: PresentedGradedAlgebra(*_EXAMPLE_RING), 9),
+        (lambda: PresentedGradedAlgebra(*_WEIGHTED_RING), 9),
+    ],
+    ids=["reg(Z3)", "ind(SD(3,2,2))", "example-ring", "weighted-ring"],
+)
+def test_power_span_matches_all_products(make, max_degree):
+    algebra = make()
+    for j in (1, 2, 3):
+        for d in range(max_degree + 1):
+            assert algebra.power_span(j, d).rows == _brute_power_span(algebra, j, d).rows, (j, d)
+
+
+# Reports of the parent implementation (two β scans per algebra kind), written out.
+@pytest.mark.parametrize(
+    "compute, expected",
+    [
+        (lambda: beta_k(regular_representation(AbelianGroup((3,))), 2),
+         {"rep": "reg(Z3)", "k": 2, "beta_1": 3, "group_order": 3, "beta": 6,
+          "scan_limit": 6, "failing_degrees": [1, 2, 3, 4, 5, 6], "witness": "x2^6"}),
+        (lambda: beta_k(regular_representation(AbelianGroup((2, 2))), 2),
+         {"rep": "reg(Z2xZ2)", "k": 2, "beta_1": 3, "group_order": 4, "beta": 5,
+          "scan_limit": 6, "failing_degrees": [1, 2, 3, 4, 5], "witness": "x2^3*x3*x4"}),
+        (lambda: beta_k(induced_module(SemidirectGroup(3, 2, 2)), 1),
+         {"rep": "ind(SD(3,2,2))", "k": 1, "beta_1": 3, "group_order": 6, "beta": 3,
+          "scan_limit": 6, "failing_degrees": [2, 3], "witness": "x1^3 + x2^3"}),
+        (lambda: beta_k(induced_module(SemidirectGroup(3, 2, 2)), 2),
+         {"rep": "ind(SD(3,2,2))", "k": 2, "beta_1": 3, "group_order": 6, "beta": 6,
+          "scan_limit": 6, "failing_degrees": [2, 3, 4, 5, 6], "witness": "x1^6 + x2^6"}),
+        (lambda: PresentedGradedAlgebra(*_EXAMPLE_RING).beta_k(2, cutoff=30),
+         {"generators": [["a", 1], ["b", 3]], "relations": ["-a^9 + b^3", "-a^7 + a*b^2"],
+          "k": 2, "cutoff": 30, "beta": 6, "failing_degrees": [1, 2, 3, 4, 6],
+          "witness": "b^2", "status": "verified-up-to-cutoff"}),
+        (lambda: PresentedGradedAlgebra(*_EXAMPLE_RING).tail_generated(3, 20),
+         {"window": [3, 20], "generated": False, "failures": [3]}),
+    ],
+    ids=["reg(Z3)-k2", "reg(Z2xZ2)-k2", "ind(SD(3,2,2))-k1", "ind(SD(3,2,2))-k2",
+         "example-ring-k2", "example-ring-tail"],
+)
+def test_beta_and_tail_reports_are_pinned(compute, expected):
+    assert compute() == expected

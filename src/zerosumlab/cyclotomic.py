@@ -175,14 +175,7 @@ class CyclotomicNumber:
         other = self._same(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1 or 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        prod[i + j] += ca * cb
-        return CyclotomicNumber(self.m, prod)
+        return CyclotomicNumber(self.m, _poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 
 from .errors import (
     CapacityError,
@@ -491,38 +490,11 @@ class SemidirectGroup:
         return hash(("SemidirectGroup", self.p, self.d, self.e))
 
 
-_SD_RE = re.compile(r"SD\((\d+),(\d+),(\d+)\)\Z")
-
-
-def _sd_deviation_position(text: str) -> int:
-    """Index of the first character breaking the SD(p,d,e) shape."""
-    pos = 0
-    n = len(text)
-
-    def expect(ch):
-        nonlocal pos
-        if pos < n and text[pos] == ch:
-            pos += 1
-            return True
-        return False
-
-    def digits():
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        return pos > start
-
-    for ch in "SD(":
-        if not expect(ch):
-            return pos
-    for i in range(3):
-        if not digits():
-            return pos
-        if i < 2 and not expect(","):
-            return pos
-    expect(")")
-    return pos  # a complete literal followed by junk deviates here
+def _digits_end(text: str, pos: int) -> int:
+    """End of the run of ASCII digits 0-9 that starts at ``pos``."""
+    while pos < len(text) and "0" <= text[pos] <= "9":
+        pos += 1
+    return pos
 
 
 def parse_groupspec(text: str):
@@ -536,21 +508,28 @@ def parse_groupspec(text: str):
     if not text:
         raise ParseError("empty group spec", 0)
     if text[0] == "S":
-        m = _SD_RE.match(text)
-        if not m:
-            raise ParseError(
-                f"malformed SD spec {text!r}", _sd_deviation_position(text)
-            )
-        return SemidirectGroup(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        # "#" is a run of ASCII digits; an error points at the first
+        # character that breaks the template
+        pos, params = 0, []
+        for token in "SD(#,#,#)":
+            if token == "#":
+                end = _digits_end(text, pos)
+                params.append(text[pos:end])
+            else:
+                end = pos + 1 if text[pos : pos + 1] == token else pos
+            if end == pos:
+                raise ParseError(f"malformed SD spec {text!r}", pos)
+            pos = end
+        if pos != len(text):
+            raise ParseError(f"malformed SD spec {text!r}", pos)
+        return SemidirectGroup(*map(int, params))
     factors = []
     pos = 0
     while True:
         if pos >= len(text) or text[pos] != "Z":
             raise ParseError("expected 'Z'", pos)
-        pos += 1
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
+        start = pos + 1
+        pos = _digits_end(text, start)
         if start == pos:
             raise ParseError("expected digits after 'Z'", pos)
         n = int(text[start:pos])

@@ -30,7 +30,7 @@ from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
 from .cyclotomic import CyclotomicNumber
 from .polynomials import GradedSpan, MultiPoly, escaping_degrees
 from .polynomials import power_span as _power_span
-from .davenport import davenport_k
+from .davenport import davenport_k, sigma_diagonal
 
 DEFAULT_DEGREE_CAP = 64
 _CLOSURE_CAP = 4096
@@ -379,8 +379,10 @@ def verify_sigma_zpzd(G: SemidirectGroup) -> dict:
 
     For every non-empty variable subset S, restricting f_{|S|} to S must
     leave a single monomial c·m_S with c ≠ 0 — then no non-zero point
-    annihilates all f_k, so invariants of degree ≤ p cut out only the
-    origin and σ(G, U) ≤ p; σ(G) ≥ σ(Z_p) = p from the subgroup Z_p.
+    annihilates all f_k, so the f_k cut out only the origin and σ(G, U)
+    is at most their largest degree.  σ(G) ≥ σ(Z_p) from the subgroup
+    Z_p, computed by ``sigma_diagonal``.  The check passes iff the two
+    bounds meet.
     """
     fks = construct_fk(G)
     d = G.d
@@ -416,17 +418,19 @@ def verify_sigma_zpzd(G: SemidirectGroup) -> dict:
                     "c_divides_d": G.d % c == 0,
                 }
             )
+    upper = max(f.degree() for f in fks)
+    lower = sigma_diagonal(AbelianGroup((G.p,)), [(1,)])
     return {
         "group": G.spec(),
         "p": G.p,
         "d": G.d,
         "fk_degrees": [f.degree() for f in fks],
-        "max_degree": max(f.degree() for f in fks),
+        "max_degree": upper,
         "restrictions": restrictions,
-        "sigma_upper_module": G.p,
-        "sigma_lower_subgroup": G.p,
-        "sigma": G.p,
-        "passed": True,
+        "sigma_upper_module": upper,
+        "sigma_lower_subgroup": lower,
+        "sigma": upper if upper == lower else None,
+        "passed": upper == lower,
     }
 
 

@@ -287,30 +287,36 @@ class GradedSpan:
 
     Rows are monic on their grlex-leading monomial, every pivot monomial
     occurs in exactly one row, and rows are kept sorted by descending
-    pivot — the unique reduced basis of the span.
+    pivot — the unique reduced basis of the span.  Each row's pivot is
+    stored when the row is inserted: later inserts only change terms
+    below it, so it is never recomputed.
     """
 
-    __slots__ = ("nvars", "rows")
+    __slots__ = ("nvars", "rows", "_pivots")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.rows: list[MultiPoly] = []
+        self._pivots: list[tuple[int, ...]] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def pivots(self):
-        return [row.leading()[0] for row in self.rows]
+        return list(self._pivots)
 
     def reduce(self, f: MultiPoly) -> MultiPoly:
-        """Normal form of f against the basis (every pivot eliminated)."""
+        """Normal form of f against the basis (every pivot eliminated).
+
+        No row has a term at another row's pivot, so the order of
+        elimination does not matter.
+        """
         if f.nvars != self.nvars:
             raise StructuralError("arity mismatch in span reduction")
-        for row in self.rows:
-            pivot, _ = row.leading()
+        for pivot, row in zip(self._pivots, self.rows):
             c = f.terms.get(pivot)
-            if c is not None and not c.is_zero():
+            if c is not None:
                 f = f - row * c
         return f
 
@@ -324,13 +330,17 @@ class GradedSpan:
             return False
         pivot, lead = f.leading()
         f = f * lead.inverse()
-        # eliminate the new pivot from existing rows to keep the basis reduced
-        for i, row in enumerate(self.rows):
-            c = row.terms.get(pivot)
-            if c is not None and not c.is_zero():
-                self.rows[i] = row - f * c
-        self.rows.append(f)
-        self.rows.sort(key=lambda r: grlex_key(r.leading()[0]), reverse=True)
+        key = grlex_key(pivot)
+        # Only rows with a higher pivot can hold f's pivot, and f is reduced,
+        # so clearing it from them leaves their pivots as they were.
+        i = 0
+        while i < len(self.rows) and grlex_key(self._pivots[i]) > key:
+            c = self.rows[i].terms.get(pivot)
+            if c is not None:
+                self.rows[i] = self.rows[i] - f * c
+            i += 1
+        self.rows.insert(i, f)
+        self._pivots.insert(i, pivot)
         return True
 
     def extend(self, polys) -> int:

@@ -26,7 +26,7 @@ DEFAULT_RING_CUTOFF = 24
 DEFAULT_DEGREE_CAP = 48
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INT_RE = re.compile(r"\d+")
+_INT_RE = re.compile(r"[0-9]+")
 
 
 class _Parser:
@@ -262,13 +262,15 @@ class PresentedGradedAlgebra:
         return len(self.degree_basis(d))
 
     def degree_span(self, d: int) -> GradedSpan:
-        """The degree-d slice as a span of normal forms."""
+        """The degree-d slice, spanned by its standard monomials.
+
+        A monomial that is no pivot of the ideal slice is its own normal form.
+        """
         cached = self._span_cache.get(d)
         if cached is not None:
             return cached
         span = GradedSpan(self.nvars)
-        for f in self.degree_basis(d):
-            span.insert(self.normal_form(f))
+        span.extend(self.degree_basis(d))
         self._span_cache[d] = span
         return span
 

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .groups import AbelianGroup
+from .groups import AbelianGroup, _digits_end
 
 ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
 _CACHE_FILE = "zsl_kmax_cache.json"
@@ -490,7 +490,8 @@ def parse_sequence(text: str, group: AbelianGroup) -> Sequence:
 
 
 def _is_int(text):
-    return bool(text) and (text.lstrip("-").isdigit()) and text.count("-") <= 1
+    start = 1 if text.startswith("-") else 0
+    return len(text) > start and _digits_end(text, start) == len(text)
 
 
 # -- optional on-disk memo spill ---------------------------------------------

@@ -31,6 +31,7 @@ from .davenport import (
     davenport_k,
     davenport_table,
     linearity_profile,
+    sigma_diagonal,
     verify_inequalities,
     verify_subgroup_relations,
 )
@@ -356,32 +357,34 @@ def _check_sigma_az2(run):
     return {"instances": instances, "passed": all(i["ok"] for i in instances)}
 
 
+def _sigma_over_q(spec, sigma, order):
+    q = smallest_prime_divisor(order)
+    return {
+        "group": spec,
+        "sigma": sigma,
+        "bound": order // q,
+        "ok": sigma is not None and sigma * q <= order,
+    }
+
+
 def _check_sigma_over_q(run):
-    """σ ≤ |G|/q (q the least prime divisor) on every non-cyclic group used."""
+    """σ ≤ |G|/q (q the least prime divisor) on every non-cyclic group used.
+
+    σ of an abelian group is computed over all its non-zero characters;
+    σ(Z_p⋊Z_d) is the value ``verify_sigma_zpzd`` certifies.
+    """
     instances = []
     for spec in ("Z2xZ2", "Z3xZ3", "Z2xZ4"):
         if not run.allows(spec):
             continue
         A = parse_groupspec(spec)
-        q = smallest_prime_divisor(A.order)
-        instances.append({
-            "group": spec,
-            "sigma": A.exponent,
-            "bound": A.order // q,
-            "ok": A.exponent * q <= A.order,
-        })
+        sigma = sigma_diagonal(A, [x for x in A.elements() if x != A.zero])
+        instances.append(_sigma_over_q(spec, sigma, A.order))
     for spec in _ZPZD_SPECS:
         if not run.allows(spec):
             continue
         G = parse_groupspec(spec)
-        order = G.p * G.d
-        q = smallest_prime_divisor(order)
-        instances.append({
-            "group": spec,
-            "sigma": G.p,
-            "bound": order // q,
-            "ok": G.p * q <= order,
-        })
+        instances.append(_sigma_over_q(spec, verify_sigma_zpzd(G)["sigma"], G.order))
     if not instances:
         return None
     return {"instances": instances, "passed": all(i["ok"] for i in instances)}

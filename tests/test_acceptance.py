@@ -26,6 +26,7 @@ from zerosumlab import (
     linearity_profile,
     parse_groupspec,
     sequence_sum,
+    sigma_diagonal,
     smallest_prime_divisor,
     verify_beta_equals_davenport,
     verify_direct_product_bound,
@@ -178,13 +179,14 @@ def test_10_sigma_az2():
 def test_11_sigma_over_q():
     for spec in ("Z2xZ2", "Z3xZ3", "Z2xZ4"):
         A = parse_groupspec(spec)
+        sigma = sigma_diagonal(A, [x for x in A.elements() if x != A.zero])
         q = smallest_prime_divisor(A.order)
-        assert A.exponent * q <= A.order, spec
+        assert sigma * q <= A.order, spec
     for spec in ("SD(3,2,2)", "SD(5,2,4)", "SD(5,4,2)", "SD(7,3,2)"):
         G = parse_groupspec(spec)
-        order = G.p * G.d
-        q = smallest_prime_divisor(order)
-        assert G.p * q <= order, spec
+        sigma = verify_sigma_zpzd(G)["sigma"]
+        q = smallest_prime_divisor(G.order)
+        assert sigma * q <= G.order, spec
     _verdict(11, "sigma at most order over q")
 
 

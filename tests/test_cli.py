@@ -151,6 +151,24 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["davenport", "Z\u00b2"], ["davenport", "Z\u0663"], ["sigma-zpzd", "SD(\u0663,2,2)"]],
+    ids=["superscript-two", "arabic-indic-three", "sd-arabic-indic-three"],
+)
+def test_non_ascii_digits_exit_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
+    env.pop("ZSL_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerosumlab.cli", *argv],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_domain_error_exits_2(capsys):
     code, out, err = run(capsys, "davenport", "SD(3,2,2)")
     assert code == 2

@@ -213,3 +213,14 @@ def test_parse_groupspec_errors_carry_positions():
         parse_groupspec("Z0")
     with pytest.raises(ValidationError):
         parse_groupspec("SD(4,2,3)")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("SX", 1), ("SD(", 3), ("SD(3a", 4), ("SD(3,2)", 6), ("SD(3,2,2", 8),
+     ("SD(3,2,2)x", 9)],
+)
+def test_sd_spec_errors_point_at_the_first_bad_character(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_groupspec(text)
+    assert info.value.position == position

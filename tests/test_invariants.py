@@ -21,6 +21,7 @@ from zerosumlab import (
     construct_fk,
     induced_module,
     invariant_basis,
+    invariants,
     parse_repspec,
     regular_representation,
     transfer,
@@ -241,6 +242,15 @@ def test_sigma_zpzd_report():
     cs = {tuple(r["S"]): r["c"] for r in report["restrictions"]}
     assert cs == {(1,): 1, (2,): 1, (1, 2): 2}
     assert all(r["c_divides_d"] for r in report["restrictions"])
+
+
+def test_sigma_zpzd_fails_when_the_bounds_disagree(monkeypatch):
+    monkeypatch.setattr(invariants, "sigma_diagonal", lambda A, chars: A.factors[0] - 1)
+    report = verify_sigma_zpzd(SD322)
+    assert report["sigma_upper_module"] == 3
+    assert report["sigma_lower_subgroup"] == 2
+    assert report["sigma"] is None
+    assert not report["passed"]
 
 
 def test_sigma_zpzd_more_groups():

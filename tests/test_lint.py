@@ -21,3 +21,18 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_package_checks_digits_as_ascii():
+    # str.isdigit() and friends accept "²" and "٣"; user input wants 0-9 only
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("isdigit", "isdecimal", "isnumeric")
+        ]
+    assert not found, f"non-ASCII digit checks in the package: {found}"

@@ -18,6 +18,7 @@ from zerosumlab import (
     induced_module,
     regular_representation,
 )
+from zerosumlab.polynomials import grlex_key
 
 zeta = CyclotomicNumber.zeta
 X = MultiPoly.variable(0, 2)
@@ -196,6 +197,43 @@ def test_span_pivots_sorted_descending():
     span.extend([Y, X**2, X * Y])
     keys = [(sum(p), p) for p in span.pivots()]
     assert keys == sorted(keys, reverse=True)
+
+
+def _random_homogeneous(rng: random.Random, m: int, nvars: int = 3) -> MultiPoly:
+    degree = rng.randint(2, 4)
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+    terms = {
+        exp: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * zeta(m, rng.randrange(m))
+        + rng.randint(-1, 1)
+        for exp in rng.sample(monomials, rng.randint(1, min(4, len(monomials))))
+    }
+    return MultiPoly(nvars, terms, m)
+
+
+@pytest.mark.parametrize("m", [1, 4, 3], ids=["Q", "Q(zeta_4)", "Q(zeta_3)"])
+def test_span_stores_the_pivots_of_a_reduced_basis(m):
+    rng = random.Random(5150 + m)
+    span = GradedSpan(3)
+    inserted = []
+    for _ in range(16):
+        if inserted and rng.random() < 0.25:  # a combination already in the span
+            assert not span.insert(inserted[-1] * 2 - inserted[0])
+        else:
+            f = _random_homogeneous(rng, m)
+            span.insert(f)
+            inserted.append(f)
+        pivots = span.pivots()
+        assert pivots == [row.leading()[0] for row in span.rows]
+        keys = [grlex_key(p) for p in pivots]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        for pivot, row in zip(pivots, span.rows):
+            assert row.terms[pivot] == 1
+            assert not set(row.terms) & (set(pivots) - {pivot})
+        shuffled = GradedSpan(3)
+        shuffled.extend(rng.sample(inserted, len(inserted)))
+        assert shuffled.rows == span.rows
+        probe = _random_homogeneous(rng, m) + inserted[-1]
+        assert span.reduce(probe) == shuffled.reduce(probe)
 
 
 # --- ideal powers shared by invariant rings and presented algebras ----------------

@@ -70,6 +70,12 @@ def test_element_round_trip():
     assert R.render(R.element("-a + 3*a")) == "2*a"
 
 
+@pytest.mark.parametrize("text", ["a^\u0663", "\u0663*a", "a^\u00b2"])
+def test_non_ascii_digits_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        example_ring().element(text)
+
+
 def test_parse_error_positions():
     R = example_ring()
     with pytest.raises(ParseError) as info:

@@ -71,6 +71,16 @@ def test_parse_sequence_errors():
         parse_sequence("[4]", Z4)
 
 
+@pytest.mark.parametrize(
+    "text, group",
+    [("[\u00b2]", Z3), ("[\u0663]", Z3), ("[-\u0663]", Z3), ("[(1,\u0663)]", V4)],
+    ids=["superscript-two", "arabic-indic-three", "negative", "tuple-coordinate"],
+)
+def test_parse_sequence_rejects_non_ascii_digits(text, group):
+    with pytest.raises(ParseError):
+        parse_sequence(text, group)
+
+
 def test_multiset_operations():
     s = seq(Z4, 1, 1, 2)
     t = seq(Z4, 1, 2)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zerosumlab import AbelianGroup, DomainError, verify_all
+from zerosumlab import AbelianGroup, DomainError, invariants, suite, verify_all
 from zerosumlab.suite import CHECKS
 
 CHECK_NAMES = [name for name, _ in CHECKS]
@@ -53,6 +53,23 @@ def test_runs_are_deterministic(full_run):
     assert json.dumps(_strip_seconds(full_run), sort_keys=True) == json.dumps(
         _strip_seconds(again), sort_keys=True
     )
+
+
+@pytest.mark.parametrize(
+    "owner, fake_sigma, spec, checks",
+    [
+        # a Z_p lower bound of 1 disagrees with the largest f_k degree p
+        (invariants, lambda A, chars: 1, "SD(3,2,2)", {"sigma-zpzd", "sigma-over-q"}),
+        # σ = |A| breaks σ ≤ |A|/q
+        (suite, lambda A, chars: A.order, "Z2xZ2", {"sigma-over-q"}),
+    ],
+    ids=["semidirect-lower-bound", "abelian-sigma"],
+)
+def test_sigma_checks_fail_on_a_wrong_sigma(monkeypatch, owner, fake_sigma, spec, checks):
+    monkeypatch.setattr(owner, "sigma_diagonal", fake_sigma)
+    result = verify_all(groups=[spec])
+    failed = {c["name"] for c in result["checks"] if c["status"] == "fail"}
+    assert failed == checks
 
 
 # --- group filtering -----------------------------------------------------------

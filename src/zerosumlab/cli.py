@@ -15,8 +15,14 @@ import json
 import os
 import sys
 
-from .errors import CapacityError, DomainError, ValidationError, ZeroSumLabError
-from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
+from .errors import (
+    CapacityError,
+    DomainError,
+    ParseError,
+    ValidationError,
+    ZeroSumLabError,
+)
+from .groups import AbelianGroup, SemidirectGroup, _parse_int, parse_groupspec
 from .sequences import load_kmax_cache, save_kmax_cache, ZSL_CACHE_ENV
 from .davenport import davenport_k, davenport_table, eta, linearity_profile
 from .lemmas import verify_direct_product_bound, zero_sum_with_support
@@ -33,6 +39,14 @@ from .presented import (
     parse_generator_spec,
 )
 from .suite import SCHEMA_VERSION, verify_all
+
+
+def _integer(text: str) -> int:
+    """argparse type for integer arguments: ASCII digits only."""
+    try:
+        return _parse_int(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _abelian(spec: str) -> AbelianGroup:
@@ -77,8 +91,8 @@ def _cmd_linearity(args):
 
 def _cmd_support_lemma(args):
     try:
-        support = [int(s) for s in args.support.split(",") if s.strip() != ""]
-    except ValueError:
+        support = [_parse_int(s.strip()) for s in args.support.split(",") if s.strip() != ""]
+    except ParseError:
         raise DomainError(f"support must be comma-separated integers, got {args.support!r}")
     T = zero_sum_with_support(args.p, support)
     return {
@@ -146,38 +160,41 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (csv only for dk-table)")
-    common.add_argument("--budget-seconds", type=float, default=None,
-                        help="abort long searches after this many seconds")
     common.add_argument("--out", default=None, help="write the report to a file")
+    # only the subcommands that honour it take --budget-seconds; the others
+    # reject it rather than run to the end
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument("--budget-seconds", type=float, default=None,
+                          help="abort long searches after this many seconds")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("davenport", parents=[common],
+    p = sub.add_parser("davenport", parents=[budgeted],
                        help="D_k of an abelian group, with extremal witness")
     p.add_argument("group")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_integer, default=1)
     p.set_defaults(handler=_cmd_davenport)
 
-    p = sub.add_parser("dk-table", parents=[common],
+    p = sub.add_parser("dk-table", parents=[budgeted],
                        help="D_1 … D_k table of an abelian group")
     p.add_argument("group")
-    p.add_argument("--k-upto", type=int, required=True)
+    p.add_argument("--k-upto", type=_integer, required=True)
     p.set_defaults(handler=_cmd_dk_table)
 
-    p = sub.add_parser("eta", parents=[common],
+    p = sub.add_parser("eta", parents=[budgeted],
                        help="shortest length forcing a zero-sum block of length ≤ exp(A)")
     p.add_argument("group")
     p.set_defaults(handler=_cmd_eta)
 
-    p = sub.add_parser("linearity", parents=[common],
+    p = sub.add_parser("linearity", parents=[budgeted],
                        help="detect D_k = k·exp(A) + D0 on a computed table")
     p.add_argument("group")
-    p.add_argument("--k-upto", type=int, default=4)
+    p.add_argument("--k-upto", type=_integer, default=4)
     p.set_defaults(handler=_cmd_linearity)
 
     p = sub.add_parser("support-lemma", parents=[common],
                        help="zero-sum sequence over Z_p with prescribed support")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_integer)
     p.add_argument("support", help="comma-separated non-zero residues, e.g. 1,2,4")
     p.set_defaults(handler=_cmd_support_lemma)
 
@@ -185,20 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="D_{r+s-1}(G×H) ≥ D_r(G) + D_s(H) − 1 with witness")
     p.add_argument("group_g")
     p.add_argument("group_h")
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--r", type=_integer, default=1)
+    p.add_argument("--s", type=_integer, default=1)
     p.set_defaults(handler=_cmd_product_bound)
 
     p = sub.add_parser("beta", parents=[common],
                        help="β_k of a monomial representation: reg(...) or ind(...)")
     p.add_argument("rep")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_integer, default=1)
     p.set_defaults(handler=_cmd_beta)
 
-    p = sub.add_parser("crosscheck", parents=[common],
+    p = sub.add_parser("crosscheck", parents=[budgeted],
                        help="β_k of the regular representation against D_k")
     p.add_argument("group")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_integer, default=1)
     p.set_defaults(handler=_cmd_crosscheck)
 
     p = sub.add_parser("sigma-zpzd", parents=[common],
@@ -208,19 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma-az2", parents=[common],
                        help="verify the two-variable invariants x^e+y^e, xy")
-    p.add_argument("n", type=int)
-    p.add_argument("e", type=int)
+    p.add_argument("n", type=_integer)
+    p.add_argument("e", type=_integer)
     p.set_defaults(handler=_cmd_sigma_az2)
 
     p = sub.add_parser("ring-beta", parents=[common],
                        help="β_k of a presented graded algebra, up to a cutoff")
     p.add_argument("--gens", required=True, help='e.g. "a:1,b:3"')
     p.add_argument("--rels", required=True, help='e.g. "b^3-a^9, a*b^2-a^7"')
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_RING_CUTOFF)
+    p.add_argument("--k", type=_integer, default=1)
+    p.add_argument("--cutoff", type=_integer, default=DEFAULT_RING_CUTOFF)
     p.set_defaults(handler=_cmd_ring_beta)
 
-    p = sub.add_parser("verify-all", parents=[common],
+    p = sub.add_parser("verify-all", parents=[budgeted],
                        help="run the full verification suite")
     p.add_argument("--groups", default=None,
                    help="comma-separated group specs to restrict the suite to")

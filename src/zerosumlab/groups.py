@@ -497,6 +497,25 @@ def _digits_end(text: str, pos: int) -> int:
     return pos
 
 
+def _is_int(text: str) -> bool:
+    """An optional leading '-', then one or more ASCII digits 0-9, and nothing else."""
+    start = 1 if text.startswith("-") else 0
+    return len(text) > start and _digits_end(text, start) == len(text)
+
+
+def _parse_int(text: str) -> int:
+    """``text`` as an int if ``_is_int`` accepts it.
+
+    ``int`` alone would also read "٣", "+1" and "1_0".
+
+    >>> _parse_int("-12")
+    -12
+    """
+    if not _is_int(text):
+        raise ParseError(f"expected an integer of ASCII digits, got {text!r}")
+    return int(text)
+
+
 def parse_groupspec(text: str):
     """Parse ``Z<n>``, ``Z<a>xZ<b>x…`` (normalized) or ``SD(p,d,e)``.
 

@@ -45,7 +45,7 @@ class MonomialRep:
     """
 
     __slots__ = ("name", "nvars", "conductor", "generators", "elements",
-                 "group_order", "_basis_cache", "_power_cache")
+                 "group_order", "_basis_cache", "_power_cache", "_generator_cache")
 
     def __init__(self, nvars, conductor, generators, expected_order=None, name=None):
         self.nvars = nvars
@@ -67,6 +67,7 @@ class MonomialRep:
         self.name = name or f"monomial-rep({nvars} vars, order {self.group_order})"
         self._basis_cache = {}
         self._power_cache = {}
+        self._generator_cache = {}
 
     def _compose(self, g, h):
         """Apply g, then h."""

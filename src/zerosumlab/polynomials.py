@@ -343,6 +343,13 @@ class GradedSpan:
         self._pivots.insert(i, pivot)
         return True
 
+    def copy(self) -> "GradedSpan":
+        """A span with the same rows that ``insert`` can grow independently."""
+        out = GradedSpan(self.nvars)
+        out.rows = list(self.rows)
+        out._pivots = list(self._pivots)
+        return out
+
     def extend(self, polys) -> int:
         added = 0
         for f in polys:
@@ -354,13 +361,36 @@ class GradedSpan:
         return f"GradedSpan(dim={self.dim}, pivots={self.pivots()})"
 
 
-def power_span(algebra, j: int, d: int) -> GradedSpan:
-    """(A_+^j)_d via P_{1,d} = A_d and P_{j+1,d} = Σ_e A_e · P_{j,d−e}.
+def _generators(algebra, e: int) -> list[MultiPoly]:
+    """G_e: rows of A_e that span A_e together with (A_+^2)_e, none redundant.
 
-    Degrees are positive, so only e ≤ d − j + 1 contribute.  ``algebra``
-    is an invariant ring or a presented quotient: it provides ``nvars``,
-    ``degree_span(d)``, ``power_span(j, d)``, ``normal_form(f)`` and a
-    ``_power_cache`` dict.
+    Each row of ``degree_span(e)`` is kept iff it is outside the span of
+    (A_+^2)_e and the rows kept before it, so G_e is a basis of a
+    complement of (A_+^2)_e: the degree-e part of a minimal generating set.
+    (A_+^2)_e only needs G_{e'} for e' < e, so the recursion closes.
+    """
+    cached = algebra._generator_cache.get(e)
+    if cached is not None:
+        return cached
+    span = algebra.power_span(2, e).copy()
+    gens = [row for row in algebra.degree_span(e).rows if span.insert(row)]
+    algebra._generator_cache[e] = gens
+    return gens
+
+
+def power_span(algebra, j: int, d: int) -> GradedSpan:
+    """(A_+^j)_d via P_{1,d} = A_d and P_{j+1,d} = Σ_e G_e · P_{j,d−e}.
+
+    G_e are the degree-e minimal generators (``_generators``).  Any
+    homogeneous generators g_i of A generate A_+ as an ideal, so
+    A_+^{j+1} = A_+ · A_+^j = Σ_i g_i·A·A_+^j = Σ_i g_i·A_+^j; by graded
+    Nakayama the rows of the G_e generate A (Derksen–Kemper,
+    *Computational Invariant Theory*), so multiplying by them alone spans
+    the same slice as multiplying by all of A_e.  Degrees are positive, so
+    only e ≤ d − j + 1 contribute.  ``algebra`` is an invariant ring or a
+    presented quotient: it provides ``nvars``, ``degree_span(d)``,
+    ``power_span(j, d)``, ``normal_form(f)`` and the dicts
+    ``_power_cache`` and ``_generator_cache``.
     """
     key = (j, d)
     cached = algebra._power_cache.get(key)
@@ -371,11 +401,11 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
     else:
         span = GradedSpan(algebra.nvars)
         for e in range(1, d - j + 2):
-            left = algebra.degree_span(e)
-            if not left.rows:
+            left = _generators(algebra, e)
+            if not left:
                 continue
             right = algebra.power_span(j - 1, d - e)
-            for a in left.rows:
+            for a in left:
                 for b in right.rows:
                     span.insert(algebra.normal_form(a * b))
     algebra._power_cache[key] = span

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import CapacityError, DomainError, ParseError, ValidationError
+from .groups import _parse_int
 from .polynomials import GradedSpan, MultiPoly, escaping_degrees, power_span
 
 DEFAULT_RING_CUTOFF = 24
@@ -127,8 +128,8 @@ def parse_generator_spec(text: str):
         if not _NAME_RE.fullmatch(name):
             raise ParseError(f"bad generator name {name!r}", offset)
         try:
-            degree = int(deg.strip())
-        except ValueError:
+            degree = _parse_int(deg.strip())
+        except ParseError:
             raise ParseError(f"bad degree {deg.strip()!r} for {name}", offset) from None
         out.append((name, degree))
         offset += len(chunk) + 1
@@ -164,6 +165,7 @@ class PresentedGradedAlgebra:
         self._ideal_cache = {}
         self._span_cache = {}
         self._power_cache = {}
+        self._generator_cache = {}
 
     def element(self, text: str) -> MultiPoly:
         """Parse an expression in the generators."""

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .groups import AbelianGroup, _digits_end
+from .groups import AbelianGroup, _is_int
 
 ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
 _CACHE_FILE = "zsl_kmax_cache.json"
@@ -487,11 +487,6 @@ def parse_sequence(text: str, group: AbelianGroup) -> Sequence:
     for x in elems:
         group.check(x)
     return Sequence.from_elements(group, elems)
-
-
-def _is_int(text):
-    start = 1 if text.startswith("-") else 0
-    return len(text) > start and _digits_end(text, start) == len(text)
 
 
 # -- optional on-disk memo spill ---------------------------------------------

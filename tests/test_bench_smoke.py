@@ -24,3 +24,8 @@ def test_traced_smoke_run_is_correct():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"], proc.stdout
     assert result["failed"] == 0
+    # the wrapped span attributes are still the ones the β scans go through
+    metrics = result["metrics"]
+    for name in ("invariants.power_span_s", "presented.power_span_s",
+                 "polynomials.insert_calls"):
+        assert metrics[name]["value"] > 0, name

@@ -151,22 +151,70 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
+def _zsl(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
+    env.pop("ZSL_CACHE_DIR", None)
+    return subprocess.run(
+        [sys.executable, "-m", "zerosumlab.cli", *argv],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["davenport", "Z\u00b2"], ["davenport", "Z\u0663"], ["sigma-zpzd", "SD(\u0663,2,2)"]],
     ids=["superscript-two", "arabic-indic-three", "sd-arabic-indic-three"],
 )
 def test_non_ascii_digits_exit_2(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
-    env.pop("ZSL_CACHE_DIR", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "zerosumlab.cli", *argv],
-        env=env, capture_output=True, text=True, encoding="utf-8", timeout=60,
-    )
+    proc = _zsl(*argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["davenport", "Z2", "--k", "\u0663"], "--k"),
+        (["davenport", "Z2", "--k", "+1_0"], "--k"),
+        (["dk-table", "Z2", "--k-upto", "+2"], "--k-upto"),
+        (["support-lemma", "\u0667", "\u0661,2"], "argument p"),
+        (["support-lemma", "7", "\u0661,2"], "support"),
+        (["support-lemma", "7", "+1,2"], "support"),
+        (["sigma-az2", "6", "3_0"], "argument e"),
+    ],
+    ids=["k-arabic-indic", "k-plus-underscore", "k-upto-plus", "p-arabic-indic",
+         "support-arabic-indic", "support-plus", "e-underscore"],
+)
+def test_integer_arguments_are_ascii_digits(argv, bad):
+    # int() reads all of these, so they used to run as ordinary numbers
+    proc = _zsl(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and bad in errors[0], proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["beta", "reg(Z3)"],
+        ["ring-beta", "--gens", "a:1", "--rels", "", "--cutoff", "3"],
+        ["sigma-zpzd", "SD(3,2,2)"],
+        ["sigma-az2", "6", "3"],
+        ["support-lemma", "7", "1,2"],
+        ["product-bound", "Z2", "Z3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_is_rejected_where_it_is_not_honoured(argv):
+    proc = _zsl(*argv, "--budget-seconds", "0.001")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--budget-seconds" in errors[0], proc.stderr
 
 
 def test_domain_error_exits_2(capsys):

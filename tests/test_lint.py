@@ -36,3 +36,18 @@ def test_package_checks_digits_as_ascii():
             and node.func.attr in ("isdigit", "isdecimal", "isnumeric")
         ]
     assert not found, f"non-ASCII digit checks in the package: {found}"
+
+
+def test_cli_parses_integers_as_ascii():
+    # argparse's type=int is int(), which accepts "٣", "+1" and "1_0"
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"{path.name}:{node.value.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword)
+        and node.arg == "type"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "int"
+    ]
+    assert not found, f"type=int in the CLI: {found}"

@@ -18,7 +18,7 @@ from zerosumlab import (
     induced_module,
     regular_representation,
 )
-from zerosumlab.polynomials import grlex_key
+from zerosumlab.polynomials import _generators, grlex_key
 
 zeta = CyclotomicNumber.zeta
 X = MultiPoly.variable(0, 2)
@@ -240,6 +240,8 @@ def test_span_stores_the_pivots_of_a_reduced_basis(m):
 
 _EXAMPLE_RING = ([("a", 1), ("b", 3)], ["b^3-a^9", "a*b^2-a^7"])
 _WEIGHTED_RING = ([("a", 1), ("b", 2), ("c", 3)], ["a*c-b^2"])
+# Q[a,b]/(b-a^3) is Q[a]: b = a^3 is a redundant generator
+_REDUNDANT_RING = ([("a", 1), ("b", 3)], ["b-a^3"])
 
 
 def _brute_power_span(algebra, j, d):
@@ -264,14 +266,54 @@ def _brute_power_span(algebra, j, d):
         (lambda: induced_module(SemidirectGroup(3, 2, 2)), 6),
         (lambda: PresentedGradedAlgebra(*_EXAMPLE_RING), 9),
         (lambda: PresentedGradedAlgebra(*_WEIGHTED_RING), 9),
+        (lambda: PresentedGradedAlgebra(*_REDUNDANT_RING), 9),
     ],
-    ids=["reg(Z3)", "ind(SD(3,2,2))", "example-ring", "weighted-ring"],
+    ids=["reg(Z3)", "ind(SD(3,2,2))", "example-ring", "weighted-ring", "redundant-ring"],
 )
 def test_power_span_matches_all_products(make, max_degree):
     algebra = make()
     for j in (1, 2, 3):
         for d in range(max_degree + 1):
             assert algebra.power_span(j, d).rows == _brute_power_span(algebra, j, d).rows, (j, d)
+
+
+def _span_of(nvars, polys):
+    span = GradedSpan(nvars)
+    span.extend(polys)
+    return span
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: regular_representation(AbelianGroup((3,))),
+        lambda: regular_representation(AbelianGroup((2, 2))),
+        lambda: induced_module(SemidirectGroup(3, 2, 2)),
+        lambda: PresentedGradedAlgebra(*_EXAMPLE_RING),
+        lambda: PresentedGradedAlgebra(*_WEIGHTED_RING),
+        lambda: PresentedGradedAlgebra(*_REDUNDANT_RING),
+    ],
+    ids=["reg(Z3)", "reg(Z2xZ2)", "ind(SD(3,2,2))", "example-ring", "weighted-ring",
+         "redundant-ring"],
+)
+def test_generators_are_a_minimal_complement_of_the_square(make):
+    algebra = make()
+    nvars = algebra.nvars
+    for e in range(1, 9):
+        whole = algebra.degree_span(e)
+        # (A_+^2)_e by brute force, so a wrong power_span cannot hide here
+        square = _brute_power_span(algebra, 2, e)
+        gens = _generators(algebra, e)
+        assert len(gens) == whole.dim - square.dim, e
+        assert _span_of(nvars, square.rows + gens).rows == whole.rows, e
+        for i, g in enumerate(gens):
+            others = _span_of(nvars, square.rows + gens[:i] + gens[i + 1:])
+            assert not others.contains(g), (e, i)
+
+
+def test_a_redundant_generator_is_not_a_minimal_generator():
+    algebra = PresentedGradedAlgebra(*_REDUNDANT_RING)
+    assert [len(_generators(algebra, e)) for e in range(1, 9)] == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
 # Reports of the parent implementation (two β scans per algebra kind), written out.
@@ -296,9 +338,23 @@ def test_power_span_matches_all_products(make, max_degree):
           "witness": "b^2", "status": "verified-up-to-cutoff"}),
         (lambda: PresentedGradedAlgebra(*_EXAMPLE_RING).tail_generated(3, 20),
          {"window": [3, 20], "generated": False, "failures": [3]}),
+        # as for Q[a]: β_k = k, and a^3 has the standard monomial b
+        (lambda: PresentedGradedAlgebra(*_REDUNDANT_RING).beta_k(1, cutoff=12),
+         {"generators": [["a", 1], ["b", 3]], "relations": ["-a^3 + b"], "k": 1,
+          "cutoff": 12, "beta": 1, "failing_degrees": [1], "witness": "a",
+          "status": "verified-up-to-cutoff"}),
+        (lambda: PresentedGradedAlgebra(*_REDUNDANT_RING).beta_k(2, cutoff=12),
+         {"generators": [["a", 1], ["b", 3]], "relations": ["-a^3 + b"], "k": 2,
+          "cutoff": 12, "beta": 2, "failing_degrees": [1, 2], "witness": "a^2",
+          "status": "verified-up-to-cutoff"}),
+        (lambda: PresentedGradedAlgebra(*_REDUNDANT_RING).beta_k(3, cutoff=12),
+         {"generators": [["a", 1], ["b", 3]], "relations": ["-a^3 + b"], "k": 3,
+          "cutoff": 12, "beta": 3, "failing_degrees": [1, 2, 3], "witness": "b",
+          "status": "verified-up-to-cutoff"}),
     ],
     ids=["reg(Z3)-k2", "reg(Z2xZ2)-k2", "ind(SD(3,2,2))-k1", "ind(SD(3,2,2))-k2",
-         "example-ring-k2", "example-ring-tail"],
+         "example-ring-k2", "example-ring-tail", "redundant-ring-k1", "redundant-ring-k2",
+         "redundant-ring-k3"],
 )
 def test_beta_and_tail_reports_are_pinned(compute, expected):
     assert compute() == expected

@@ -76,6 +76,13 @@ def test_non_ascii_digits_are_parse_errors(text):
         example_ring().element(text)
 
 
+@pytest.mark.parametrize("spec", ["a:\u0663,b:+1_0", "a:+1", "a:1_0", "a:\u00b2", "a:"])
+def test_generator_degrees_are_ascii_integers(spec):
+    # int() reads the first three, as weights 3 and 10, 1, and 10
+    with pytest.raises(ParseError):
+        parse_generator_spec(spec)
+
+
 def test_parse_error_positions():
     R = example_ring()
     with pytest.raises(ParseError) as info:

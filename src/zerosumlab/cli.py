@@ -12,7 +12,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 
 from .errors import (
@@ -47,6 +49,14 @@ def _integer(text: str) -> int:
         return _parse_int(text)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seconds(text: str) -> float:
+    """argparse type for --budget-seconds: finite, positive, ASCII (60, 0.5, 1e-3)."""
+    decimal = re.fullmatch(r"[0-9]+(\.[0-9]+)?([eE]-?[0-9]+)?", text)
+    if not decimal or not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive decimal, got {text!r}")
+    return float(text)
 
 
 def _abelian(spec: str) -> AbelianGroup:
@@ -164,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     # only the subcommands that honour it take --budget-seconds; the others
     # reject it rather than run to the end
     budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
-    budgeted.add_argument("--budget-seconds", type=float, default=None,
+    budgeted.add_argument("--budget-seconds", type=_seconds, default=None,
                           help="abort long searches after this many seconds")
 
     sub = parser.add_subparsers(dest="command", required=True)

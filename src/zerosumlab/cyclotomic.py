@@ -3,17 +3,21 @@
 A value is a rational coefficient vector representing a residue modulo
 the m-th cyclotomic polynomial Φ_m, which is computed by the defining
 iterated division of x^m − 1 by the Φ_d for proper divisors d | m.  No
-floating point anywhere: coefficients are Fractions.  Reduction mod Φ_m
-folds each power x^j onto the integer residue of x^(j mod m), which is
-valid because Φ_m divides x^m − 1.
+floating point anywhere: coefficients are ints, or Fractions once a
+division needs them.  Reduction mod Φ_m folds each power x^j onto the
+integer residue of x^(j mod m), valid because Φ_m divides x^m − 1; the
+inverse is the product of the other conjugates over the norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import DomainError, StructuralError, VerificationError
+
+_EXACT = frozenset((int, Fraction))  # float is inexact; bool is no coefficient
 
 
 def _poly_divmod(num, den):
@@ -68,7 +72,7 @@ def euler_phi(m: int) -> int:
 
 
 class CyclotomicNumber:
-    """Element of Q(ζ_m): Fraction vector of length φ(m), powers ascending.
+    """Element of Q(ζ_m): int/Fraction vector of length φ(m), powers ascending.
 
     Equality is representation equality: same conductor and same
     coefficients, except that rational values (only the constant
@@ -80,19 +84,16 @@ class CyclotomicNumber:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs):
+        if not _EXACT.issuperset(map(type, coeffs)):
+            raise StructuralError(f"coefficients must be ints or Fractions, got {coeffs!r}")
         self.m = m
-        deg = euler_phi(m)
-        if len(coeffs) > deg:
-            coeffs = _reduce_mod(coeffs, m)
-        coeffs = [Fraction(c) for c in coeffs]
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(_reduce_mod(coeffs, m))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rational(cls, q, m: int = 1) -> "CyclotomicNumber":
-        return cls(m, [Fraction(q)])
+        return cls(m, [q if type(q) is int else Fraction(q)])
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CyclotomicNumber":
@@ -123,7 +124,7 @@ class CyclotomicNumber:
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise StructuralError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs[0])
 
     def lift(self, M: int) -> "CyclotomicNumber":
         """Image under ζ_m = ζ_M^(M/m); M must be a multiple of m."""
@@ -132,10 +133,8 @@ class CyclotomicNumber:
         if M == self.m:
             return self
         step = M // self.m
-        out = [Fraction(0)] * (len(self.coeffs) * step - step + 1 or 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] += c
+        out = [0] * ((len(self.coeffs) - 1) * step + 1)
+        out[::step] = self.coeffs
         return CyclotomicNumber(M, out)
 
     def _same(self, other):
@@ -180,28 +179,28 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse through the norm N(a) of Q(ζ_m) over Q.
 
-        Φ_m is irreducible over Q, so any non-zero residue is a unit.
+        c = ∏ σ_k(a) over 1 < k < m with gcd(k, m) = 1, where σ_k sends
+        ζ_m to ζ_m^k.  With σ_1 = id, a·c = N(a) is the product of all
+        conjugates, a non-zero rational for a ≠ 0 (Φ_m is irreducible),
+        so a⁻¹ = c / N(a).  Over Q (m ≤ 2) c = 1 and this is one division.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        # invariants: r0 = u0·f (mod Φ), r1 = u1·f (mod Φ)
-        r0, u0 = list(self.coeffs), [Fraction(1)]
-        r1, u1 = phi, [Fraction(0)]
-        while True:
-            r1 = _trim(r1)
-            if len(r1) == 0:
-                break
-            q, r = _poly_divmod(r0, r1)
-            u = _poly_sub(u0, _poly_mul(q, u1))
-            r0, u0, r1, u1 = r1, u1, r, u
-        r0 = _trim(r0)
-        if len(r0) != 1:
-            raise ZeroDivisionError("gcd with the cyclotomic polynomial is not constant")
-        inv = [c / r0[0] for c in u0]
-        return CyclotomicNumber(self.m, inv)
+        m = self.m
+        c = CyclotomicNumber.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = [0] * m
+                for j, a in enumerate(self.coeffs):
+                    conj[j * k % m] = a
+                c = c * CyclotomicNumber(m, conj)
+        norm = self * c
+        if not norm.is_rational():
+            raise VerificationError(f"norm of {self} is not rational", evidence=norm)
+        inv = [Fraction(x, norm.coeffs[0]) for x in c.coeffs]  # the only division
+        return CyclotomicNumber(m, [q.numerator if q.denominator == 1 else q for q in inv])
 
     def __truediv__(self, other):
         other = self._same(other)
@@ -225,16 +224,16 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.to_fraction() == Fraction(other)
+            return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         if self.is_rational() and other.is_rational():
-            return self.to_fraction() == other.to_fraction()
+            return self.coeffs[0] == other.coeffs[0]
         return self.m == other.m and self.coeffs == other.coeffs
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.to_fraction())
+            return hash(self.coeffs[0])
         return hash((self.m, self.coeffs))
 
     def __str__(self):
@@ -260,28 +259,13 @@ class CyclotomicNumber:
         return f"CyclotomicNumber({self.m}, {[str(c) for c in self.coeffs]})"
 
 
-def _trim(poly):
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 or 1)
+    out = [0] * (len(a) + len(b) - 1 or 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] += ca * cb
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
     return out
 
 

@@ -14,6 +14,7 @@ sequences, so the search runs over A∖{0}.
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -110,6 +111,8 @@ def _extensions(A: AbelianGroup, frontier, maps):
 
 
 def _require_capacity(A: AbelianGroup, budget_seconds):
+    if budget_seconds is not None and not 0 < budget_seconds < math.inf:  # NaN never trips
+        raise DomainError(f"budget must be finite and positive, got {budget_seconds}")
     if A.order > GUARANTEED_ORDER and budget_seconds is None:
         raise CapacityError(
             f"groups of order > {GUARANTEED_ORDER} need an explicit time budget "

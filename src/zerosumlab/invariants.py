@@ -477,10 +477,10 @@ def verify_sigma_az2(n: int, e: int) -> dict:
         "n": n,
         "e": e,
         "conductor": n,
-        "closure_order": 2 * e,
+        "closure_order": rep.group_order,
         "invariants": [str(f1), str(f2)],
         "zero_locus": zero_locus,
-        "bound": max(e, 2),
+        "bound": max(f1.degree(), f2.degree()),
         "sigma": n if e == n else None,
         "passed": True,
     }

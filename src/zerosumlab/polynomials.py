@@ -20,7 +20,7 @@ from .cyclotomic import CyclotomicNumber
 def _as_coeff(value, m: int = 1) -> CyclotomicNumber:
     if isinstance(value, CyclotomicNumber):
         return value
-    return CyclotomicNumber.from_rational(Fraction(value), m)
+    return CyclotomicNumber.from_rational(value, m)
 
 
 def grlex_key(exponents: tuple[int, ...]):

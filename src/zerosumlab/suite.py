@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import random
 import time
 
@@ -470,11 +471,11 @@ CHECKS = (
 def verify_all(budget_seconds=None, groups=None, golden_overrides=None) -> dict:
     """Run every check; report pass/fail/skipped per check plus totals.
 
-    A positive time budget is enforced between checks: once it is
+    A finite positive time budget is enforced between checks: once it is
     exhausted, the remaining checks are reported "skipped".
     """
-    if budget_seconds is not None and budget_seconds <= 0:
-        raise DomainError(f"budget must be positive, got {budget_seconds}")
+    if budget_seconds is not None and not 0 < budget_seconds < math.inf:
+        raise DomainError(f"budget must be finite and positive, got {budget_seconds}")
     run = _Run(groups, golden_overrides)
     start = time.monotonic()
     checks = []

@@ -198,6 +198,24 @@ def test_integer_arguments_are_ascii_digits(argv, bad):
 
 @pytest.mark.parametrize(
     "argv",
+    [["davenport", "Z3", "--budget-seconds", value]
+     for value in ("nan", "inf", "0", "-1", "\u0663", "1_0", "+5", "1e999", "0.0")]
+    + [["verify-all", "--budget-seconds", "nan"]],
+    ids=["nan", "inf", "zero", "negative", "arabic-indic", "underscore", "plus",
+         "overflow", "zero-fraction", "verify-all-nan"],
+)
+def test_budget_is_a_finite_positive_decimal(argv):
+    # float() reads all of these; with nan, `elapsed > budget` is never true
+    proc = _zsl(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--budget-seconds" in errors[0], proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["beta", "reg(Z3)"],
         ["ring-beta", "--gens", "a:1", "--rels", "", "--cutoff", "3"],

@@ -126,17 +126,68 @@ def test_ring_axioms_on_random_triples():
             assert a - a == 0
 
 
+def _random_number(rng, m, exact_type):
+    if exact_type is int:
+        coeffs = [rng.randint(-3, 3) for _ in range(euler_phi(m))]
+    else:
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(euler_phi(m))]
+    return CyclotomicNumber(m, coeffs)
+
+
 def test_inverse_round_trip():
     rng = random.Random(0xC1C)
-    for m in (4, 5, 8):
-        for _ in range(20):
-            x = CyclotomicNumber(
-                m, [Fraction(rng.randint(-3, 3)) for _ in range(euler_phi(m))]
-            )
-            if x.is_zero():
-                continue
-            assert x * x.inverse() == 1
-            assert x / x == 1
+    for m in range(1, 41):
+        rationals = [
+            CyclotomicNumber.from_rational(Fraction(n, rng.randint(1, 6)), m)
+            for n in rng.sample([-7, -2, 1, 3, 5], 3)
+        ]
+        samples = [zeta(m, j) for j in range(m)] + rationals
+        samples += [_random_number(rng, m, t) for t in (int, Fraction)]
+        for x in samples:
+            if not x.is_zero():
+                assert x * x.inverse() == 1, (m, x)
+        for j in range(m):
+            assert zeta(m, j).inverse() == zeta(m, m - j), (m, j)
+        assert all(q / q == 1 for q in rationals), m
+
+
+def test_coefficients_are_only_ever_int_or_fraction():
+    rng = random.Random(0xE7AC7)
+
+    def exact(x, types=(int, Fraction)):
+        return all(type(c) in types for c in x.coeffs)
+
+    for m in (1, 2, 3, 4, 5, 6, 8, 9, 12, 15):
+        for _ in range(6):
+            a = _random_number(rng, m, rng.choice([int, Fraction]))
+            b = _random_number(rng, m, rng.choice([int, Fraction]))
+            results = [a + b, a - b, a * b, -a, a ** 3, a.lift(2 * m), 3 * a, a + Fraction(1, 2)]
+            if not a.is_zero():
+                results += [a.inverse(), a ** -2, b / a]
+            assert all(exact(r) for r in results), (m, a, b)
+            i, j = _random_number(rng, m, int), _random_number(rng, m, int)
+            # no division, so no Fraction
+            for r in (i + j, i - j, i * j, i ** 3, i.lift(3 * m)):
+                assert exact(r, (int,)), (m, i, j)
+        # a unit of Z[ζ_m] has norm ±1, so its inverse needs no Fraction either
+        for k in range(m):
+            assert exact(zeta(m, k).inverse(), (int,)), (m, k)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", True], ids=["float", "str", "bool"])
+def test_constructor_rejects_inexact_coefficients(bad):
+    with pytest.raises(StructuralError):
+        CyclotomicNumber(4, [1, bad])
+    # past φ(m) as well, where the residue table would fold it in
+    with pytest.raises(StructuralError):
+        CyclotomicNumber(4, [1, 0, 0, bad])
+
+
+def test_from_rational_is_exact():
+    half = CyclotomicNumber.from_rational(0.5)
+    assert half == Fraction(1, 2)
+    assert half.coeffs == (Fraction(1, 2),)
+    assert CyclotomicNumber.from_rational("1/3", 4).to_fraction() == Fraction(1, 3)
 
 
 def test_inverse_of_zero_fails():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from zerosumlab import (
@@ -124,6 +126,15 @@ def test_budget_exhaustion_reports_partial():
     with pytest.raises(CapacityError) as info:
         davenport_table(Z3xZ3, 3, budget_seconds=1e-9)
     assert info.value.partial is not None
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0, -1])
+def test_budget_must_be_finite_and_positive(budget):
+    # a NaN budget would let an order-17 scan run with no working limit
+    with pytest.raises(DomainError):
+        davenport_table(AbelianGroup((17,)), 1, budget_seconds=budget)
+    with pytest.raises(DomainError):
+        eta(Z3, budget_seconds=budget)
 
 
 def test_budget_allows_large_group():

@@ -39,7 +39,8 @@ def test_package_checks_digits_as_ascii():
 
 
 def test_cli_parses_integers_as_ascii():
-    # argparse's type=int is int(), which accepts "٣", "+1" and "1_0"
+    # argparse's type=int is int(), which accepts "٣", "+1" and "1_0";
+    # type=float reads those too, and "nan" and "inf" besides
     path = PACKAGE / "cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = [
@@ -48,6 +49,6 @@ def test_cli_parses_integers_as_ascii():
         if isinstance(node, ast.keyword)
         and node.arg == "type"
         and isinstance(node.value, ast.Name)
-        and node.value.id == "int"
+        and node.value.id in ("int", "float")
     ]
-    assert not found, f"type=int in the CLI: {found}"
+    assert not found, f"type=int or type=float in the CLI: {found}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -56,17 +57,22 @@ def test_runs_are_deterministic(full_run):
 
 
 @pytest.mark.parametrize(
-    "owner, fake_sigma, spec, checks",
+    "owner, name, fake, spec, checks",
     [
         # a Z_p lower bound of 1 disagrees with the largest f_k degree p
-        (invariants, lambda A, chars: 1, "SD(3,2,2)", {"sigma-zpzd", "sigma-over-q"}),
+        (invariants, "sigma_diagonal", lambda A, chars: 1, "SD(3,2,2)",
+         {"sigma-zpzd", "sigma-over-q"}),
         # σ = |A| breaks σ ≤ |A|/q
-        (suite, lambda A, chars: A.order, "Z2xZ2", {"sigma-over-q"}),
+        (suite, "sigma_diagonal", lambda A, chars: A.order, "Z2xZ2", {"sigma-over-q"}),
+        # the swap alone keeps x^e + y^e and xy invariant, but has order 2, not 2e
+        (invariants, "az2_module",
+         lambda n, e: invariants.MonomialRep(2, n, [((1, 0), (0, 0))]), "Z4",
+         {"sigma-az2"}),
     ],
-    ids=["semidirect-lower-bound", "abelian-sigma"],
+    ids=["semidirect-lower-bound", "abelian-sigma", "az2-closure-order"],
 )
-def test_sigma_checks_fail_on_a_wrong_sigma(monkeypatch, owner, fake_sigma, spec, checks):
-    monkeypatch.setattr(owner, "sigma_diagonal", fake_sigma)
+def test_sigma_checks_fail_on_a_wrong_sigma(monkeypatch, owner, name, fake, spec, checks):
+    monkeypatch.setattr(owner, name, fake)
     result = verify_all(groups=[spec])
     failed = {c["name"] for c in result["checks"] if c["status"] == "fail"}
     assert failed == checks
@@ -148,3 +154,6 @@ def test_budget_must_be_positive():
         verify_all(budget_seconds=0)
     with pytest.raises(DomainError):
         verify_all(budget_seconds=-5)
+    for budget in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            verify_all(budget_seconds=budget)

@@ -25,7 +25,7 @@ from .errors import (
     ZeroSumLabError,
 )
 from .groups import AbelianGroup, SemidirectGroup, _parse_int, parse_groupspec
-from .sequences import load_kmax_cache, save_kmax_cache, ZSL_CACHE_ENV
+from .sequences import _KMAX_MEMO, load_kmax_cache, save_kmax_cache, ZSL_CACHE_ENV
 from .davenport import davenport_k, davenport_table, eta, linearity_profile
 from .lemmas import verify_direct_product_bound, zero_sum_with_support
 from .invariants import (
@@ -278,9 +278,10 @@ def _emit(args, payload) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cache_dir = os.environ.get(ZSL_CACHE_ENV)
+    on_disk = 0
     if cache_dir:
         try:
-            load_kmax_cache(cache_dir)
+            on_disk = load_kmax_cache(cache_dir)
         except ValidationError as exc:
             # leave the file as found: a save would overwrite it
             print(f"error: {exc}", file=sys.stderr)
@@ -296,7 +297,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     finally:
-        if cache_dir:
+        # the memo holds every key of the file, so equal sizes mean the
+        # file already holds the memo and is left alone
+        if cache_dir and len(_KMAX_MEMO) != on_disk:
             try:
                 save_kmax_cache(cache_dir)
             except ValidationError as exc:

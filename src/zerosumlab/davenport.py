@@ -9,7 +9,8 @@ first length whose bad set is empty; the scan is bounded a priori by
 k·D(A) ≤ k·|A|, so termination is certified.  Zero entries are handled
 analytically: each is exactly one block, and appending a non-zero entry
 to a zero-free bad sequence shows zeros never lengthen extremal
-sequences, so the search runs over A∖{0}.
+sequences, so the search runs over A∖{0}.  The scans work on int runs
+(element indices, see ``sequences``) and decode only the reported witness.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .sequences import (
     _has_short_zero_sum,
     _items_add_one,
     _kmax_items,
+    _to_elements,
     k_max_naive,
 )
 
@@ -87,20 +89,23 @@ class LinearityProfile:
 
 
 def _canonical_maps(A: AbelianGroup):
-    """Element maps of Aut(A); empty when symmetry reduction is skipped."""
+    """Aut(A) as permutations of element indices; empty when symmetry
+    reduction is skipped."""
     try:
         auts = automorphism_group(A)
     except CapacityError:
         return []
-    return [a.element_map() for a in auts]
+    elements = A.elements()
+    return [tuple(A.index(a(x)) for x in elements) for a in auts]
 
 
 def _extensions(A: AbelianGroup, frontier, maps):
     """Each distinct canonical one-element extension of ``frontier``, once.
 
-    Only non-zero elements are appended; see the module docstring.
+    Only non-zero elements (indices 1..|A|-1) are appended; see the module
+    docstring.
     """
-    nonzero = [x for x in A.elements() if x != A.zero]
+    nonzero = range(1, A.order)
     seen = set()
     for items in frontier:
         for g in nonzero:
@@ -192,7 +197,7 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
     seconds = time.monotonic() - t0
     reports = []
     for k in range(1, k_upto + 1):
-        witness = Sequence(A, final_witness[k])
+        witness = Sequence(A, _to_elements(A, final_witness[k]))
         # post-hoc: the stored extremal witness really has no k disjoint blocks
         if k_max_naive(witness) > k - 1:
             raise VerificationError(

@@ -5,6 +5,12 @@ An abelian group is presented by its invariant factors n_1 | n_2 | … | n_r;
 elements are plain integer tuples with coordinate i reduced mod n_i.  The
 trivial group is the empty factor list and its only element is the empty
 tuple.  All values are immutable; every operation is a pure function.
+
+The combinatorial engines work on element *indices* instead: the position
+of an element in ``elements()``, i.e. its coordinates read in mixed radix
+with the first coordinate most significant.  Zero is index 0 and index
+order is tuple order.  ``index``/``element`` convert, ``add_index`` adds,
+and ``sums()`` memoises additions row by row as they are first asked for.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ def invariant_factors(factors) -> tuple[int, ...]:
 class AbelianGroup:
     """A finite abelian group Z_{n_1} ⊕ … ⊕ Z_{n_r} with n_i | n_{i+1}."""
 
-    __slots__ = ("factors", "order", "exponent", "rank", "_elements")
+    __slots__ = ("factors", "order", "exponent", "rank", "_elements", "_sums")
 
     def __init__(self, factors):
         factors = tuple(int(n) for n in factors)
@@ -136,6 +142,7 @@ class AbelianGroup:
         self.exponent = factors[-1] if factors else 1
         self.rank = len(factors)
         self._elements = None
+        self._sums = None
 
     @classmethod
     def from_factors(cls, factors) -> "AbelianGroup":
@@ -202,6 +209,50 @@ class AbelianGroup:
             for i in range(self.rank)
         ]
 
+    # -- element indices ---------------------------------------------------
+
+    def index(self, x) -> int:
+        """Position of ``x`` in ``elements()``.
+
+        >>> AbelianGroup((2, 4)).index((1, 2))
+        6
+        """
+        i = 0
+        for c, n in zip(x, self.factors):
+            i = i * n + c
+        return i
+
+    def element(self, i: int) -> tuple[int, ...]:
+        """The element at position ``i`` of ``elements()``; inverse of ``index``.
+
+        >>> AbelianGroup((2, 4)).element(6)
+        (1, 2)
+        """
+        out = [0] * self.rank
+        for j in range(self.rank - 1, -1, -1):
+            i, out[j] = divmod(i, self.factors[j])
+        return tuple(out)
+
+    def add_index(self, s: int, t: int) -> int:
+        """Index of element(s) + element(t), digit by digit."""
+        out, weight = 0, 1
+        for n in reversed(self.factors):
+            s, a = divmod(s, n)
+            t, b = divmod(t, n)
+            out += (a + b) % n * weight
+            weight *= n
+        return out
+
+    def sums(self) -> "_SumTable":
+        """Addition on indices: ``sums()[x][t]`` is the index of x + t.
+
+        Rows and their entries are computed on first lookup and kept, so
+        the table grows with the sums actually asked for, never with |A|².
+        """
+        if self._sums is None:
+            self._sums = _SumTable(self)
+        return self._sums
+
     # -- identity ----------------------------------------------------------
 
     def spec(self) -> str:
@@ -217,6 +268,35 @@ class AbelianGroup:
 
     def __hash__(self):
         return hash(("AbelianGroup", self.factors))
+
+
+class _SumRow(dict):
+    """t ↦ t + x on element indices, filled on first lookup."""
+
+    __slots__ = ("group", "x")
+
+    def __init__(self, group: AbelianGroup, x: int):
+        super().__init__()
+        self.group = group
+        self.x = x
+
+    def __missing__(self, t):
+        s = self[t] = self.group.add_index(t, self.x)
+        return s
+
+
+class _SumTable(dict):
+    """x ↦ its ``_SumRow``, created on first lookup."""
+
+    __slots__ = ("group",)
+
+    def __init__(self, group: AbelianGroup):
+        super().__init__()
+        self.group = group
+
+    def __missing__(self, x):
+        row = self[x] = _SumRow(self.group, x)
+        return row
 
 
 class Automorphism:
@@ -242,10 +322,6 @@ class Automorphism:
             sum(x[i] * self.images[i][j] for i in range(g.rank)) % g.factors[j]
             for j in range(g.rank)
         )
-
-    def matrix(self) -> list[list[int]]:
-        r = self.group.rank
-        return [[self.images[i][j] for i in range(r)] for j in range(r)]
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self ∘ other, i.e. apply other first."""

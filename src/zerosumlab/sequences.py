@@ -4,7 +4,11 @@ block-packing number k_max.
 A sequence is stored as sorted (element, multiplicity) runs, so equal
 multisets are identical tuples — the encoding doubles as the
 memoization key and the canonical total order used everywhere for
-deterministic output.
+deterministic output.  ``Sequence.items`` holds the elements as tuples;
+the engines below work on *int runs*, the same runs with each element
+replaced by its index in ``group.elements()`` (see ``groups``).  Index
+order is tuple order, so sorting, minima and canonical forms agree, and
+zero is index 0.  Conversion happens only at the public entry points.
 
 k_max(S) is the largest number of pairwise-disjoint non-empty zero-sum
 sub-multisets extractable from S.  The engine recursion uses three exact
@@ -32,7 +36,7 @@ from .groups import AbelianGroup, _is_int
 ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
 _CACHE_FILE = "zsl_kmax_cache.json"
 
-# k_max memo, shared across all queries: (group factors, items) -> int.
+# k_max memo, shared across all queries: (group factors, int runs) -> int.
 # Values are mathematical facts, so concurrent/idempotent inserts are safe.
 _KMAX_MEMO: dict[tuple, int] = {}
 
@@ -119,18 +123,12 @@ class Sequence:
 
 
 def _items_add_one(items, x):
-    out = []
-    placed = False
-    for elem, mult in items:
-        if elem == x:
-            out.append((elem, mult + 1))
-            placed = True
-        else:
-            out.append((elem, mult))
-    if not placed:
-        out.append((x, 1))
-        out.sort()
-    return tuple(out)
+    for pos, (elem, mult) in enumerate(items):
+        if elem >= x:
+            if elem == x:
+                return items[:pos] + ((x, mult + 1),) + items[pos + 1 :]
+            return items[:pos] + ((x, 1),) + items[pos:]
+    return items + ((x, 1),)
 
 
 def _items_subtract(items, sub):
@@ -149,6 +147,24 @@ def _items_subtract(items, sub):
 
 def _items_length(items):
     return sum(m for _, m in items)
+
+
+def _drop_first(items):
+    """``items`` less one copy of its least element."""
+    elem, mult = items[0]
+    return ((elem, mult - 1),) + items[1:] if mult > 1 else items[1:]
+
+
+def _to_indices(group, items):
+    """Int runs of tuple runs (order is kept: index order is tuple order)."""
+    index = group.index
+    return tuple((index(elem), mult) for elem, mult in items)
+
+
+def _to_elements(group, runs):
+    """Tuple runs of int runs."""
+    element = group.element
+    return tuple((element(i), mult) for i, mult in runs)
 
 
 def sequence_sum(S: Sequence):
@@ -194,56 +210,62 @@ def subtract(S: Sequence, T: Sequence) -> Sequence:
 
 
 def _zero_sum_subitems(group, items, force_first=False):
-    """All non-empty zero-sum sub-multisets of ``items`` as items tuples.
+    """All non-empty zero-sum sub-multisets of the int runs ``items``.
 
     With force_first, only sub-multisets using at least one copy of the
-    first run's element.
+    first run's element.  The order is lexicographic in the multiplicity
+    chosen for each run, first run first.
     """
-    n = len(items)
+    sums = group.sums()
+    # every choice of multiplicities so far: (index of its sum, choices in
+    # mixed radix with base mult + 1 per run)
+    states = [(0, 0)]
+    for pos, (elem, mult) in enumerate(items):
+        row = sums[elem]
+        multiples = [0]
+        for _ in range(mult):
+            multiples.append(row[multiples[-1]])
+        low = 1 if force_first and pos == 0 else 0
+        shifts = [(sums[m], c) for c, m in enumerate(multiples) if c >= low]
+        base = mult + 1
+        states = [(shift[t], code * base + c) for t, code in states for shift, c in shifts]
     results = []
-    chosen = [0] * n
-
-    def rec(i, total):
-        if i == n:
-            if total == group.zero and any(chosen):
-                results.append(
-                    tuple((items[j][0], chosen[j]) for j in range(n) if chosen[j])
-                )
-            return
-        elem, mult = items[i]
-        low = 1 if (force_first and i == 0) else 0
-        for c in range(low, mult + 1):
-            chosen[i] = c
-            rec(i + 1, group.add(total, group.scale(c, elem)))
-        chosen[i] = 0
-
-    rec(0, group.zero)
+    for code in [code for t, code in states if t == 0 and code]:
+        chosen = []
+        for elem, mult in reversed(items):
+            code, c = divmod(code, mult + 1)
+            if c:
+                chosen.append((elem, c))
+        results.append(tuple(reversed(chosen)))
     return results
 
 
 def _has_short_zero_sum(group, items, bound) -> bool:
-    """Any non-empty zero-sum sub-multiset of length <= bound?
+    """Any non-empty zero-sum sub-multiset of the int runs ``items`` of
+    length <= bound?
 
     A zero-sum block B is minimal exactly when this is false for
     bound = |B| - 1.
     """
+    sums = group.sums()
     n = len(items)
 
     def rec(i, total, used, room):
-        if used and total == group.zero:
+        if used and total == 0:
             return True
         if i == n or room == 0:
             return False
         elem, mult = items[i]
+        row = sums[elem]
         acc = total
         for c in range(0, min(mult, room) + 1):
             if c:
-                acc = group.add(acc, elem)
+                acc = row[acc]
             if rec(i + 1, acc, used + c, room - c):
                 return True
         return False
 
-    return rec(0, group.zero, 0, bound)
+    return rec(0, 0, 0, bound)
 
 
 def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
@@ -257,18 +279,19 @@ def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
     g = S.group
     found = [
         sub
-        for sub in _zero_sum_subitems(g, S.items)
+        for sub in _zero_sum_subitems(g, _to_indices(g, S.items))
         if not _has_short_zero_sum(g, sub, _items_length(sub) - 1)
     ]
     found.sort()
-    return [Sequence(g, sub) for sub in found]
+    return [Sequence(g, _to_elements(g, sub)) for sub in found]
 
 
 # -- the k_max engine ---------------------------------------------------------
 
 
 def _minimal_blocks_with_pivot(group, items):
-    """Minimal zero-sum sub-multisets using the first run's element, sorted."""
+    """Minimal zero-sum sub-multisets of the int runs ``items`` that use the
+    first run's element, sorted."""
     blocks = [
         sub
         for sub in _zero_sum_subitems(group, items, force_first=True)
@@ -279,18 +302,19 @@ def _minimal_blocks_with_pivot(group, items):
 
 
 def _kmax_items(group, items) -> int:
+    """k_max of the int runs ``items``, through the shared memo."""
     if not items:
         return 0
     key = (group.factors, items)
     cached = _KMAX_MEMO.get(key)
     if cached is not None:
         return cached
-    if items[0][0] == group.zero:
+    if items[0][0] == 0:
         # zero sorts first; each 0 is its own block and any block containing 0 splits
         val = items[0][1] + _kmax_items(group, items[1:])
     else:
         # drop one copy of the least support element, or use it in a minimal block
-        val = _kmax_items(group, _items_subtract(items, ((items[0][0], 1),)))
+        val = _kmax_items(group, _drop_first(items))
         for block in _minimal_blocks_with_pivot(group, items):
             v = 1 + _kmax_items(group, _items_subtract(items, block))
             if v > val:
@@ -333,7 +357,7 @@ def k_max(S: Sequence) -> int:
     >>> k_max(Sequence.from_elements(g, [(1,), (1,)]))
     0
     """
-    return _kmax_items(S.group, S.items)
+    return _kmax_items(S.group, _to_indices(S.group, S.items))
 
 
 def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
@@ -345,14 +369,14 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
     g = S.group
     blocks = []
     shed = []  # copies no optimal packing of the current rest uses
-    items = S.items
+    runs = items = _to_indices(g, S.items)
     while items:
         best = _kmax_items(g, items)
         if best == 0:
             break
-        if items[0][0] == g.zero:
-            blocks.append(((g.zero, 1),))
-            items = _items_subtract(items, ((g.zero, 1),))
+        if items[0][0] == 0:
+            blocks.append(((0, 1),))
+            items = _drop_first(items)
             continue
         chosen = None
         for block in _minimal_blocks_with_pivot(g, items):
@@ -363,15 +387,15 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
             # the least element is unused by every optimal packing; it
             # joins the uncovered remainder
             shed.append(items[0][0])
-            items = _items_subtract(items, ((items[0][0], 1),))
+            items = _drop_first(items)
             continue
         blocks.append(chosen)
         items = _items_subtract(items, chosen)
-    remainder = Sequence(g, items)
     for elem in shed:
-        remainder = remainder.with_extra(elem)
-    packing = BlockPacking([Sequence(g, b) for b in blocks], remainder)
-    if len(packing.blocks) != _kmax_items(g, S.items) or not packing.verify_covers(S):
+        items = _items_add_one(items, elem)
+    packing = BlockPacking([Sequence(g, _to_elements(g, b)) for b in blocks],
+                           Sequence(g, _to_elements(g, items)))
+    if len(packing.blocks) != _kmax_items(g, runs) or not packing.verify_covers(S):
         raise VerificationError(
             f"witness packing disagrees with k_max for {S.literal()}", evidence=packing
         )
@@ -382,7 +406,8 @@ def k_max_naive(S: Sequence) -> int:
     """Independent oracle: recursion over arbitrary zero-sum blocks.
 
     No zero peeling, no minimality restriction, no shared memo — only a
-    per-call table so repeated sub-multisets aren't recomputed.
+    per-call table so repeated sub-multisets aren't recomputed.  It shares
+    the int-run encoding and the zero-sum enumeration with the engine.
     """
     g = S.group
     seen: dict = {}
@@ -398,7 +423,7 @@ def k_max_naive(S: Sequence) -> int:
         seen[items] = best
         return best
 
-    return rec(S.items)
+    return rec(_to_indices(g, S.items))
 
 
 # -- canonical forms under automorphisms -------------------------------------
@@ -409,16 +434,17 @@ def apply_to_sequence(aut, S: Sequence) -> Sequence:
 
 
 def _canonical_items(items, maps):
-    """Least of ``items`` and its images under the element maps.
+    """Least of the int runs ``items`` and their images under the index
+    maps (anything subscriptable by index: a permutation tuple or a dict).
 
     Automorphisms are injective, so mapped runs never need merging.
     """
-    best = items
+    best = list(items)
     for m in maps:
-        mapped = tuple(sorted((m[elem], mult) for elem, mult in items))
+        mapped = sorted([(m[elem], mult) for elem, mult in items])
         if mapped < best:
             best = mapped
-    return best
+    return tuple(best)
 
 
 def canonical_form(S: Sequence, auts) -> Sequence:
@@ -435,9 +461,10 @@ def canonical_form(S: Sequence, auts) -> Sequence:
     """
     # maps restricted to the support: a full element map per automorphism
     # costs |A| images for a sequence that needs only a few
+    g = S.group
     support = S.support()
-    maps = [{x: aut(x) for x in support} for aut in auts]
-    return Sequence(S.group, _canonical_items(S.items, maps))
+    maps = [{g.index(x): g.index(aut(x)) for x in support} for aut in auts]
+    return Sequence(g, _to_elements(g, _canonical_items(_to_indices(g, S.items), maps)))
 
 
 # -- sequence literals --------------------------------------------------------
@@ -496,16 +523,25 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)
 
 
-def _cache_entry(entry):
-    """Memo (key, value) of one spilled entry; None unless it can be a k_max fact."""
+def _cache_entry(entry, groups):
+    """Memo (key, value) of one spilled entry; None unless it can be a k_max fact.
+
+    ``groups`` maps each factor tuple seen so far to its group, or to None
+    when the factors are not an invariant-factor chain.
+    """
     if not (isinstance(entry, list) and len(entry) == 3):
         return None
     factors, items, value = entry
     if not (_is_int_list(factors) and isinstance(items, list) and type(value) is int):
         return None
-    try:
-        AbelianGroup(factors)
-    except ValidationError:
+    factors = tuple(factors)
+    if factors not in groups:
+        try:
+            groups[factors] = AbelianGroup(factors)
+        except ValidationError:
+            groups[factors] = None
+    group = groups[factors]
+    if group is None:
         return None
     runs = []
     for item in items:
@@ -514,14 +550,15 @@ def _cache_entry(entry):
                 and len(item[0]) == len(factors)
                 and all(0 <= x < n for x, n in zip(item[0], factors))):
             return None
-        runs.append((tuple(item[0]), item[1]))
+        runs.append((group.index(item[0]), item[1]))
     if not 0 <= value <= sum(mult for _, mult in runs):
         return None
-    return (tuple(factors), tuple(runs)), value
+    return (factors, tuple(runs)), value
 
 
 def load_kmax_cache(directory: str) -> int:
-    """Merge a previously spilled k_max memo; returns entries loaded.
+    """Merge a previously spilled k_max memo; returns the number of
+    distinct entries in the file (0 when there is no file).
 
     A directory path that names something else, or an unreadable or
     malformed file (see ``_cache_entry``), raises ValidationError naming
@@ -543,13 +580,14 @@ def load_kmax_cache(directory: str) -> int:
     if not isinstance(entries, list):
         raise ValidationError(f"k_max cache {path} has no list of entries")
     loaded = {}
+    groups: dict[tuple, AbelianGroup | None] = {}
     for index, entry in enumerate(entries):
-        pair = _cache_entry(entry)
+        pair = _cache_entry(entry, groups)
         if pair is None:
             raise ValidationError(f"k_max cache {path}: entry {index} is malformed")
         loaded[pair[0]] = pair[1]
     _KMAX_MEMO.update(loaded)
-    return len(entries)
+    return len(loaded)
 
 
 def save_kmax_cache(directory: str) -> int:
@@ -558,11 +596,18 @@ def save_kmax_cache(directory: str) -> int:
     The file is written under a per-process temporary name in the same
     directory and then renamed over the cache, so a reader never sees a
     partial file.  An unwritable path raises ValidationError naming it.
+    Elements are written as coordinate lists; index order is tuple order,
+    so the entries come out in the same order as their tuple forms.
     """
-    entries = [
-        [list(factors), [[list(elem), mult] for elem, mult in items], value]
-        for (factors, items), value in sorted(_KMAX_MEMO.items())
-    ]
+    groups: dict[tuple, AbelianGroup] = {}
+    entries = []
+    for (factors, runs), value in sorted(_KMAX_MEMO.items()):
+        group = groups.get(factors)
+        if group is None:
+            group = groups[factors] = AbelianGroup(factors)
+        entries.append(
+            [list(factors), [[list(group.element(i)), mult] for i, mult in runs], value]
+        )
     path = os.path.join(directory, _CACHE_FILE)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:

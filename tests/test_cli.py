@@ -292,13 +292,34 @@ def test_cache_save_leaves_only_the_cache_file(capsys, tmp_path, monkeypatch):
 _GOOD_CACHE = json.dumps({"schema_version": 1, "entries": [[[3], [[[1], 3]], 1]]})
 
 
-def _zsl_davenport_z3(cache_dir):
+def _zsl_cached(cache_dir, *argv):
     env = dict(os.environ, ZSL_CACHE_DIR=str(cache_dir),
                PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
     return subprocess.run(
-        [sys.executable, "-m", "zerosumlab.cli", "davenport", "Z3"],
+        [sys.executable, "-m", "zerosumlab.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def _zsl_davenport_z3(cache_dir):
+    return _zsl_cached(cache_dir, "davenport", "Z3")
+
+
+def test_a_call_that_adds_no_memo_entry_leaves_the_cache_alone(tmp_path):
+    cache_file = tmp_path / "zsl_kmax_cache.json"
+    assert _zsl_davenport_z3(tmp_path).returncode == 0
+    written = cache_file.read_bytes()
+    # a rewrite would stamp the file with the current time
+    os.utime(cache_file, ns=(10**18, 10**18))
+    assert _zsl_davenport_z3(tmp_path).returncode == 0
+    assert cache_file.read_bytes() == written
+    assert cache_file.stat().st_mtime_ns == 10**18
+    # a call that adds entries still writes them
+    assert _zsl_cached(tmp_path, "davenport", "Z4").returncode == 0
+    assert cache_file.stat().st_mtime_ns != 10**18
+    grown = json.loads(cache_file.read_text())["entries"]
+    assert len(grown) > len(json.loads(written)["entries"])
+    assert [4] in [factors for factors, _, _ in grown]
 
 
 def _entry(factors, items, value):

@@ -115,6 +115,54 @@ def test_report_as_dict_round_trip():
     assert parse_sequence(d["extremal_witness"], Z2xZ2).length == 4
 
 
+def _row(group, k, Dk, dk, witness, nodes, levels):
+    return {"group": group, "k": k, "value_Dk": Dk, "value_dk": dk,
+            "extremal_witness": witness,
+            "search_stats": {"nodes": nodes, "levels": levels}}
+
+
+def _table(A, k_upto):
+    reports = [r.as_dict() for r in davenport_table(A, k_upto)]
+    for report in reports:
+        del report["search_stats"]["seconds"]
+    return reports
+
+
+# Reports of the tuple-based scans, written out; "seconds" is dropped.
+@pytest.mark.parametrize(
+    "compute, expected",
+    [
+        (lambda: _table(Z6, 3), [
+            _row("Z6", 1, 6, 5, "[1,1,1,1,1]", 1352, 18),
+            _row("Z6", 2, 12, 11, "[1,1,1,1,1,1,1,1,1,1,1]", 1352, 18),
+            _row("Z6", 3, 18, 17, "[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]", 1352, 18),
+        ]),
+        (lambda: _table(Z2xZ4, 2), [
+            _row("Z2xZ4", 1, 5, 4, "[(0,1),(1,0),(1,1),(1,1)]", 542, 9),
+            _row("Z2xZ4", 2, 9, 8,
+                 "[(0,1),(1,0),(1,1),(1,1),(1,1),(1,1),(1,1),(1,1)]", 542, 9),
+        ]),
+        (lambda: _table(Z3xZ3, 2), [
+            _row("Z3xZ3", 1, 5, 4, "[(0,1),(1,0),(1,2),(1,2)]", 223, 8),
+            _row("Z3xZ3", 2, 8, 7, "[(0,1),(1,0),(1,1),(1,1),(1,1),(1,2),(1,2)]", 223, 8),
+        ]),
+        (lambda: _table(Z2cubed, 3), [
+            _row("Z2xZ2xZ2", 1, 4, 3, "[(0,0,1),(0,1,0),(1,0,0)]", 108, 9),
+            _row("Z2xZ2xZ2", 2, 7, 6,
+                 "[(0,0,1),(0,1,0),(0,1,1),(1,0,0),(1,0,1),(1,1,0)]", 108, 9),
+            _row("Z2xZ2xZ2", 3, 9, 8,
+                 "[(0,0,1),(0,1,0),(0,1,1),(1,0,0),(1,0,1),(1,1,0),(1,1,1),(1,1,1)]",
+                 108, 9),
+        ]),
+        (lambda: eta(Z2cubed), 8),
+        (lambda: eta(Z3xZ3), 7),
+    ],
+    ids=["Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "eta-Z2xZ2xZ2", "eta-Z3xZ3"],
+)
+def test_davenport_reports_are_pinned(compute, expected):
+    assert compute() == expected
+
+
 # --- capacity and budgets ---------------------------------------------------
 
 def test_large_group_needs_budget():

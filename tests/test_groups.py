@@ -13,6 +13,8 @@ from zerosumlab.errors import (
     StructuralError,
     ValidationError,
 )
+from zerosumlab import davenport
+from zerosumlab.davenport import _canonical_maps
 from zerosumlab.groups import (
     AbelianGroup,
     SemidirectGroup,
@@ -124,6 +126,72 @@ def test_automorphism_group_closed_and_contains_identity():
     for f in auts:
         for g in auts:
             assert f.compose(g).images in tables
+
+
+# --- element indices ---------------------------------------------------------
+
+
+def _invariant_factor_chains(limit, chain=(), order=1):
+    """Every chain n_1 | n_2 | … with product <= limit, the empty one first."""
+    yield chain
+    last = chain[-1] if chain else 1
+    for n in range(max(last, 2), limit // order + 1):
+        if n % last == 0:
+            yield from _invariant_factor_chains(limit, chain + (n,), order * n)
+
+
+# every abelian group of order <= 16, plus two of order 32
+KERNEL_GROUPS = [AbelianGroup(c) for c in _invariant_factor_chains(16)] + [
+    AbelianGroup((2, 2, 8)),
+    AbelianGroup((4, 8)),
+]
+
+
+def test_kernel_groups_are_every_group_up_to_order_16():
+    counts = [sum(A.order == n for A in KERNEL_GROUPS) for n in range(1, 17)]
+    # number of abelian groups of order n (OEIS A000688)
+    assert counts == [1, 1, 1, 2, 1, 1, 1, 3, 2, 1, 1, 2, 1, 1, 1, 5]
+
+
+@pytest.mark.parametrize("A", KERNEL_GROUPS, ids=AbelianGroup.spec)
+def test_index_round_trips_in_element_order(A):
+    elems = A.elements()
+    assert [A.index(x) for x in elems] == list(range(A.order))
+    assert [A.element(i) for i in range(A.order)] == elems
+    assert A.index(A.zero) == 0
+
+
+@pytest.mark.parametrize("A", KERNEL_GROUPS, ids=AbelianGroup.spec)
+def test_index_addition_matches_tuple_addition(A):
+    elems = A.elements()
+    sums = A.sums()
+    for x in elems:
+        for y in elems:
+            expected = A.index(A.add(x, y))
+            assert A.add_index(A.index(x), A.index(y)) == expected
+            assert sums[A.index(x)][A.index(y)] == expected
+
+
+def test_sum_table_holds_only_the_sums_asked_for():
+    A = AbelianGroup((2, 2, 8))
+    sums = A.sums()
+    assert len(sums) == 0
+    assert sums[5][9] == A.index(A.add(A.element(5), A.element(9)))
+    assert sums[5][9] == sums[9][5]
+    assert A.sums() is sums
+    assert sorted(len(row) for row in sums.values()) == [1, 1]
+
+
+@pytest.mark.parametrize("A", KERNEL_GROUPS, ids=AbelianGroup.spec)
+def test_canonical_maps_are_the_automorphisms_on_indices(A, monkeypatch):
+    elems = A.elements()
+    auts = automorphism_group(A)
+    # one enumeration of Aut(A) for both sides; Aut(Z2^4) has 20,160 elements
+    monkeypatch.setattr(davenport, "automorphism_group", lambda group: auts)
+    maps = _canonical_maps(A)
+    assert len(maps) == len(auts)
+    for perm, aut in zip(maps, auts):
+        assert [A.element(i) for i in perm] == [aut(x) for x in elems]
 
 
 def test_direct_product_with_embeddings():

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import zerosumlab
 
 from zerosumlab.errors import DomainError, ParseError, StructuralError, VerificationError
 from zerosumlab.groups import AbelianGroup, automorphism_group, parse_groupspec
@@ -180,8 +187,9 @@ def test_k_max_witness_is_a_valid_packing():
 
 
 def test_witness_check_rejects_a_poisoned_memo():
-    # k_max of [1,1] over Z3 is 0; a memo that claims 1 has no packing to show
-    _KMAX_MEMO[((3,), (((1,), 2),))] = 1
+    # k_max of [1,1] over Z3 is 0; a memo that claims 1 has no packing to
+    # show.  The memo is keyed by int runs: element (1,) of Z3 is index 1.
+    _KMAX_MEMO[((3,), ((1, 2),))] = 1
     try:
         with pytest.raises(VerificationError):
             k_max_with_witness(seq(Z3, 1, 1))
@@ -239,3 +247,53 @@ def test_canonical_form_is_orbit_invariant():
             image = apply_to_sequence(phi, s)
             assert canonical_form(image, auts) == canon
             assert k_max(image) == k_max(s)
+
+
+# Runs in a child process whose address space is capped, so that an engine
+# which builds a table per element of A (or per pair) fails with MemoryError
+# instead of exhausting the machine.
+_LARGE_GROUP_CHILD = """
+import json, random, resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from zerosumlab.groups import parse_groupspec
+from zerosumlab.sequences import (Sequence, k_max, k_max_naive, k_max_with_witness,
+                                  minimal_zero_sum_subsequences)
+rng = random.Random(2020)
+out = []
+for spec in sys.argv[1:]:
+    A = parse_groupspec(spec)
+    for _ in range(3):
+        x = [tuple(rng.randrange(n) for n in A.factors) for _ in range(4)]
+        # four random entries and four that close zero sums with them
+        S = Sequence.from_elements(A, x + [A.neg(A.add(x[0], x[1])), A.neg(x[2]),
+                                           A.neg(A.add(x[2], x[3])), x[0]])
+        values = []
+        for f in (k_max, k_max_naive, k_max_with_witness, minimal_zero_sum_subsequences):
+            tracemalloc.start()
+            start = time.perf_counter()
+            result = f(S)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            values.append(result[0] if f is k_max_with_witness else result)
+            out.append([spec, f.__name__, seconds, peak])
+        assert values[0] == values[1] == values[2] >= 2, S.literal()
+        assert len(values[3]) >= 2, S.literal()
+print(json.dumps(out))
+"""
+
+
+def test_engine_on_groups_of_order_2_to_the_20():
+    """Every engine entry point on 8-entry sequences over groups of order
+    2^20 takes under a second and 16 MB: what the int kernel builds grows
+    with the sums it touches, not with |A|."""
+    specs = ["Z1048576", "Z2xZ524288", "x".join(["Z4"] * 10)]
+    env = dict(os.environ, PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _LARGE_GROUP_CHILD, *specs], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert len(calls) == 3 * 3 * 4
+    for spec, name, seconds, peak in calls:
+        assert seconds < 1.0, (spec, name, seconds)
+        assert peak < 16 << 20, (spec, name, peak)

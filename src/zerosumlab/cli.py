@@ -42,6 +42,11 @@ from .presented import (
 )
 from .suite import SCHEMA_VERSION, verify_all
 
+# the subcommands that can query k_max; only they read and write the cache
+_KMAX_COMMANDS = frozenset(
+    {"davenport", "dk-table", "linearity", "crosscheck", "product-bound", "verify-all"}
+)
+
 
 def _integer(text: str) -> int:
     """argparse type for integer arguments: ASCII digits only."""
@@ -277,7 +282,7 @@ def _emit(args, payload) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cache_dir = os.environ.get(ZSL_CACHE_ENV)
+    cache_dir = os.environ.get(ZSL_CACHE_ENV) if args.command in _KMAX_COMMANDS else None
     on_disk = 0
     if cache_dir:
         try:

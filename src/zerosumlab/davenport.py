@@ -11,6 +11,22 @@ analytically: each is exactly one block, and appending a non-zero entry
 to a zero-free bad sequence shows zeros never lengthen extremal
 sequences, so the search runs over A∖{0}.  The scans work on int runs
 (element indices, see ``sequences``) and decode only the reported witness.
+
+Canonical forms are least images under Aut(A), found from an orbit table
+(``_canonical_maps``): leader[x] is the least element of x's orbit and
+to_leader[x] the automorphisms that send x there.  Two arguments keep the
+scans exact while skipping work:
+
+* The least image of a multiset starts with the run (t*, m0), t* the least
+  leader over its support and m0 the least multiplicity among the support
+  elements led by t*.  Every map reaching the least image sends one of
+  those tied elements to t*, so only their to_leader lists are scanned.
+* Each frontier item is canonical, so its stabiliser is the set of scanned
+  maps that fix it.  For p in it, items + g = p(items + g′) with
+  g′ = p⁻¹(g), so items + g and items + g′ share a canonical form.  Only
+  the least g of each stabiliser orbit is appended; the others give
+  candidates already met from the same parent, so the order in which
+  candidates are first met is unchanged.
 """
 
 from __future__ import annotations
@@ -23,10 +39,12 @@ from .errors import CapacityError, DomainError, VerificationError
 from .groups import AbelianGroup, automorphism_group, subgroup_embeddable
 from .sequences import (
     Sequence,
+    _OrbitTable,
     _canonical_items,
     _has_short_zero_sum,
     _items_add_one,
     _kmax_items,
+    _stabiliser,
     _to_elements,
     k_max_naive,
 )
@@ -88,28 +106,52 @@ class LinearityProfile:
         }
 
 
-def _canonical_maps(A: AbelianGroup):
-    """Aut(A) as permutations of element indices; empty when symmetry
-    reduction is skipped."""
+def _canonical_maps(A: AbelianGroup) -> _OrbitTable:
+    """The orbit table of Aut(A) as permutations of element indices; only
+    the identity when symmetry reduction is skipped.
+
+    Each permutation is built by index additions: an element's image is
+    the image of the element one generator below it plus that generator's
+    image.
+    """
+    identity = tuple(range(A.order))
     try:
         auts = automorphism_group(A)
     except CapacityError:
-        return []
-    elements = A.elements()
-    return [tuple(A.index(a(x)) for x in elements) for a in auts]
+        auts = []
+    sums = A.sums()
+    # (index of x − e_j, j) for each non-zero x, j its last non-zero coordinate
+    steps = []
+    for x in A.elements()[1:]:
+        j = max(i for i, c in enumerate(x) if c)
+        steps.append((A.index(x[:j] + (x[j] - 1,) + x[j + 1:]), j))
+    perms = []
+    for aut in auts:
+        gens = [A.index(img) for img in aut.images]
+        perm = [0]
+        for below, j in steps:
+            perm.append(sums[perm[below]][gens[j]])
+        perms.append(tuple(perm))
+    return _OrbitTable(list(dict.fromkeys([identity, *perms])), range(A.order))
 
 
-def _extensions(A: AbelianGroup, frontier, maps):
+def _extensions(A: AbelianGroup, frontier, table):
     """Each distinct canonical one-element extension of ``frontier``, once.
 
     Only non-zero elements (indices 1..|A|-1) are appended; see the module
-    docstring.
+    docstring.  Of each orbit of an item's stabiliser on them only the
+    least element is appended.
     """
-    nonzero = range(1, A.order)
     seen = set()
     for items in frontier:
-        for g in nonzero:
-            cand = _canonical_items(_items_add_one(items, g), maps)
+        stab = _stabiliser(items, table)
+        firsts = range(1, A.order)
+        if len(stab) > 1:  # most items are fixed by the identity alone
+            # images[g]: the images of g under the maps that fix items
+            images = list(zip(*stab))
+            firsts = [g for g in firsts if min(images[g]) == g]
+        for g in firsts:
+            cand = _canonical_items(_items_add_one(items, g), table)
             if cand not in seen:
                 seen.add(cand)
                 yield cand
@@ -150,7 +192,7 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
             )
         return reports
 
-    maps = _canonical_maps(A)
+    table = _canonical_maps(A)
     cutoff = k_upto * A.order + 1
     frontier = {(): 0}
     level = 0
@@ -168,7 +210,7 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
                 "this contradicts D_k <= k·|A|"
             )
         next_frontier: dict[tuple, int] = {}
-        for cand in _extensions(A, frontier, maps):
+        for cand in _extensions(A, frontier, table):
             nodes += 1
             if budget_seconds is not None and nodes % 256 == 0:
                 if time.monotonic() - t0 > budget_seconds:
@@ -229,7 +271,7 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
     t0 = time.monotonic()
     if A.rank == 0:
         return 1
-    maps = _canonical_maps(A)
+    table = _canonical_maps(A)
     bound = A.exponent
     cap = 2 * A.order + 2
     frontier = [()]
@@ -248,7 +290,7 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
             )
         frontier = [
             cand
-            for cand in _extensions(A, frontier, maps)
+            for cand in _extensions(A, frontier, table)
             if not _has_short_zero_sum(A, cand, bound)
         ]
     return level

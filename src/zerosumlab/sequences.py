@@ -433,18 +433,78 @@ def apply_to_sequence(aut, S: Sequence) -> Sequence:
     return Sequence(S.group, ((aut(elem), mult) for elem, mult in S.items))
 
 
-def _canonical_items(items, maps):
-    """Least of the int runs ``items`` and their images under the index
-    maps (anything subscriptable by index: a permutation tuple or a dict).
+class _OrbitTable:
+    """Injective index maps, the identity among them, indexed by where
+    they send each point.
 
-    Automorphisms are injective, so mapped runs never need merging.
+    ``maps`` holds the maps (permutation tuples or dicts, anything
+    subscriptable by index), ``leader[x]`` is the least image of x and
+    ``to_leader[x]`` lists the maps that send x there.
     """
-    best = list(items)
-    for m in maps:
-        mapped = sorted([(m[elem], mult) for elem, mult in items])
-        if mapped < best:
-            best = mapped
-    return tuple(best)
+
+    __slots__ = ("maps", "leader", "to_leader")
+
+    def __init__(self, maps, points):
+        self.maps = maps
+        self.leader = {}
+        self.to_leader = {}
+        for x in points:
+            images = [m[x] for m in maps]
+            least = min(images)
+            self.leader[x] = least
+            self.to_leader[x] = [m for m, y in zip(maps, images) if y == least]
+
+
+def _candidate_maps(items, table):
+    """The maps of ``table`` whose image of the non-empty int runs
+    ``items`` starts with the least possible first run.
+
+    That run is (t*, m0): t* is the least leader over the support and m0
+    the least multiplicity among the support elements led by t*.  A map
+    gives it exactly when it sends one of those tied elements to t*; the
+    maps are injective, so no two tied elements share a map.
+    """
+    leader = table.leader
+    first = min([(leader[elem], mult) for elem, mult in items])
+    out = []
+    for elem, mult in items:
+        if mult == first[1] and leader[elem] == first[0]:
+            out.extend(table.to_leader[elem])
+    return out
+
+
+def _canonical_items(items, table):
+    """Least image of the int runs ``items`` under the maps of ``table``
+    (an ``_OrbitTable``, which holds the identity).
+
+    Only the candidates of ``_candidate_maps`` are scanned: the least
+    image starts with the least first run, and they are exactly the maps
+    whose image does.  This uses no group structure, only the map set.
+    The maps are injective, so mapped runs never need merging.
+
+    When the maps form a group, the candidates that fix a canonical
+    ``items`` are its stabiliser (``_stabiliser``), and items + g and
+    items + p(g) have the same least image for each p in it; so the
+    D_k/η scans extend an item by the least g of each stabiliser orbit
+    only (see ``davenport``).
+    """
+    if not items:
+        return items
+    return tuple(min([sorted([(m[elem], mult) for elem, mult in items])
+                      for m in _candidate_maps(items, table)]))
+
+
+def _stabiliser(items, table):
+    """The maps of ``table`` that fix the canonical int runs ``items``.
+
+    ``items`` is its own least image, so each map fixing it is one of
+    its candidates.
+    """
+    if not items:
+        return table.maps
+    runs = list(items)
+    return [m for m in _candidate_maps(items, table)
+            if sorted([(m[elem], mult) for elem, mult in items]) == runs]
 
 
 def canonical_form(S: Sequence, auts) -> Sequence:
@@ -463,8 +523,11 @@ def canonical_form(S: Sequence, auts) -> Sequence:
     # costs |A| images for a sequence that needs only a few
     g = S.group
     support = S.support()
-    maps = [{g.index(x): g.index(aut(x)) for x in support} for aut in auts]
-    return Sequence(g, _to_elements(g, _canonical_items(_to_indices(g, S.items), maps)))
+    points = [g.index(x) for x in support]
+    maps = [dict(zip(points, points))]
+    maps += [{g.index(x): g.index(aut(x)) for x in support} for aut in auts]
+    table = _OrbitTable(maps, points)
+    return Sequence(g, _to_elements(g, _canonical_items(_to_indices(g, S.items), table)))
 
 
 # -- sequence literals --------------------------------------------------------

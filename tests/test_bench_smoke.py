@@ -24,8 +24,9 @@ def test_traced_smoke_run_is_correct():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"], proc.stdout
     assert result["failed"] == 0
-    # the wrapped span attributes are still the ones the β scans go through
+    # the wrapped span attributes are still the ones the β scans go through,
+    # and the D_k/η scans still canonicalise through ``davenport._canonical_items``
     metrics = result["metrics"]
     for name in ("invariants.power_span_s", "presented.power_span_s",
-                 "polynomials.insert_calls"):
+                 "polynomials.insert_calls", "davenport.canon_calls", "davenport.canon_s"):
         assert metrics[name]["value"] > 0, name

@@ -322,6 +322,27 @@ def test_a_call_that_adds_no_memo_entry_leaves_the_cache_alone(tmp_path):
     assert [4] in [factors for factors, _, _ in grown]
 
 
+_RING = ("ring-beta", "--gens", "a:1,b:3", "--rels", "b^3-a^9, a*b^2-a^7",
+         "--k", "2", "--cutoff", "30")
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [(("beta", "reg(Z3)"), "beta", 3), (_RING, "beta", 6), (("eta", "Z3"), "eta", 3)],
+    ids=["beta", "ring-beta", "eta"],
+)
+def test_commands_that_never_query_k_max_leave_the_cache_unread(tmp_path, argv, key, value):
+    # a corrupt file makes every command that reads it exit 2
+    raw = _GOOD_CACHE[: len(_GOOD_CACHE) // 2].encode()
+    cache_file = tmp_path / "zsl_kmax_cache.json"
+    cache_file.write_bytes(raw)
+    proc = _zsl_cached(tmp_path, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[key] == value
+    assert cache_file.read_bytes() == raw
+    assert [p.name for p in tmp_path.iterdir()] == ["zsl_kmax_cache.json"]
+
+
 def _entry(factors, items, value):
     return json.dumps({"schema_version": 1, "entries": [[factors, items, value]]})
 

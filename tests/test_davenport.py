@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from zerosumlab import davenport
+from zerosumlab.groups import automorphism_group, factorize
+from zerosumlab.sequences import _candidate_maps, _canonical_items, _items_add_one, _stabiliser
 from zerosumlab import (
     AbelianGroup,
     CapacityError,
@@ -315,3 +319,141 @@ def test_subgroup_relations_rejects_non_subgroup():
         verify_subgroup_relations(Z4, Z3)
     with pytest.raises(DomainError):
         verify_subgroup_relations(Z2xZ2, Z4)
+
+
+# --- the orbit-leader canonicaliser -------------------------------------------
+
+# every non-trivial abelian group of order <= 16 (OEIS A000688 less Z1)
+GROUPS_UP_TO_16 = [AbelianGroup(f) for f in (
+    (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2), (9,), (3, 3),
+    (10,), (11,), (12,), (2, 6), (13,), (14,), (15,), (16,), (4, 4), (2, 8), (2, 2, 4),
+    (2, 2, 2, 2),
+)]
+
+
+def _permutations(A, auts):
+    """The identity and each automorphism as a tuple of element indices,
+    computed through ``Automorphism.__call__``."""
+    elems = A.elements()
+    return [tuple(range(A.order))] + [tuple(A.index(a(x)) for x in elems) for a in auts]
+
+
+def _image(perm, items):
+    return sorted((perm[elem], mult) for elem, mult in items)
+
+
+def _least_image(items, perms):
+    return tuple(min(_image(perm, items) for perm in perms))
+
+
+def _orbit_table(A, auts, monkeypatch):
+    monkeypatch.setattr(davenport, "automorphism_group", lambda group: auts)
+    return davenport._canonical_maps(A)
+
+
+def _random_runs(A, rng):
+    counts = {}
+    for _ in range(rng.randint(0, 8)):
+        x = rng.randrange(A.order)
+        counts[x] = counts.get(x, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("A", [TRIVIAL] + GROUPS_UP_TO_16, ids=AbelianGroup.spec)
+def test_canonical_items_is_the_least_image_and_its_stabiliser(A, monkeypatch):
+    auts = automorphism_group(A)
+    perms = sorted(set(_permutations(A, auts)))
+    table = _orbit_table(A, auts, monkeypatch)
+    rng = random.Random(A.order * 1009 + A.rank)
+    # fewer runs where each brute-force minimum sorts 20,160 images
+    for _ in range(40 if len(perms) < 1000 else 8):
+        items = _random_runs(A, rng)
+        images = [_image(perm, items) for perm in perms]
+        least = tuple(min(images))
+        assert _canonical_items(items, table) == least, items
+        if not items:
+            continue
+        # the scanned maps are exactly those that reach the least first run
+        assert sorted(_candidate_maps(items, table)) == [
+            perm for perm, image in zip(perms, images) if image[0] == least[0]
+        ], items
+        assert sorted(_stabiliser(least, table)) == [
+            perm for perm in perms if tuple(_image(perm, least)) == least
+        ], items
+    assert sorted(_stabiliser((), table)) == perms
+
+
+def _unpruned_extensions(A, frontier, perms):
+    """Every one-element extension of every frontier item, brute-force
+    canonicalised, each distinct result once in order of first appearance."""
+    out = {}
+    for items in frontier:
+        for g in range(1, A.order):
+            out.setdefault(_least_image(_items_add_one(items, g), perms), None)
+    return list(out)
+
+
+@pytest.mark.parametrize("A", [Z2cubed, Z3xZ3, AbelianGroup((2, 2, 4))], ids=AbelianGroup.spec)
+def test_extensions_match_the_unpruned_scan(A, monkeypatch):
+    auts = automorphism_group(A)
+    perms = _permutations(A, auts)
+    table = _orbit_table(A, auts, monkeypatch)
+    calls = []
+
+    def counted(items, table):
+        calls.append(items)
+        return _canonical_items(items, table)
+
+    monkeypatch.setattr(davenport, "_canonical_items", counted)
+    frontier = [()]
+    for level in range(3):
+        extended = list(davenport._extensions(A, frontier, table))
+        assert extended == _unpruned_extensions(A, frontier, perms)
+        if level == 0:
+            # Aut(A) fixes the empty item: one call per orbit on A∖{0}
+            assert len(calls) == len({table.leader[g] for g in range(1, A.order)})
+        frontier = extended
+
+
+def test_extensions_without_automorphisms_yield_every_extension(monkeypatch):
+    def unavailable(group):
+        raise CapacityError("no automorphisms", limit=0)
+
+    monkeypatch.setattr(davenport, "automorphism_group", unavailable)
+    table = davenport._canonical_maps(Z2xZ4)
+    identity = tuple(range(Z2xZ4.order))
+    assert table.maps == [identity]
+    frontier = [()]
+    for _ in range(3):
+        extended = list(davenport._extensions(Z2xZ4, frontier, table))
+        assert extended == _unpruned_extensions(Z2xZ4, frontier, [identity])
+        assert len(extended) == len(set(extended))
+        frontier = extended
+    # multisets of size 3 over the 7 non-zero elements
+    assert len(frontier) == math.comb(7 + 2, 3)
+
+
+# --- closed forms (oracles beside the search, never instead of it) -----------
+
+@pytest.mark.parametrize("A", GROUPS_UP_TO_16, ids=AbelianGroup.spec)
+def test_davenport_constant_closed_form(A):
+    # D(A) = 1 + Σ(n_i − 1) for p-groups (Olson 1969) and rank <= 2 (van Emde
+    # Boas–Kruyswijk 1967); every group here is one or the other
+    assert A.rank <= 2 or len({p for n in A.factors for p, _ in factorize(n)}) == 1
+    assert davenport_k(A).value_Dk == 1 + sum(n - 1 for n in A.factors)
+
+
+@pytest.mark.parametrize("A", [A for A in GROUPS_UP_TO_16 if A.rank <= 2],
+                         ids=AbelianGroup.spec)
+def test_eta_closed_form(A):
+    # η(Z_n1 ⊕ Z_n2) = 2·n1 + n2 − 2 (Geroldinger–Halter-Koch, Thm 5.8.3);
+    # a cyclic group is the case n1 = 1
+    n1, n2 = (1, *A.factors) if A.rank == 1 else A.factors
+    assert eta(A) == 2 * n1 + n2 - 2
+
+
+@pytest.mark.parametrize("A", [Z2xZ2, Z2xZ4, Z3xZ3], ids=AbelianGroup.spec)
+def test_second_davenport_constant_closed_form(A):
+    # D_k(Z_n1 ⊕ Z_n2) = n1 + k·n2 − 1 (Geroldinger–Halter-Koch, Thm 6.1.5)
+    n1, n2 = A.factors
+    assert davenport_table(A, 2)[1].value_Dk == n1 + 2 * n2 - 1

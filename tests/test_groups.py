@@ -188,10 +188,19 @@ def test_canonical_maps_are_the_automorphisms_on_indices(A, monkeypatch):
     auts = automorphism_group(A)
     # one enumeration of Aut(A) for both sides; Aut(Z2^4) has 20,160 elements
     monkeypatch.setattr(davenport, "automorphism_group", lambda group: auts)
-    maps = _canonical_maps(A)
-    assert len(maps) == len(auts)
-    for perm, aut in zip(maps, auts):
+    table = _canonical_maps(A)
+    identity = tuple(range(A.order))
+    # the identity first, then Aut(A) in enumeration order without repeats
+    assert table.maps[0] == identity
+    assert len(table.maps) == len(auts)
+    others = [aut for aut in auts if [aut(x) for x in elems] != elems]
+    assert len(others) == len(auts) - 1
+    for perm, aut in zip(table.maps[1:], others):
         assert [A.element(i) for i in perm] == [aut(x) for x in elems]
+    for x in range(A.order):
+        least = min(perm[x] for perm in table.maps)
+        assert table.leader[x] == least
+        assert table.to_leader[x] == [perm for perm in table.maps if perm[x] == least]
 
 
 def test_direct_product_with_embeddings():

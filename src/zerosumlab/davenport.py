@@ -108,30 +108,12 @@ class LinearityProfile:
 
 def _canonical_maps(A: AbelianGroup) -> _OrbitTable:
     """The orbit table of Aut(A) as permutations of element indices; only
-    the identity when symmetry reduction is skipped.
-
-    Each permutation is built by index additions: an element's image is
-    the image of the element one generator below it plus that generator's
-    image.
-    """
+    the identity when the listing is refused (CapacityError)."""
     identity = tuple(range(A.order))
     try:
-        auts = automorphism_group(A)
+        perms = [aut.perm for aut in automorphism_group(A)]
     except CapacityError:
-        auts = []
-    sums = A.sums()
-    # (index of x − e_j, j) for each non-zero x, j its last non-zero coordinate
-    steps = []
-    for x in A.elements()[1:]:
-        j = max(i for i, c in enumerate(x) if c)
-        steps.append((A.index(x[:j] + (x[j] - 1,) + x[j + 1:]), j))
-    perms = []
-    for aut in auts:
-        gens = [A.index(img) for img in aut.images]
-        perm = [0]
-        for below, j in steps:
-            perm.append(sums[perm[below]][gens[j]])
-        perms.append(tuple(perm))
+        perms = []
     return _OrbitTable(list(dict.fromkeys([identity, *perms])), range(A.order))
 
 
@@ -276,6 +258,7 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
     cap = 2 * A.order + 2
     frontier = [()]
     level = 0
+    nodes = 0
     while frontier:
         level += 1
         if level > cap:
@@ -283,16 +266,19 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
                 f"eta scan for {A.spec()} exceeded the length ceiling {cap}",
                 limit=cap,
             )
-        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
-            raise CapacityError(
-                f"time budget of {budget_seconds}s exhausted in eta scan",
-                limit=budget_seconds,
-            )
-        frontier = [
-            cand
-            for cand in _extensions(A, frontier, table)
-            if not _has_short_zero_sum(A, cand, bound)
-        ]
+        next_frontier = []
+        for cand in _extensions(A, frontier, table):
+            nodes += 1
+            if budget_seconds is not None and nodes % 256 == 0:
+                if time.monotonic() - t0 > budget_seconds:
+                    raise CapacityError(
+                        f"time budget of {budget_seconds}s exhausted at length "
+                        f"{level} in eta scan for {A.spec()}",
+                        limit=budget_seconds,
+                    )
+            if not _has_short_zero_sum(A, cand, bound):
+                next_frontier.append(cand)
+        frontier = next_frontier
     return level
 
 
@@ -306,21 +292,23 @@ def sigma_abelian(A: AbelianGroup) -> int:
 
 
 def _min_zero_sum_length(A: AbelianGroup, steps) -> int:
-    """Shortest non-empty zero-sum sequence with support inside ``steps``."""
+    """Shortest non-empty zero-sum sequence with support inside ``steps``
+    (element indices), by breadth-first search over partial sums."""
     from collections import deque
 
-    queue = deque([(A.zero, 0)])
+    rows = [A.sums()[t] for t in steps]
+    queue = deque([(0, 0)])
     seen = set()
     while queue:
         x, dist = queue.popleft()
-        for t in steps:
-            y = A.add(x, t)
-            if y == A.zero:
+        for row in rows:
+            y = row[x]
+            if y == 0:
                 return dist + 1
             if y not in seen:
                 seen.add(y)
                 queue.append((y, dist + 1))
-    raise VerificationError(f"no zero-sum combination over support {steps!r}")
+    raise VerificationError(f"no zero-sum combination over element indices {steps!r}")
 
 
 def sigma_diagonal(A: AbelianGroup, chars) -> int:
@@ -336,7 +324,7 @@ def sigma_diagonal(A: AbelianGroup, chars) -> int:
     chars = [A.check(c) for c in chars]
     if not chars:
         raise DomainError("sigma_diagonal needs at least one character")
-    distinct = sorted(set(chars))
+    distinct = sorted({A.index(c) for c in chars})
     if len(distinct) > 16:
         raise CapacityError("subset scan limited to 16 distinct characters", limit=16)
     best = 0

@@ -11,6 +11,9 @@ of an element in ``elements()``, i.e. its coordinates read in mixed radix
 with the first coordinate most significant.  Zero is index 0 and index
 order is tuple order.  ``index``/``element`` convert, ``add_index`` adds,
 and ``sums()`` memoises additions row by row as they are first asked for.
+This module also owns the automorphisms on indices: ``Automorphism``
+builds its permutation ``perm`` once, and ``automorphism_group`` lists
+Aut(A) on indices; the scans and canonical forms only read ``perm``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ from .errors import (
     ValidationError,
 )
 
-AUTOMORPHISM_ENUMERATION_LIMIT = 64
+AUTOMORPHISM_ENUMERATION_LIMIT = 64  # largest |A| whose automorphisms are listed
+# most index entries the listed permutations may hold, |Aut(A)|·|A|: every
+# group of order <= 32 but Z2^5 fits (Z2^3×Z4 needs 688,128)
+AUTOMORPHISM_INDEX_ENTRIES = 1 << 20
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -125,8 +131,10 @@ class AbelianGroup:
     __slots__ = ("factors", "order", "exponent", "rank", "_elements", "_sums")
 
     def __init__(self, factors):
-        factors = tuple(int(n) for n in factors)
+        factors = tuple(factors)
         for n in factors:
+            if type(n) is not int:
+                raise ValidationError(f"invariant factors must be ints, got {n!r}")
             if n < 2:
                 raise ValidationError(
                     f"invariant factors must be >= 2, got {n}; "
@@ -300,17 +308,40 @@ class _SumTable(dict):
 
 
 class Automorphism:
-    """Automorphism of an abelian group, stored as generator images.
+    """Automorphism of an abelian group, stored as generator images and as
+    the permutation of element indices they induce.
 
     ``images[i]`` is the image of the i-th canonical generator; viewed as
-    a matrix, column i holds images[i].
+    a matrix, column i holds images[i].  ``perm[t]`` is the index of the
+    image of the element with index t; only this constructor builds it.
     """
 
-    __slots__ = ("group", "images")
+    __slots__ = ("group", "images", "perm")
 
     def __init__(self, group: AbelianGroup, images):
         self.group = group
         self.images = tuple(group.check(g) for g in images)
+        if len(self.images) != group.rank:
+            raise ValidationError(
+                f"{group.spec()} has {group.rank} generators, got {len(self.images)} images"
+            )
+        # image of x = image of x − e_j + images[j], j the last non-zero
+        # coordinate of x; those with x_j = c sit at stride n_j·w from c·w
+        sums = group.sums()
+        perm = [0] * group.order
+        w = group.order
+        for n, img in zip(group.factors, self.images):
+            w //= n
+            row = sums[group.index(img)]
+            for c in range(1, n):
+                perm[c * w :: n * w] = [row[t] for t in perm[(c - 1) * w :: n * w]]
+            if row[perm[(n - 1) * w]] != 0:
+                raise ValidationError(
+                    f"image {img} of a generator of order {n} has order not dividing {n}"
+                )
+        if len(set(perm)) != group.order:
+            raise ValidationError(f"generator images {self.images} do not give a bijection")
+        self.perm = tuple(perm)
 
     @classmethod
     def identity(cls, group: AbelianGroup) -> "Automorphism":
@@ -318,10 +349,7 @@ class Automorphism:
 
     def __call__(self, x) -> tuple[int, ...]:
         g = self.group
-        return tuple(
-            sum(x[i] * self.images[i][j] for i in range(g.rank)) % g.factors[j]
-            for j in range(g.rank)
-        )
+        return g.element(self.perm[g.index(g.check(x))])
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self ∘ other, i.e. apply other first."""
@@ -346,17 +374,7 @@ class Automorphism:
         return f"Automorphism({self.group.spec()}, {self.images})"
 
 
-def _span_with(span: frozenset, g, group: AbelianGroup) -> frozenset:
-    # subgroup generated by span ∪ {g}: union of translates of span by multiples of g
-    out = set(span)
-    step = g
-    while step not in span:
-        out.update(group.add(s, step) for s in span)
-        step = group.add(step, g)
-    return frozenset(out)
-
-
-def automorphism_group(A: AbelianGroup, limit: int = AUTOMORPHISM_ENUMERATION_LIMIT):
+def automorphism_group(A: AbelianGroup):
     """All automorphisms of A by generator-image enumeration.
 
     An automorphism preserves element orders, so the image of the i-th
@@ -364,38 +382,53 @@ def automorphism_group(A: AbelianGroup, limit: int = AUTOMORPHISM_ENUMERATION_LI
     if the chosen images generate a subgroup of size n_1·…·n_j (the map
     restricted there must be injective).  Any surviving full choice whose
     images generate A is a surjective endomorphism of a finite group,
-    hence an automorphism.
+    hence an automorphism.  Images are tried in element order.
+
+    Raises CapacityError when |A| > AUTOMORPHISM_ENUMERATION_LIMIT, and
+    once the permutations found would hold more than
+    AUTOMORPHISM_INDEX_ENTRIES entries (|automorphisms found|·|A|).
 
     >>> len(automorphism_group(AbelianGroup((3,))))
     2
     >>> len(automorphism_group(AbelianGroup((2, 2))))
     6
     """
-    if A.order > limit:
+    if A.order > AUTOMORPHISM_ENUMERATION_LIMIT:
         raise CapacityError(
-            f"automorphism enumeration limited to groups of order <= {limit}, "
-            f"|A| = {A.order}",
-            limit=limit,
+            f"automorphism enumeration limited to groups of order <= "
+            f"{AUTOMORPHISM_ENUMERATION_LIMIT}, |A| = {A.order}",
+            limit=AUTOMORPHISM_ENUMERATION_LIMIT,
         )
-    if A.rank == 0:
-        return [Automorphism.identity(A)]
+    elems = A.elements()
+    sums = A.sums()
     by_order: dict[int, list] = {}
-    for x in A.elements():
-        by_order.setdefault(A.element_order(x), []).append(x)
+    for i, x in enumerate(elems):
+        by_order.setdefault(A.element_order(x), []).append(i)
     found = []
-    zero_span = frozenset([A.zero])
 
-    def extend(i, images, span, size):
+    def extend(i, images, span):
         if i == A.rank:
-            found.append(Automorphism(A, images))
+            if (len(found) + 1) * A.order > AUTOMORPHISM_INDEX_ENTRIES:
+                raise CapacityError(
+                    f"the automorphisms of {A.spec()} hold more than "
+                    f"{AUTOMORPHISM_INDEX_ENTRIES} permutation entries",
+                    limit=AUTOMORPHISM_INDEX_ENTRIES,
+                )
+            found.append(Automorphism(A, [elems[g] for g in images]))
             return
-        need = size * A.factors[i]
+        need = len(span) * A.factors[i]
         for g in by_order.get(A.factors[i], ()):
-            bigger = _span_with(span, g, A)
+            # subgroup spanned by span and g: the translates of span by multiples of g
+            bigger = set(span)
+            step = g
+            while step not in span:
+                row = sums[step]
+                bigger.update([row[s] for s in span])
+                step = row[g]
             if len(bigger) == need:
-                extend(i + 1, images + [g], bigger, need)
+                extend(i + 1, images + [g], bigger)
 
-    extend(0, [], zero_span, 1)
+    extend(0, [], {0})
     return found
 
 

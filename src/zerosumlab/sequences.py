@@ -51,9 +51,9 @@ class Sequence:
         norm = []
         for elem, mult in items:
             group.check(elem)
-            if mult < 1:
-                raise DomainError(f"multiplicity must be >= 1, got {mult} for {elem}")
-            norm.append((elem, int(mult)))
+            if type(mult) is not int or mult < 1:
+                raise DomainError(f"multiplicity must be an int >= 1, got {mult!r} for {elem}")
+            norm.append((elem, mult))
         norm.sort()
         for (a, _), (b, _) in zip(norm, norm[1:]):
             if a == b:
@@ -434,12 +434,12 @@ def apply_to_sequence(aut, S: Sequence) -> Sequence:
 
 
 class _OrbitTable:
-    """Injective index maps, the identity among them, indexed by where
-    they send each point.
+    """Permutations of element indices, the identity among them, indexed
+    by where they send each point.
 
-    ``maps`` holds the maps (permutation tuples or dicts, anything
-    subscriptable by index), ``leader[x]`` is the least image of x and
-    ``to_leader[x]`` lists the maps that send x there.
+    ``maps`` holds the permutation tuples (``Automorphism.perm``),
+    ``leader[x]`` is the least image of x and ``to_leader[x]`` lists the
+    maps that send x there; only the given points are indexed.
     """
 
     __slots__ = ("maps", "leader", "to_leader")
@@ -519,15 +519,11 @@ def canonical_form(S: Sequence, auts) -> Sequence:
     >>> canonical_form(S, automorphism_group(g)).literal()
     '[1,1]'
     """
-    # maps restricted to the support: a full element map per automorphism
-    # costs |A| images for a sequence that needs only a few
     g = S.group
-    support = S.support()
-    points = [g.index(x) for x in support]
-    maps = [dict(zip(points, points))]
-    maps += [{g.index(x): g.index(aut(x)) for x in support} for aut in auts]
-    table = _OrbitTable(maps, points)
-    return Sequence(g, _to_elements(g, _canonical_items(_to_indices(g, S.items), table)))
+    runs = _to_indices(g, S.items)
+    maps = [tuple(range(g.order))] + [aut.perm for aut in auts]
+    table = _OrbitTable(maps, [i for i, _ in runs])
+    return Sequence(g, _to_elements(g, _canonical_items(runs, table)))
 
 
 # -- sequence literals --------------------------------------------------------

@@ -151,12 +151,12 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
-def _zsl(*argv):
+def _zsl(*argv, timeout=60):
     env = dict(os.environ, PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
     env.pop("ZSL_CACHE_DIR", None)
     return subprocess.run(
         [sys.executable, "-m", "zerosumlab.cli", *argv],
-        env=env, capture_output=True, text=True, encoding="utf-8", timeout=60,
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=timeout,
     )
 
 
@@ -252,6 +252,14 @@ def test_budget_exhaustion_exits_3(capsys):
     code, out, err = run(capsys, "dk-table", "Z3xZ3", "--k-upto", "3",
                          "--budget-seconds", "1e-9")
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["davenport", "eta"])
+def test_budget_holds_where_aut_is_too_large_to_list(command):
+    # Aut(Z2^5) has 9,999,360 elements; listing them all would take minutes
+    proc = _zsl(command, "Z2xZ2xZ2xZ2xZ2", "--budget-seconds", "1", timeout=10)
+    assert proc.returncode == 3
+    assert "capacity:" in proc.stderr
 
 
 def test_failed_verification_exits_1(capsys, monkeypatch):

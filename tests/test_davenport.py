@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
-from zerosumlab import davenport
+from zerosumlab import davenport, sequences
 from zerosumlab.groups import automorphism_group, factorize
 from zerosumlab.sequences import _candidate_maps, _canonical_items, _items_add_one, _stabiliser
 from zerosumlab import (
@@ -189,6 +190,16 @@ def test_budget_must_be_finite_and_positive(budget):
         eta(Z3, budget_seconds=budget)
 
 
+def test_eta_checks_its_budget_inside_a_level():
+    # length 6 of the Z4×Z8 scan runs from about 0.6 s to 2.6 s on a 2-vCPU
+    # VM, so a clock read only between lengths overshoots a 1 s budget by
+    # over a second
+    start = time.monotonic()
+    with pytest.raises(CapacityError):
+        eta(AbelianGroup((4, 8)), budget_seconds=1.0)
+    assert time.monotonic() - start < 1.5
+
+
 def test_budget_allows_large_group():
     # order 17 > the no-budget ceiling, but the scan itself is quick
     assert davenport_table(AbelianGroup((17,)), 1, budget_seconds=60)[0].value_Dk == 17
@@ -333,9 +344,16 @@ GROUPS_UP_TO_16 = [AbelianGroup(f) for f in (
 
 def _permutations(A, auts):
     """The identity and each automorphism as a tuple of element indices,
-    computed through ``Automorphism.__call__``."""
-    elems = A.elements()
-    return [tuple(range(A.order))] + [tuple(A.index(a(x)) for x in elems) for a in auts]
+    each image computed as Σ x_i·images[i] in tuple arithmetic, apart from
+    ``Automorphism.perm``."""
+    perms = [tuple(range(A.order))]
+    for aut in auts:
+        images = [A.zero]
+        for n, img in zip(A.factors, aut.images):
+            multiples = [A.scale(c, img) for c in range(n)]
+            images = [A.add(y, m) for y in images for m in multiples]
+        perms.append(tuple(A.index(y) for y in images))
+    return perms
 
 
 def _image(perm, items):
@@ -431,6 +449,25 @@ def test_extensions_without_automorphisms_yield_every_extension(monkeypatch):
         frontier = extended
     # multisets of size 3 over the 7 non-zero elements
     assert len(frontier) == math.comb(7 + 2, 3)
+
+
+def test_scans_use_no_tuple_arithmetic(monkeypatch):
+    calls = []
+    for name in ("add", "scale"):
+        original = getattr(AbelianGroup, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(AbelianGroup, name, counted)
+    for factors, k in (((3, 3), 2), ((2, 2, 2), 3), ((2, 2, 4), 1)):
+        # fresh groups and a cold memo, so every sum and k_max is computed
+        monkeypatch.setattr(sequences, "_KMAX_MEMO", {})
+        davenport_table(AbelianGroup(factors), k)
+        eta(AbelianGroup(factors))
+    assert sigma_diagonal(AbelianGroup((2, 6)), [(1, 0), (0, 2), (1, 3)]) == 3
+    assert calls == []
 
 
 # --- closed forms (oracles beside the search, never instead of it) -----------

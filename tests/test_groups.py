@@ -16,10 +16,13 @@ from zerosumlab.errors import (
 from zerosumlab import davenport
 from zerosumlab.davenport import _canonical_maps
 from zerosumlab.groups import (
+    AUTOMORPHISM_INDEX_ENTRIES,
     AbelianGroup,
+    Automorphism,
     SemidirectGroup,
     automorphism_group,
     direct_product,
+    factorize,
     parse_groupspec,
     subgroup_embeddable,
 )
@@ -41,6 +44,17 @@ def test_constructor_requires_divisibility_chain():
         AbelianGroup((2, 3))
     with pytest.raises(ValidationError):
         AbelianGroup((1,))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2.5,), (2.0, 4), ("3",), ("\u0663",), (True,), (2, True)],
+    ids=["float", "integral-float", "str", "arabic-indic-str", "bool", "bool-second"],
+)
+def test_factors_must_be_ints(factors):
+    # int() would read 2.5 as 2 and "\u0663" as 3
+    with pytest.raises(ValidationError):
+        AbelianGroup(factors)
 
 
 def test_basic_attributes():
@@ -77,6 +91,15 @@ def test_element_range_checks():
         A.check((-1,))
 
 
+def _invariant_factor_chains(limit, chain=(), order=1):
+    """Every chain n_1 | n_2 | … with product <= limit, the empty one first."""
+    yield chain
+    last = chain[-1] if chain else 1
+    for n in range(max(last, 2), limit // order + 1):
+        if n % last == 0:
+            yield from _invariant_factor_chains(limit, chain + (n,), order * n)
+
+
 def test_automorphism_group_sizes():
     # |Aut(Z_n)| = phi(n); |Aut(Z_p^2)| = |GL(2,p)|
     assert len(automorphism_group(AbelianGroup((2,)))) == 1
@@ -109,6 +132,64 @@ def test_automorphism_compose_applies_other_first():
             assert h(x) == f(g(x))
 
 
+def test_automorphism_constructor_rejects_non_automorphisms():
+    # x ↦ 2x on Z4 is a homomorphism but not injective
+    with pytest.raises(ValidationError):
+        Automorphism(AbelianGroup((4,)), [(2,)])
+    # (0,1) has order 4, but the first generator of Z2×Z4 has order 2; the
+    # map x ↦ x_0·(0,1) + x_1·(1,1) on representatives is still a bijection
+    A = AbelianGroup((2, 4))
+    images = {
+        A.add(A.scale(x[0], (0, 1)), A.scale(x[1], (1, 1))) for x in A.elements()
+    }
+    assert len(images) == A.order
+    with pytest.raises(ValidationError):
+        Automorphism(A, [(0, 1), (1, 1)])
+    with pytest.raises(ValidationError):
+        Automorphism(A, [(1, 0)])
+    assert Automorphism(A, [(1, 0), (1, 1)])((1, 1)) == (0, 1)
+
+
+def _hillar_rhea(A):
+    """|Aut(A)| in closed form (Hillar–Rhea, Amer. Math. Monthly 114 (2007),
+    Thm 4.1): A is the product of its p-parts, and for the p-part
+    Z_{p^e_1} ⊕ … ⊕ Z_{p^e_n}, e_1 <= … <= e_n, with d_k = max{l : e_l = e_k}
+    and c_k = min{l : e_l = e_k},
+    |Aut| = Π_k (p^{d_k} − p^{k−1}) · Π_j p^{e_j(n−d_j)} · Π_i p^{(e_i−1)(n−c_i+1)}."""
+    exponents: dict[int, list[int]] = {}
+    for n in A.factors:
+        for p, e in factorize(n):
+            exponents.setdefault(p, []).append(e)
+    total = 1
+    for p, es in exponents.items():
+        es.sort()
+        n = len(es)
+        for k in range(1, n + 1):
+            d = max(l for l in range(1, n + 1) if es[l - 1] == es[k - 1])
+            c = min(l for l in range(1, n + 1) if es[l - 1] == es[k - 1])
+            total *= (p**d - p ** (k - 1)) * p ** (es[k - 1] * (n - d))
+            total *= p ** ((es[k - 1] - 1) * (n - c + 1))
+    return total
+
+
+def test_hillar_rhea_formula_on_known_groups():
+    assert _hillar_rhea(AbelianGroup((2, 2, 2, 2, 2))) == 9_999_360  # |GL(5,2)|
+    assert _hillar_rhea(AbelianGroup((3, 9))) == 3**3 * (3 - 1) ** 2  # Z_p ⊕ Z_{p^2}
+
+
+@pytest.mark.parametrize(
+    "A", [AbelianGroup(c) for c in _invariant_factor_chains(32)], ids=AbelianGroup.spec
+)
+def test_automorphism_count_is_the_closed_form(A):
+    if A.factors == (2, 2, 2, 2, 2):
+        # 9,999,360 permutations of 32 entries pass AUTOMORPHISM_INDEX_ENTRIES
+        with pytest.raises(CapacityError) as info:
+            automorphism_group(A)
+        assert info.value.limit == AUTOMORPHISM_INDEX_ENTRIES
+        return
+    assert len(automorphism_group(A)) == _hillar_rhea(A)
+
+
 def test_automorphism_enumeration_capacity():
     # the cap is on group order; order 96 > 64 refuses, order 8 still runs
     with pytest.raises(CapacityError) as info:
@@ -129,15 +210,6 @@ def test_automorphism_group_closed_and_contains_identity():
 
 
 # --- element indices ---------------------------------------------------------
-
-
-def _invariant_factor_chains(limit, chain=(), order=1):
-    """Every chain n_1 | n_2 | … with product <= limit, the empty one first."""
-    yield chain
-    last = chain[-1] if chain else 1
-    for n in range(max(last, 2), limit // order + 1):
-        if n % last == 0:
-            yield from _invariant_factor_chains(limit, chain + (n,), order * n)
 
 
 # every abelian group of order <= 16, plus two of order 32
@@ -182,6 +254,17 @@ def test_sum_table_holds_only_the_sums_asked_for():
     assert sorted(len(row) for row in sums.values()) == [1, 1]
 
 
+def _element_images(A, aut):
+    """``aut``'s image of every element, in element order, as Σ x_i·images[i]
+    in tuple arithmetic: a reference that shares no code with
+    ``Automorphism.perm``."""
+    images = [A.zero]
+    for n, img in zip(A.factors, aut.images):
+        multiples = [A.scale(c, img) for c in range(n)]
+        images = [A.add(y, m) for y in images for m in multiples]
+    return images
+
+
 @pytest.mark.parametrize("A", KERNEL_GROUPS, ids=AbelianGroup.spec)
 def test_canonical_maps_are_the_automorphisms_on_indices(A, monkeypatch):
     elems = A.elements()
@@ -193,10 +276,11 @@ def test_canonical_maps_are_the_automorphisms_on_indices(A, monkeypatch):
     # the identity first, then Aut(A) in enumeration order without repeats
     assert table.maps[0] == identity
     assert len(table.maps) == len(auts)
-    others = [aut for aut in auts if [aut(x) for x in elems] != elems]
+    images = [_element_images(A, aut) for aut in auts]
+    others = [imgs for imgs in images if imgs != elems]
     assert len(others) == len(auts) - 1
-    for perm, aut in zip(table.maps[1:], others):
-        assert [A.element(i) for i in perm] == [aut(x) for x in elems]
+    for perm, imgs in zip(table.maps[1:], others):
+        assert [A.element(i) for i in perm] == imgs
     for x in range(A.order):
         least = min(perm[x] for perm in table.maps)
         assert table.leader[x] == least

@@ -53,6 +53,13 @@ def test_runs_are_sorted_and_validated():
         Sequence(Z4, (((1,), 1), ((1,), 2)))
 
 
+@pytest.mark.parametrize("mult", [2.7, 2.0, "2", True], ids=["float", "integral-float", "str", "bool"])
+def test_multiplicities_must_be_ints(mult):
+    # int() would store 2.7 as 2 and True as 1
+    with pytest.raises(DomainError):
+        Sequence(Z3, (((1,), mult),))
+
+
 def test_literal_parse_round_trip():
     s = seq(Z4, 1, 1, 3)
     assert s.literal() == "[1,1,3]"

@@ -1,14 +1,17 @@
 """Exact D_k(A), d_k(A), η(A), σ values and eventual-linearity profiles.
 
-The D_k search walks lengths upward, keeping at each length the set of
-canonical "bad" multisets (k_max ≤ k−1) over A∖{0}.  Badness is closed
-under sub-multisets, so every bad multiset of length n extends a bad one
-of length n−1 — extending the previous level by single elements and
-deduplicating canonical forms is a complete enumeration.  D_k is the
-first length whose bad set is empty; the scan is bounded a priori by
-k·D(A) ≤ k·|A|, so termination is certified.  Zero entries are handled
-analytically: each is exactly one block, and appending a non-zero entry
-to a zero-free bad sequence shows zeros never lengthen extremal
+D_k and η come out of one frontier scan (``_levels``), which walks lengths
+upward keeping at each length the canonical multisets over A∖{0} that a
+predicate keeps: the "bad" ones (k_max ≤ k−1) for D_k, those with no
+non-empty zero-sum block of length ≤ exp(A) for η.  Both properties are
+closed under sub-multisets, so every kept multiset of length n extends a
+kept one of length n−1 — extending the previous level by single elements
+and deduplicating canonical forms is a complete enumeration.  D_k and η
+are the first length with nothing kept.  The D_k scan is bounded a priori
+by k·D(A) ≤ k·|A|; the η scan keeps fewer than exp(A) copies of each
+element, so it ends by length (|A|−1)·(exp(A)−1) + 1.  Zero entries are
+handled analytically: each is exactly one block, and appending a non-zero
+entry to a zero-free bad sequence shows zeros never lengthen extremal
 sequences, so the search runs over A∖{0}.  The scans work on int runs
 (element indices, see ``sequences``) and decode only the reported witness.
 
@@ -139,15 +142,54 @@ def _extensions(A: AbelianGroup, frontier, table):
                 yield cand
 
 
-def _require_capacity(A: AbelianGroup, budget_seconds):
+def _check_budget(budget_seconds):
     if budget_seconds is not None and not 0 < budget_seconds < math.inf:  # NaN never trips
         raise DomainError(f"budget must be finite and positive, got {budget_seconds}")
+
+
+def _require_capacity(A: AbelianGroup, budget_seconds):
+    _check_budget(budget_seconds)
     if A.order > GUARANTEED_ORDER and budget_seconds is None:
         raise CapacityError(
             f"groups of order > {GUARANTEED_ORDER} need an explicit time budget "
             f"(attempted |A| = {A.order})",
             limit=GUARANTEED_ORDER,
         )
+
+
+def _levels(A: AbelianGroup, keep, budget_seconds, partial):
+    """The frontier scan behind D_k and η: yields (length, survivors, nodes)
+    for lengths 1, 2, … up to and including the first empty level.
+
+    ``survivors`` maps each canonical candidate of that length for which
+    ``keep`` returns a value other than None to that value; candidates
+    extend the previous level's survivors (see the module docstring).
+    ``nodes`` counts the distinct candidates examined so far.  The clock
+    is read every 256 candidates; past ``budget_seconds`` the scan raises
+    CapacityError carrying ``partial``.
+    """
+    _require_capacity(A, budget_seconds)
+    t0 = time.monotonic()
+    table = _canonical_maps(A)
+    survivors = {(): None}
+    length = nodes = 0
+    while survivors:
+        length += 1
+        frontier, survivors = survivors, {}
+        for cand in _extensions(A, frontier, table):
+            nodes += 1
+            if budget_seconds is not None and nodes % 256 == 0:
+                if time.monotonic() - t0 > budget_seconds:
+                    raise CapacityError(
+                        f"time budget of {budget_seconds}s exhausted at "
+                        f"length {length} for {A.spec()}",
+                        limit=budget_seconds,
+                        partial=partial,
+                    )
+            value = keep(cand)
+            if value is not None:
+                survivors[cand] = value
+        yield length, survivors, nodes
 
 
 def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
@@ -161,11 +203,10 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
     """
     if k_upto < 1:
         raise DomainError(f"k must be >= 1, got {k_upto}")
-    _require_capacity(A, budget_seconds)
-    t0 = time.monotonic()
 
     if A.rank == 0:
         # all-zero sequences: k_max equals the length, so D_k = k exactly
+        _check_budget(budget_seconds)
         reports = []
         for k in range(1, k_upto + 1):
             witness = Sequence(A, (((), k - 1),)) if k > 1 else Sequence.empty(A)
@@ -174,54 +215,33 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
             )
         return reports
 
-    table = _canonical_maps(A)
-    cutoff = k_upto * A.order + 1
-    frontier = {(): 0}
-    level = 0
-    nodes = 0
-    unresolved = set(range(1, k_upto + 1))
-    resolved_D: dict[int, int] = {}
-    witness_items: dict[int, tuple] = {j: () for j in unresolved}
-    final_witness: dict[int, tuple] = {}
+    def bad(items):
+        km = _kmax_items(A, items)
+        return km if km < k_upto else None
 
-    while unresolved:
-        level += 1
+    t0 = time.monotonic()
+    cutoff = k_upto * A.order + 1
+    resolved_D: dict[int, int] = {}
+    witnesses: dict[int, tuple] = {}
+    previous = {(): 0}
+    for level, survivors, nodes in _levels(A, bad, budget_seconds, resolved_D):
         if level > cutoff:
             raise VerificationError(
                 f"scan passed the certified cutoff {cutoff} for {A.spec()}; "
                 "this contradicts D_k <= k·|A|"
             )
-        next_frontier: dict[tuple, int] = {}
-        for cand in _extensions(A, frontier, table):
-            nodes += 1
-            if budget_seconds is not None and nodes % 256 == 0:
-                if time.monotonic() - t0 > budget_seconds:
-                    raise CapacityError(
-                        f"time budget of {budget_seconds}s exhausted at "
-                        f"length {level} for {A.spec()}",
-                        limit=budget_seconds,
-                        partial={j: resolved_D[j] for j in resolved_D},
-                    )
-            km = _kmax_items(A, cand)
-            if km <= k_upto - 1:
-                next_frontier[cand] = km
-        min_km = min(next_frontier.values()) if next_frontier else k_upto
-        for j in sorted(unresolved):
-            if j - 1 < min_km:
-                # no length-`level` sequence avoids j disjoint blocks
-                resolved_D[j] = level
-                final_witness[j] = witness_items[j]
-                unresolved.discard(j)
-        for j in unresolved:
-            witness_items[j] = min(
-                it for it, km in next_frontier.items() if km <= j - 1
-            )
-        frontier = next_frontier
+        # no length-`level` sequence avoids k disjoint blocks once k - 1 is
+        # below every surviving k_max; the witness is the least bad one of
+        # the previous length
+        for k in range(len(resolved_D) + 1, min(survivors.values(), default=k_upto) + 1):
+            resolved_D[k] = level
+            witnesses[k] = min(items for items, km in previous.items() if km < k)
+        previous = survivors
 
     seconds = time.monotonic() - t0
     reports = []
     for k in range(1, k_upto + 1):
-        witness = Sequence(A, _to_elements(A, final_witness[k]))
+        witness = Sequence(A, _to_elements(A, witnesses[k]))
         # post-hoc: the stored extremal witness really has no k disjoint blocks
         if k_max_naive(witness) > k - 1:
             raise VerificationError(
@@ -249,37 +269,11 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
     >>> eta(AbelianGroup((2, 2)))
     4
     """
-    _require_capacity(A, budget_seconds)
-    t0 = time.monotonic()
-    if A.rank == 0:
-        return 1
-    table = _canonical_maps(A)
-    bound = A.exponent
-    cap = 2 * A.order + 2
-    frontier = [()]
-    level = 0
-    nodes = 0
-    while frontier:
-        level += 1
-        if level > cap:
-            raise CapacityError(
-                f"eta scan for {A.spec()} exceeded the length ceiling {cap}",
-                limit=cap,
-            )
-        next_frontier = []
-        for cand in _extensions(A, frontier, table):
-            nodes += 1
-            if budget_seconds is not None and nodes % 256 == 0:
-                if time.monotonic() - t0 > budget_seconds:
-                    raise CapacityError(
-                        f"time budget of {budget_seconds}s exhausted at length "
-                        f"{level} in eta scan for {A.spec()}",
-                        limit=budget_seconds,
-                    )
-            if not _has_short_zero_sum(A, cand, bound):
-                next_frontier.append(cand)
-        frontier = next_frontier
-    return level
+    def free(items):
+        return None if _has_short_zero_sum(A, items, A.exponent) else True
+
+    return next(level for level, survivors, _ in _levels(A, free, budget_seconds, None)
+                if not survivors)
 
 
 def sigma_abelian(A: AbelianGroup) -> int:
@@ -414,7 +408,7 @@ def verify_inequalities(A: AbelianGroup, profile: LinearityProfile) -> dict:
     }
 
 
-def verify_subgroup_relations(A: AbelianGroup, B: AbelianGroup, ks=(1, 2), budget_seconds=None) -> dict:
+def verify_subgroup_relations(A: AbelianGroup, B: AbelianGroup, ks=(1, 2)) -> dict:
     """σ-ratio monotonicity and D_k(A) ≤ D_{k·[A:B]}(B) for B ≤ A.
 
     >>> verify_subgroup_relations(AbelianGroup((4,)), AbelianGroup((2,)), ks=(1,))["passed"]
@@ -434,8 +428,8 @@ def verify_subgroup_relations(A: AbelianGroup, B: AbelianGroup, ks=(1, 2), budge
         }
     )
     if ks:
-        tableA = davenport_table(A, max(ks), budget_seconds=budget_seconds)
-        tableB = davenport_table(B, max(ks) * index, budget_seconds=budget_seconds)
+        tableA = davenport_table(A, max(ks))
+        tableB = davenport_table(B, max(ks) * index)
         for k in ks:
             lhs = tableA[k - 1].value_Dk
             rhs = tableB[k * index - 1].value_Dk

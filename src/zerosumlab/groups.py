@@ -386,7 +386,8 @@ def automorphism_group(A: AbelianGroup):
 
     Raises CapacityError when |A| > AUTOMORPHISM_ENUMERATION_LIMIT, and
     once the permutations found would hold more than
-    AUTOMORPHISM_INDEX_ENTRIES entries (|automorphisms found|·|A|).
+    AUTOMORPHISM_INDEX_ENTRIES entries (|automorphisms found|·|A|); the
+    Automorphism objects are built only once the whole listing fits.
 
     >>> len(automorphism_group(AbelianGroup((3,))))
     2
@@ -414,7 +415,7 @@ def automorphism_group(A: AbelianGroup):
                     f"{AUTOMORPHISM_INDEX_ENTRIES} permutation entries",
                     limit=AUTOMORPHISM_INDEX_ENTRIES,
                 )
-            found.append(Automorphism(A, [elems[g] for g in images]))
+            found.append(images)
             return
         need = len(span) * A.factors[i]
         for g in by_order.get(A.factors[i], ()):
@@ -429,7 +430,7 @@ def automorphism_group(A: AbelianGroup):
                 extend(i + 1, images + [g], bigger)
 
     extend(0, [], {0})
-    return found
+    return [Automorphism(A, [elems[g] for g in images]) for images in found]
 
 
 class Embedding:

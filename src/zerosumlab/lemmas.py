@@ -70,8 +70,7 @@ def direct_product_witness(SG: Sequence, TH: Sequence) -> Sequence:
     return Sequence.from_elements(C, elements)
 
 
-def verify_direct_product_bound(G: AbelianGroup, H: AbelianGroup, r: int, s: int,
-                                budget_seconds=None) -> dict:
+def verify_direct_product_bound(G: AbelianGroup, H: AbelianGroup, r: int, s: int) -> dict:
     """Check D_{r+s−1}(G×H) ≥ D_r(G) + D_s(H) − 1 constructively.
 
     Builds the candidate extremal sequence from the d_r(G) and d_s(H)
@@ -80,12 +79,12 @@ def verify_direct_product_bound(G: AbelianGroup, H: AbelianGroup, r: int, s: int
     """
     if r < 1 or s < 1:
         raise DomainError(f"r and s must be >= 1, got r={r}, s={s}")
-    rep_G = davenport_k(G, r, budget_seconds=budget_seconds)
-    rep_H = davenport_k(H, s, budget_seconds=budget_seconds)
+    rep_G = davenport_k(G, r)
+    rep_H = davenport_k(H, s)
     witness = direct_product_witness(rep_G.extremal_witness, rep_H.extremal_witness)
     witness_kmax = k_max_naive(witness)
     product = witness.group
-    rep_P = davenport_k(product, r + s - 1, budget_seconds=budget_seconds)
+    rep_P = davenport_k(product, r + s - 1)
     lhs = rep_P.value_Dk
     rhs = rep_G.value_Dk + rep_H.value_Dk - 1
     passed = (

@@ -244,8 +244,8 @@ def _has_short_zero_sum(group, items, bound) -> bool:
     """Any non-empty zero-sum sub-multiset of the int runs ``items`` of
     length <= bound?
 
-    A zero-sum block B is minimal exactly when this is false for
-    bound = |B| - 1.
+    This is η's test (bound = exp(A)); minimal blocks are read off the
+    zero-sum enumeration instead (``_minimal_blocks_with_pivot``).
     """
     sums = group.sums()
     n = len(items)
@@ -277,12 +277,10 @@ def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
     ['[0]', '[1,2]']
     """
     g = S.group
-    found = [
-        sub
-        for sub in _zero_sum_subitems(g, _to_indices(g, S.items))
-        if not _has_short_zero_sum(g, sub, _items_length(sub) - 1)
-    ]
-    found.sort()
+    runs = _to_indices(g, S.items)
+    # each minimal block is a pivot block of the suffix its least element starts
+    found = sorted(block for i in range(len(runs))
+                   for block in _minimal_blocks_with_pivot(g, runs[i:]))
     return [Sequence(g, _to_elements(g, sub)) for sub in found]
 
 
@@ -291,12 +289,20 @@ def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
 
 def _minimal_blocks_with_pivot(group, items):
     """Minimal zero-sum sub-multisets of the int runs ``items`` that use the
-    first run's element, sorted."""
-    blocks = [
-        sub
-        for sub in _zero_sum_subitems(group, items, force_first=True)
-        if not _has_short_zero_sum(group, sub, _items_length(sub) - 1)
-    ]
+    first run's element (the pivot), sorted.
+
+    A pivot block B is minimal exactly when it holds no shorter minimal
+    pivot block: a proper zero-sum T ⊂ B leaves B − T zero-sum, and T or
+    B − T holds the pivot.  So one enumeration, taken shortest first,
+    decides every block.
+    """
+    blocks = []
+    for block in sorted(_zero_sum_subitems(group, items, force_first=True),
+                        key=_items_length):
+        counts = dict(block)
+        if not any(all(counts.get(elem, 0) >= mult for elem, mult in kept)
+                   for kept in blocks):
+            blocks.append(block)
     blocks.sort()
     return blocks
 
@@ -610,7 +616,9 @@ def _cache_entry(entry, groups):
                 and all(0 <= x < n for x, n in zip(item[0], factors))):
             return None
         runs.append((group.index(item[0]), item[1]))
-    if not 0 <= value <= sum(mult for _, mult in runs):
+    # each zero is one block; a block without zeros holds at least 2 entries
+    zeros = sum(mult for i, mult in runs if i == 0)
+    if not 0 <= value <= zeros + (sum(mult for _, mult in runs) - zeros) // 2:
         return None
     return (factors, tuple(runs)), value
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
 import random
 import time
 
@@ -29,6 +28,7 @@ from .groups import (
 )
 from .sequences import Sequence, apply_to_sequence, canonical_form, k_max, k_max_naive
 from .davenport import (
+    _check_budget,
     davenport_k,
     davenport_table,
     linearity_profile,
@@ -474,8 +474,7 @@ def verify_all(budget_seconds=None, groups=None, golden_overrides=None) -> dict:
     A finite positive time budget is enforced between checks: once it is
     exhausted, the remaining checks are reported "skipped".
     """
-    if budget_seconds is not None and not 0 < budget_seconds < math.inf:
-        raise DomainError(f"budget must be finite and positive, got {budget_seconds}")
+    _check_budget(budget_seconds)
     run = _Run(groups, golden_overrides)
     start = time.monotonic()
     checks = []

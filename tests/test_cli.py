@@ -12,6 +12,7 @@ import pytest
 import zerosumlab
 from zerosumlab import ValidationError, save_kmax_cache
 from zerosumlab.cli import main
+from zerosumlab.sequences import _cache_entry
 
 
 def run(capsys, *argv):
@@ -368,10 +369,13 @@ def _entry(factors, items, value):
         _entry([3], [[[1], 0]], 0),
         _entry([3], [[[1], 3]], 4),
         _entry([3], [[[1], 3]], -1),
+        _entry([6], [[[1], 5]], 3),
+        _entry([3], [[[0], 2], [[1], 3]], 4),
     ],
     ids=["truncated", "entries-not-a-list", "value-not-an-int", "factors-not-a-chain",
          "element-wrong-arity", "element-over-range", "element-negative",
-         "multiplicity-zero", "value-over-length", "value-negative"],
+         "multiplicity-zero", "value-over-length", "value-negative",
+         "value-over-pair-bound", "value-over-zeros-plus-pairs"],
 )
 def test_corrupt_cache_exits_2_and_is_left_alone(tmp_path, raw):
     cache_file = tmp_path / "zsl_kmax_cache.json"
@@ -382,6 +386,23 @@ def test_corrupt_cache_exits_2_and_is_left_alone(tmp_path, raw):
     assert proc.stderr.startswith("error: ") and str(cache_file) in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert cache_file.read_text() == raw
+
+
+def test_cache_values_up_to_zeros_plus_pairs_load():
+    # each zero is one block and every other block has at least two entries
+    groups = {}
+    assert _cache_entry([[3], [[[0], 2], [[1], 3]], 3], groups) == (((3,), ((0, 2), (1, 3))), 3)
+    assert _cache_entry([[6], [[[1], 5]], 2], groups) == (((6,), ((1, 5),)), 2)
+    assert _cache_entry([[6], [[[1], 5]], 3], groups) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the D_k scan trusts the memo's "
+                                       "k_max values; a forged one inside the bound is not caught")
+def test_a_forged_value_inside_the_bound_does_not_change_D(tmp_path):
+    # k_max([1,1,1,1,1] over Z6) is 0; a claimed 2 prunes the extremal sequence
+    (tmp_path / "zsl_kmax_cache.json").write_text(_entry([6], [[[1], 5]], 2))
+    proc = _zsl_cached(tmp_path, "davenport", "Z6")
+    assert proc.returncode != 0 or json.loads(proc.stdout)["value_Dk"] == 6
 
 
 @pytest.mark.parametrize("blocked", ["cache-dir-is-a-file", "cache-file-is-a-directory"])

@@ -8,7 +8,13 @@ import pytest
 
 from zerosumlab import davenport, sequences
 from zerosumlab.groups import automorphism_group, factorize
-from zerosumlab.sequences import _candidate_maps, _canonical_items, _items_add_one, _stabiliser
+from zerosumlab.sequences import (
+    _candidate_maps,
+    _canonical_items,
+    _items_add_one,
+    _items_length,
+    _stabiliser,
+)
 from zerosumlab import (
     AbelianGroup,
     CapacityError,
@@ -449,6 +455,30 @@ def test_extensions_without_automorphisms_yield_every_extension(monkeypatch):
         frontier = extended
     # multisets of size 3 over the 7 non-zero elements
     assert len(frontier) == math.comb(7 + 2, 3)
+
+
+def test_levels_run_to_the_first_empty_level():
+    # keep the multisets shorter than 3, valued by their number of runs;
+    # Aut(Z2×Z2) = GL(2,2) leaves one orbit of length 1 and two of length 2
+    def short(items):
+        return len(items) if _items_length(items) < 3 else None
+
+    assert list(davenport._levels(Z2xZ2, short, None, None)) == [
+        (1, {((1, 1),): 1}, 1),
+        (2, {((1, 2),): 1, ((1, 1), (2, 1)): 2}, 3),
+        (3, {}, 6),
+    ]
+    # the trivial group has no non-zero element: η(Z1) = 1
+    assert list(davenport._levels(TRIVIAL, short, None, None)) == [(1, {}, 0)]
+
+
+def test_budget_is_checked_by_the_shared_scan():
+    partial = {}
+    levels = davenport._levels(Z3xZ3, lambda items: 0 if _items_length(items) < 12 else None,
+                             1e-9, partial)
+    with pytest.raises(CapacityError) as info:
+        list(levels)
+    assert info.value.partial is partial and info.value.limit == 1e-9
 
 
 def test_scans_use_no_tuple_arithmetic(monkeypatch):

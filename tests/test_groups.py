@@ -190,6 +190,22 @@ def test_automorphism_count_is_the_closed_form(A):
     assert len(automorphism_group(A)) == _hillar_rhea(A)
 
 
+def test_a_refused_listing_builds_no_automorphism(monkeypatch):
+    built = []
+    original = Automorphism.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Automorphism, "__init__", counted)
+    with pytest.raises(CapacityError):
+        automorphism_group(AbelianGroup((2, 2, 2, 2, 2)))
+    assert built == []
+    # a listing that fits builds each automorphism once
+    assert len(automorphism_group(AbelianGroup((2, 2)))) == len(built) == 6
+
+
 def test_automorphism_enumeration_capacity():
     # the cap is on group order; order 96 > 64 refuses, order 8 still runs
     with pytest.raises(CapacityError) as info:

@@ -16,10 +16,14 @@ import zerosumlab
 
 from zerosumlab.errors import DomainError, ParseError, StructuralError, VerificationError
 from zerosumlab.groups import AbelianGroup, automorphism_group, parse_groupspec
+from zerosumlab import sequences
 from zerosumlab.sequences import (
     _KMAX_MEMO,
     BlockPacking,
     Sequence,
+    _minimal_blocks_with_pivot,
+    _to_elements,
+    _to_indices,
     apply_to_sequence,
     canonical_form,
     concat,
@@ -157,6 +161,42 @@ def test_minimal_zero_sums_match_the_definition():
         s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 7))])
         found = [b.items for b in minimal_zero_sum_subsequences(s)]
         assert found == _minimal_zero_sums_by_definition(s), s.literal()
+
+
+def test_minimal_blocks_with_pivot_match_the_definition():
+    rng = random.Random(1206)
+    groups = [AbelianGroup((6,)), AbelianGroup((2, 4)), AbelianGroup((3, 3))]
+    pivots = set()
+    for _ in range(150):
+        A = rng.choice(groups)
+        elems = A.elements()
+        entries = [rng.choice(elems) for _ in range(rng.randint(1, 7))]
+        # repeat the least entry now and then, so that pivots of multiplicity
+        # above 1 are common
+        entries += [min(entries)] * rng.randint(0, 2)
+        s = Sequence.from_elements(A, entries)
+        pivot, mult = s.items[0]
+        pivots.add((pivot == A.zero, mult > 1))
+        blocks = _minimal_blocks_with_pivot(A, _to_indices(A, s.items))
+        expected = [b for b in _minimal_zero_sums_by_definition(s) if b[0][0] == pivot]
+        assert [_to_elements(A, b) for b in blocks] == expected, s.literal()
+    assert pivots == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_the_engine_reads_minimal_blocks_off_the_enumeration(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the k_max engine ran a second zero-sum search")
+
+    monkeypatch.setattr(sequences, "_has_short_zero_sum", refused)
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", {})  # a cold memo reaches the engine
+    rng = random.Random(1207)
+    for A in (AbelianGroup((6,)), AbelianGroup((2, 4)), AbelianGroup((3, 3))):
+        elems = A.elements()
+        for _ in range(20):
+            s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
+            assert k_max(s) == k_max_with_witness(s)[0] == k_max_naive(s), s.literal()
+            found = [b.items for b in minimal_zero_sum_subsequences(s)]
+            assert found == _minimal_zero_sums_by_definition(s), s.literal()
 
 
 def test_k_max_known_values():

@@ -17,6 +17,15 @@ block containing 0 splits); every zero-sum block factors into minimal
 zero-sum blocks, so packings of minimal blocks suffice; and fixing the
 least support element x, an optimal packing either uses no copy of x
 (drop one copy) or uses x inside some minimal block containing it.
+
+A zero-sum block B that holds x is minimal iff B less one copy of x is
+zero-sum free (Olson 1969; Geroldinger–Halter-Koch 2006, §5.1): of any
+proper zero-sum T ⊂ B, T or B − T has fewer copies of x than B.  So
+``_pivot_blocks`` grows only zero-sum-free parts and never enumerates the
+other zero sums.  And k_max(S) ≤ k_max(S − x) + 1, since dropping the
+block that holds one copy of x from a packing of S leaves a packing of
+S − x; so the recursion stops at the first minimal block B with
+1 + k_max(S − B) > k_max(S − x).
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .groups import AbelianGroup, _is_int
+from .groups import AbelianGroup, _is_int, translate
 
 ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
 _CACHE_FILE = "zsl_kmax_cache.json"
@@ -145,10 +154,6 @@ def _items_subtract(items, sub):
     return tuple(out)
 
 
-def _items_length(items):
-    return sum(m for _, m in items)
-
-
 def _drop_first(items):
     """``items`` less one copy of its least element."""
     elem, mult = items[0]
@@ -209,24 +214,21 @@ def subtract(S: Sequence, T: Sequence) -> Sequence:
 # -- zero-sum sub-multiset enumeration ---------------------------------------
 
 
-def _zero_sum_subitems(group, items, force_first=False):
-    """All non-empty zero-sum sub-multisets of the int runs ``items``.
-
-    With force_first, only sub-multisets using at least one copy of the
-    first run's element.  The order is lexicographic in the multiplicity
-    chosen for each run, first run first.
+def _zero_sum_subitems(group, items):
+    """All non-empty zero-sum sub-multisets of the int runs ``items``, in
+    lexicographic order of the multiplicity chosen for each run, first run
+    first.  Only the ``k_max_naive`` oracle enumerates them.
     """
     sums = group.sums()
     # every choice of multiplicities so far: (index of its sum, choices in
     # mixed radix with base mult + 1 per run)
     states = [(0, 0)]
-    for pos, (elem, mult) in enumerate(items):
+    for elem, mult in items:
         row = sums[elem]
         multiples = [0]
         for _ in range(mult):
             multiples.append(row[multiples[-1]])
-        low = 1 if force_first and pos == 0 else 0
-        shifts = [(sums[m], c) for c, m in enumerate(multiples) if c >= low]
+        shifts = [(sums[m], c) for c, m in enumerate(multiples)]
         base = mult + 1
         states = [(shift[t], code * base + c) for t, code in states for shift, c in shifts]
     results = []
@@ -244,8 +246,8 @@ def _has_short_zero_sum(group, items, bound) -> bool:
     """Any non-empty zero-sum sub-multiset of the int runs ``items`` of
     length <= bound?
 
-    This is η's test (bound = exp(A)); minimal blocks are read off the
-    zero-sum enumeration instead (``_minimal_blocks_with_pivot``).
+    This is η's test (bound = exp(A)); the k_max engine finds minimal
+    blocks with ``_pivot_blocks`` instead.
     """
     sums = group.sums()
     n = len(items)
@@ -287,24 +289,54 @@ def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
 # -- the k_max engine ---------------------------------------------------------
 
 
+def _pivot_blocks(group, items):
+    """(block, remainder) for each minimal zero-sum sub-multiset of the int
+    runs ``items`` that uses the first run's element x (the pivot, which
+    must not be 0).
+
+    A block B that holds x is minimal iff P = B less one copy of x is
+    zero-sum free (see the module docstring).  So a DFS grows P one copy at
+    a time, in run order, and carries the non-empty subset sums of P as a
+    bitmask: a new copy of g turns it into r | (r + g) | {g}.  A branch
+    ends once 0 is a subset sum; once −x is one while P's total is not −x
+    (every larger P then holds a proper part summing to −x, and so a
+    zero-sum rest); or once P's total is −x, where B = P + x is yielded.
+    """
+    sums = group.sums()
+    table = group.translations()
+    target = table[items[0][0]][0]
+    target_bit = 1 << target
+    n = len(items)
+    runs = [(mult, 1 << elem, table[elem][1], sums[elem]) for elem, mult in items]
+    counts = [1] + [0] * (n - 1)  # copies of each run in B = P + x
+
+    def grow(i, mask, total):
+        # add one copy of run i or of a later run to P
+        for j in range(i, n):
+            mult, bit, moves, row = runs[j]
+            if counts[j] == mult:
+                continue
+            grown = mask | translate(mask, moves) | bit
+            if grown & 1:
+                continue
+            total_j = row[total]
+            counts[j] += 1
+            if total_j == target:
+                yield (tuple([(e, c) for (e, _), c in zip(items, counts) if c]),
+                       tuple([(e, m - c) for (e, m), c in zip(items, counts) if m > c]))
+            elif not grown & target_bit:
+                yield from grow(j, grown, total_j)
+            counts[j] -= 1
+
+    return grow(0, 0, 0)
+
+
 def _minimal_blocks_with_pivot(group, items):
     """Minimal zero-sum sub-multisets of the int runs ``items`` that use the
-    first run's element (the pivot), sorted.
-
-    A pivot block B is minimal exactly when it holds no shorter minimal
-    pivot block: a proper zero-sum T ⊂ B leaves B − T zero-sum, and T or
-    B − T holds the pivot.  So one enumeration, taken shortest first,
-    decides every block.
-    """
-    blocks = []
-    for block in sorted(_zero_sum_subitems(group, items, force_first=True),
-                        key=_items_length):
-        counts = dict(block)
-        if not any(all(counts.get(elem, 0) >= mult for elem, mult in kept)
-                   for kept in blocks):
-            blocks.append(block)
-    blocks.sort()
-    return blocks
+    first run's element (the pivot), sorted."""
+    if items[0][0] == 0:
+        return [((0, 1),)]
+    return sorted(block for block, _ in _pivot_blocks(group, items))
 
 
 def _kmax_items(group, items) -> int:
@@ -319,12 +351,14 @@ def _kmax_items(group, items) -> int:
         # zero sorts first; each 0 is its own block and any block containing 0 splits
         val = items[0][1] + _kmax_items(group, items[1:])
     else:
-        # drop one copy of the least support element, or use it in a minimal block
+        # drop one copy of the least support element, or use it in a minimal
+        # block; the latter gains at most 1, so the first block that gains
+        # decides
         val = _kmax_items(group, _drop_first(items))
-        for block in _minimal_blocks_with_pivot(group, items):
-            v = 1 + _kmax_items(group, _items_subtract(items, block))
-            if v > val:
-                val = v
+        for _, rest in _pivot_blocks(group, items):
+            if 1 + _kmax_items(group, rest) > val:
+                val += 1
+                break
     _KMAX_MEMO[key] = val
     return val
 
@@ -384,19 +418,16 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
             blocks.append(((0, 1),))
             items = _drop_first(items)
             continue
-        chosen = None
-        for block in _minimal_blocks_with_pivot(g, items):
-            if 1 + _kmax_items(g, _items_subtract(items, block)) == best:
-                chosen = block
+        for block, rest in sorted(_pivot_blocks(g, items)):
+            if 1 + _kmax_items(g, rest) == best:
+                blocks.append(block)
+                items = rest
                 break
-        if chosen is None:
+        else:
             # the least element is unused by every optimal packing; it
             # joins the uncovered remainder
             shed.append(items[0][0])
             items = _drop_first(items)
-            continue
-        blocks.append(chosen)
-        items = _items_subtract(items, chosen)
     for elem in shed:
         items = _items_add_one(items, elem)
     packing = BlockPacking([Sequence(g, _to_elements(g, b)) for b in blocks],
@@ -413,7 +444,8 @@ def k_max_naive(S: Sequence) -> int:
 
     No zero peeling, no minimality restriction, no shared memo — only a
     per-call table so repeated sub-multisets aren't recomputed.  It shares
-    the int-run encoding and the zero-sum enumeration with the engine.
+    only the int-run encoding with the engine: it enumerates every zero-sum
+    sub-multiset with ``_zero_sum_subitems``, which the engine never calls.
     """
     g = S.group
     seen: dict = {}

@@ -12,7 +12,6 @@ from zerosumlab.sequences import (
     _candidate_maps,
     _canonical_items,
     _items_add_one,
-    _items_length,
     _stabiliser,
 )
 from zerosumlab import (
@@ -461,7 +460,7 @@ def test_levels_run_to_the_first_empty_level():
     # keep the multisets shorter than 3, valued by their number of runs;
     # Aut(Z2×Z2) = GL(2,2) leaves one orbit of length 1 and two of length 2
     def short(items):
-        return len(items) if _items_length(items) < 3 else None
+        return len(items) if sum(m for _, m in items) < 3 else None
 
     assert list(davenport._levels(Z2xZ2, short, None, None)) == [
         (1, {((1, 1),): 1}, 1),
@@ -474,7 +473,7 @@ def test_levels_run_to_the_first_empty_level():
 
 def test_budget_is_checked_by_the_shared_scan():
     partial = {}
-    levels = davenport._levels(Z3xZ3, lambda items: 0 if _items_length(items) < 12 else None,
+    levels = davenport._levels(Z3xZ3, lambda items: 0 if sum(m for _, m in items) < 12 else None,
                              1e-9, partial)
     with pytest.raises(CapacityError) as info:
         list(levels)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -16,12 +17,15 @@ import zerosumlab
 
 from zerosumlab.errors import DomainError, ParseError, StructuralError, VerificationError
 from zerosumlab.groups import AbelianGroup, automorphism_group, parse_groupspec
-from zerosumlab import sequences
+from zerosumlab import davenport, sequences
+from zerosumlab.davenport import davenport_table, eta
 from zerosumlab.sequences import (
     _KMAX_MEMO,
     BlockPacking,
     Sequence,
+    _items_subtract,
     _minimal_blocks_with_pivot,
+    _pivot_blocks,
     _to_elements,
     _to_indices,
     apply_to_sequence,
@@ -183,20 +187,72 @@ def test_minimal_blocks_with_pivot_match_the_definition():
     assert pivots == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_the_engine_reads_minimal_blocks_off_the_enumeration(monkeypatch):
-    def refused(*args):
+def test_pivot_blocks_match_the_definition():
+    rng = random.Random(1208)
+    groups = [parse_groupspec(spec)
+              for spec in ("Z6", "Z12", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ2xZ4")]
+    seen = set()
+    for _ in range(120):
+        A = rng.choice(groups)
+        nonzero = A.elements()[1:]
+        while True:
+            support = rng.sample(nonzero, rng.randint(1, 5))
+            mults = [rng.randint(1, A.exponent) for _ in support]
+            if rng.random() < 0.3:
+                mults[rng.randrange(len(mults))] = A.exponent
+            # few enough sub-multisets for the definition
+            if math.prod(m + 1 for m in mults) <= 3000:
+                break
+        s = Sequence(A, zip(support, mults))
+        items = _to_indices(A, s.items)
+        pairs = list(_pivot_blocks(A, items))
+        seen.add((s.items[0][1] > 1, A.exponent in mults))
+        blocks = sorted(block for block, _ in pairs)
+        expected = [b for b in _minimal_zero_sums_by_definition(s) if b[0][0] == s.items[0][0]]
+        assert [_to_elements(A, b) for b in blocks] == expected, s.literal()
+        assert len(set(blocks)) == len(pairs), s.literal()
+        for block, rest in pairs:
+            assert rest == _items_subtract(items, block), (s.literal(), block)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
+    """Only ``k_max_naive`` enumerates every zero-sum sub-multiset, and only
+    η runs the short zero-sum search; the engine, the D_k scan and the η
+    scan find blocks without either."""
+    in_oracle = []
+    enumerate_zero_sums = sequences._zero_sum_subitems
+
+    def enumeration(*args, **kwargs):
+        if not in_oracle:
+            raise AssertionError("the engine enumerated every zero-sum sub-multiset")
+        return enumerate_zero_sums(*args, **kwargs)
+
+    def short_search(*args):
         raise AssertionError("the k_max engine ran a second zero-sum search")
 
-    monkeypatch.setattr(sequences, "_has_short_zero_sum", refused)
+    def oracle(S):
+        in_oracle.append(S)
+        try:
+            return k_max_naive(S)
+        finally:
+            in_oracle.pop()
+
+    monkeypatch.setattr(sequences, "_zero_sum_subitems", enumeration)
+    monkeypatch.setattr(sequences, "_has_short_zero_sum", short_search)
+    # davenport_table re-checks its witnesses with the oracle
+    monkeypatch.setattr(davenport, "k_max_naive", oracle)
     monkeypatch.setattr(sequences, "_KMAX_MEMO", {})  # a cold memo reaches the engine
     rng = random.Random(1207)
     for A in (AbelianGroup((6,)), AbelianGroup((2, 4)), AbelianGroup((3, 3))):
         elems = A.elements()
         for _ in range(20):
             s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
-            assert k_max(s) == k_max_with_witness(s)[0] == k_max_naive(s), s.literal()
+            assert k_max(s) == k_max_with_witness(s)[0] == oracle(s), s.literal()
             found = [b.items for b in minimal_zero_sum_subsequences(s)]
             assert found == _minimal_zero_sums_by_definition(s), s.literal()
+    assert [r.value_Dk for r in davenport_table(AbelianGroup((2, 4)), 2)] == [5, 9]
+    assert eta(AbelianGroup((3, 3))) == 7
 
 
 def test_k_max_known_values():

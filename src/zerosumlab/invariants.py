@@ -2,11 +2,14 @@
 
 A group element acts by x_i ↦ ζ_m^{s_i}·x_{σ(i)}; the closure of the
 generators under composition is materialized and checked against the
-declared group order.  Invariants of degree d are spanned by transfers
-(sums over all group translates) of degree-d monomials.  A translate of
-a monomial is ζ_m^j times another monomial, so a transfer is collected
-as one integer histogram of ζ powers per image monomial and reduced mod
-Φ_m once per histogram, not once per group element.  β_k is the
+declared group order.  A group element sends a monomial to ζ_m^j times
+another monomial, so the degree-d monomials fall into orbits.  An orbit
+is admissible when every element that sends one of its monomials to a
+multiple of itself sends it to itself; the transfer (sum over all group
+translates) of a monomial in any other orbit is 0.  The degree-d invariants have one basis row per admissible
+orbit, read off the orbit with int arithmetic alone (``invariant_basis``;
+Sturmfels, *Algorithms in Invariant Theory* §2).  ``transfer`` stays as
+public API and as the oracle the tests check that basis against.  β_k is the
 largest degree where the invariants are not contained in the (k+1)-st
 power of the positive-degree ideal (the scan in ``polynomials``, shared
 with presented algebras), with the scan ranges certified by the Noether
@@ -28,7 +31,7 @@ from .errors import (
 )
 from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
 from .cyclotomic import CyclotomicNumber
-from .polynomials import GradedSpan, MultiPoly, escaping_degrees
+from .polynomials import GradedSpan, MultiPoly, escaping_degrees, grlex_key
 from .polynomials import power_span as _power_span
 from .davenport import davenport_k, sigma_diagonal
 
@@ -48,11 +51,18 @@ class MonomialRep:
                  "group_order", "_basis_cache", "_power_cache", "_generator_cache")
 
     def __init__(self, nvars, conductor, generators, expected_order=None, name=None):
+        if type(nvars) is not int or nvars < 0:
+            raise StructuralError(f"nvars must be an int >= 0, got {nvars!r}")
+        if type(conductor) is not int or conductor < 1:
+            raise StructuralError(f"conductor must be an int >= 1, got {conductor!r}")
         self.nvars = nvars
         self.conductor = conductor
         gens = []
         for perm, scalars in generators:
             perm = tuple(perm)
+            scalars = tuple(scalars)
+            if not all(type(x) is int for x in perm + scalars):
+                raise StructuralError(f"generator entries must be ints: ({perm}, {scalars})")
             scalars = tuple(s % conductor for s in scalars)
             if sorted(perm) != list(range(nvars)) or len(scalars) != nvars:
                 raise StructuralError(f"bad generator ({perm}, {scalars})")
@@ -185,21 +195,71 @@ def _degree_monomials(nvars, d):
         yield tuple(exp)
 
 
+def _orbit_rows(rep: MonomialRep, d: int):
+    """(lead, row) for every admissible orbit of degree-d monomials.
+
+    The images of u are walked with int arithmetic only: (σ, s) sends
+    x^u to ζ_m^{⟨s, u⟩}·x^{σ(u)}.  The orbit is admissible iff no image
+    is reached with two different powers; otherwise the stabiliser acts
+    on x^u by a non-trivial character and transfer(x^u) = 0.  An
+    admissible orbit reaches each image v with one power p_v, |Stab|
+    times, so transfer(x^u) divided by its leading coefficient is
+    Σ_v ζ_m^{p_v − p_lead}·x^v, lead the grlex-largest image.
+    """
+    m = rep.conductor
+    zetas = [CyclotomicNumber.zeta(m, p) for p in range(m)]
+    seen = set()
+    out = []
+    for u in _degree_monomials(rep.nvars, d):
+        if u in seen:
+            continue
+        support = [(i, e) for i, e in enumerate(u) if e]
+        powers = {}
+        admissible = True
+        for sigma, s in rep.elements:
+            image = [0] * rep.nvars
+            power = 0
+            for i, e in support:
+                image[sigma[i]] += e
+                power += s[i] * e
+            power %= m
+            if powers.setdefault(tuple(image), power) != power:
+                admissible = False
+        seen.update(powers)
+        if admissible:
+            lead = max(powers, key=grlex_key)
+            shift = powers[lead]
+            terms = {v: zetas[(p - shift) % m] for v, p in powers.items()}
+            out.append((lead, MultiPoly(rep.nvars, terms, m)))
+    return out
+
+
 def invariant_basis(rep: MonomialRep, d: int) -> GradedSpan:
-    """Reduced basis of the degree-d invariants (transfers of monomials)."""
+    """Reduced basis of the degree-d invariants: one row per admissible orbit.
+
+    The rows of distinct orbits have disjoint supports, so, sorted by
+    descending pivot, they are already the unique reduced echelon basis
+    that inserting every non-zero ``transfer`` of a monomial would build;
+    dim A_d is the number of admissible orbits.
+
+    >>> rep = regular_representation(AbelianGroup((3,)))
+    >>> [invariant_basis(rep, d).dim for d in range(5)]
+    [1, 1, 2, 4, 5]
+    """
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
     cached = rep._basis_cache.get(d)
     if cached is not None:
         return cached
+    rows = sorted(_orbit_rows(rep, d), key=lambda lr: grlex_key(lr[0]), reverse=True)
+    support = set()
+    for _, row in rows:
+        support.update(row.terms)
+    if len(support) != sum(len(row.terms) for _, row in rows):
+        raise VerificationError(f"overlapping orbit supports in degree {d}")
     span = GradedSpan(rep.nvars)
-    if d == 0:
-        span.insert(MultiPoly.constant(rep.nvars, 1, rep.conductor))
-    else:
-        for exp in _degree_monomials(rep.nvars, d):
-            t = transfer(rep, MultiPoly.monomial(rep.nvars, exp, 1, rep.conductor))
-            if not t.is_zero():
-                span.insert(t)
+    span._pivots = [lead for lead, _ in rows]
+    span.rows = [row for _, row in rows]
     for row in span.rows:
         if not rep.is_invariant(row):
             raise VerificationError(f"non-invariant basis row {row}")

@@ -329,7 +329,8 @@ class GradedSpan:
         if f.is_zero():
             return False
         pivot, lead = f.leading()
-        f = f * lead.inverse()
+        if lead != 1:
+            f = f * lead.inverse()
         key = grlex_key(pivot)
         # Only rows with a higher pivot can hold f's pivot, and f is reduced,
         # so clearing it from them leaves their pivots as they were.

@@ -28,5 +28,6 @@ def test_traced_smoke_run_is_correct():
     # and the D_k/η scans still canonicalise through ``davenport._canonical_items``
     metrics = result["metrics"]
     for name in ("invariants.power_span_s", "presented.power_span_s",
-                 "polynomials.insert_calls", "davenport.canon_calls", "davenport.canon_s"):
+                 "polynomials.insert_calls", "davenport.canon_calls", "davenport.canon_s",
+                 "invariants.basis_s"):
         assert metrics[name]["value"] > 0, name

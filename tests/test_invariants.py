@@ -10,12 +10,14 @@ from zerosumlab import (
     CapacityError,
     CyclotomicNumber,
     DomainError,
+    GradedSpan,
     MonomialRep,
     MultiPoly,
     ParseError,
     SemidirectGroup,
     StructuralError,
     ValidationError,
+    VerificationError,
     az2_module,
     beta_k,
     construct_fk,
@@ -62,6 +64,27 @@ def test_generator_validation():
         MonomialRep(2, 3, [((0, 0), (1, 2))])  # not a permutation
     with pytest.raises(StructuralError):
         MonomialRep(2, 3, [((0, 1), (1,))])  # scalar vector too short
+
+
+@pytest.mark.parametrize(
+    "nvars, conductor, generators",
+    [
+        (2, 3, [((1, 0), (1.0, 0))]),
+        (2, 2.0, [((1, 0), (1, 0))]),
+        (2, 0, [((1, 0), (1, 0))]),
+        (2, -2, [((1, 0), (1, 0))]),
+        (2, 2, [((1, 0), (True, 0))]),
+        (2, True, [((1, 0), (0, 0))]),
+        (2, 2, [((1.0, 0), (0, 0))]),
+        (2.0, 2, [((1, 0), (0, 0))]),
+    ],
+    ids=["float-scalar", "float-conductor", "zero-conductor", "negative-conductor",
+         "bool-scalar", "bool-conductor", "float-permutation", "float-nvars"],
+)
+def test_monomial_rep_requires_int_entries_and_a_positive_conductor(nvars, conductor,
+                                                                    generators):
+    with pytest.raises(StructuralError):
+        MonomialRep(nvars, conductor, generators)
 
 
 def test_closure_order_check():
@@ -164,6 +187,101 @@ def test_invariant_basis_dims_reg_z3():
     rep = regular_representation(Z3)
     # degree-3 invariant monomials: x1^3, x2^3, x3^3, x1*x2*x3
     assert invariant_basis(rep, 3).dim == 4
+
+
+def _transfer_span(rep, d):
+    """The oracle: the reduced span of every non-zero transfer of a degree-d monomial."""
+    span = GradedSpan(rep.nvars)
+    if d == 0:
+        span.insert(MultiPoly.constant(rep.nvars, 1, rep.conductor))
+        return span
+    for exp in invariants._degree_monomials(rep.nvars, d):
+        t = transfer(rep, MultiPoly.monomial(rep.nvars, exp, 1, rep.conductor))
+        if not t.is_zero():
+            span.insert(t)
+    return span
+
+
+def _cycle_z4():
+    """Z4 permuting four variables cyclically: its orbits hold up to four monomials."""
+    return MonomialRep(4, 1, [((1, 2, 3, 0), (0, 0, 0, 0))], expected_order=4,
+                       name="perm(Z4)")
+
+
+def _natural_s3():
+    """S3 acting on three variables by permutations."""
+    return MonomialRep(3, 1, [((1, 0, 2), (0, 0, 0)), ((1, 2, 0), (0, 0, 0))],
+                       expected_order=6, name="perm(S3)")
+
+
+def _twisted_swap():
+    """x1 ↦ ζ_4·x2, x2 ↦ x1, of order 8: it sends x1^3*x2 to ζ_4^3·x1*x2^3."""
+    return MonomialRep(2, 4, [((1, 0), (1, 0))], expected_order=8, name="twisted-swap")
+
+
+_ORACLE_REPS = [
+    *(regular_representation(AbelianGroup(f))
+      for f in [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)]),
+    *(induced_module(SemidirectGroup(*spec)) for spec in [(3, 2, 2), (7, 2, 6), (5, 4, 2)]),
+    az2_module(10, 10),
+    az2_module(6, 3),
+    _cycle_z4(),
+    _natural_s3(),
+    _twisted_swap(),
+]
+
+
+@pytest.mark.parametrize("rep", _ORACLE_REPS, ids=lambda rep: rep.name)
+def test_orbit_basis_matches_the_transfer_span(rep):
+    for d in range(min(rep.group_order, 8) + 1):
+        basis = invariant_basis(rep, d)
+        oracle = _transfer_span(rep, d)
+        assert basis.pivots() == oracle.pivots(), d
+        assert [str(r) for r in basis.rows] == [str(r) for r in oracle.rows], d
+
+
+def test_orbit_basis_does_not_depend_on_the_walk_order(monkeypatch):
+    # walked backwards, an orbit is met at a monomial below its lead, which
+    # the rest of the orbit can reach with a non-zero power of ζ
+    reps = (_twisted_swap(), _cycle_z4(), induced_module(SemidirectGroup(7, 2, 6)))
+    oracles = {(rep.name, d): _transfer_span(rep, d) for rep in reps for d in range(1, 9)}
+    walk = invariants._degree_monomials
+    monkeypatch.setattr(invariants, "_degree_monomials",
+                        lambda nvars, d: reversed(list(walk(nvars, d))))
+    for rep in reps:
+        for d in range(1, 9):
+            basis, oracle = invariant_basis(rep, d), oracles[rep.name, d]
+            assert basis.pivots() == oracle.pivots(), (rep.name, d)
+            assert [str(r) for r in basis.rows] == [str(r) for r in oracle.rows], (rep.name, d)
+
+
+def test_permutation_reps_have_orbits_of_several_monomials():
+    assert any(len(row.terms) == 4 for row in invariant_basis(_cycle_z4(), 2).rows)
+    assert any(len(row.terms) == 6 for row in invariant_basis(_natural_s3(), 3).rows)
+
+
+def test_beta_of_reg_z4_does_not_depend_on_the_basis():
+    for k in (1, 2):
+        assert beta_k(_cycle_z4(), k)["beta"] == 4 * k
+        assert beta_k(regular_representation(AbelianGroup((4,))), k)["beta"] == 4 * k
+
+
+def test_invariant_basis_never_calls_transfer(monkeypatch):
+    def refuse(rep, f):
+        raise AssertionError("invariant_basis called transfer")
+
+    monkeypatch.setattr(invariants, "transfer", refuse)
+    for rep in (regular_representation(Z6), induced_module(SD322), _natural_s3()):
+        for d in range(4):
+            invariant_basis(rep, d)
+
+
+def test_invariant_basis_rejects_overlapping_orbits(monkeypatch):
+    x = MultiPoly.variable(0, 2)
+    monkeypatch.setattr(invariants, "_orbit_rows",
+                        lambda rep, d: [((1, 0), x), ((1, 0), x)])
+    with pytest.raises(VerificationError):
+        invariant_basis(induced_module(SD322), 1)
 
 
 def test_invariant_basis_rejects_negative_degree():

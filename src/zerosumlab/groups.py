@@ -181,13 +181,6 @@ class AbelianGroup:
                 raise DomainError(f"coordinate {c!r} out of range [0, {n}) in {x!r}")
         return x
 
-    def reduce(self, x) -> tuple[int, ...]:
-        if len(x) != self.rank:
-            raise StructuralError(
-                f"rank mismatch: element {x!r} for group of rank {self.rank}"
-            )
-        return tuple(c % n for c, n in zip(x, self.factors))
-
     def add(self, x, y) -> tuple[int, ...]:
         if len(x) != self.rank or len(y) != self.rank:
             raise StructuralError(f"rank mismatch adding {x!r} and {y!r}")

@@ -237,8 +237,8 @@ def _orbit_rows(rep: MonomialRep, d: int):
 def invariant_basis(rep: MonomialRep, d: int) -> GradedSpan:
     """Reduced basis of the degree-d invariants: one row per admissible orbit.
 
-    The rows of distinct orbits have disjoint supports, so, sorted by
-    descending pivot, they are already the unique reduced echelon basis
+    The rows of distinct orbits have disjoint supports, so, keyed by their
+    leading monomials, they are already the unique reduced echelon basis
     that inserting every non-zero ``transfer`` of a monomial would build;
     dim A_d is the number of admissible orbits.
 
@@ -251,16 +251,15 @@ def invariant_basis(rep: MonomialRep, d: int) -> GradedSpan:
     cached = rep._basis_cache.get(d)
     if cached is not None:
         return cached
-    rows = sorted(_orbit_rows(rep, d), key=lambda lr: grlex_key(lr[0]), reverse=True)
+    rows = _orbit_rows(rep, d)
     support = set()
     for _, row in rows:
         support.update(row.terms)
     if len(support) != sum(len(row.terms) for _, row in rows):
         raise VerificationError(f"overlapping orbit supports in degree {d}")
     span = GradedSpan(rep.nvars)
-    span._pivots = [lead for lead, _ in rows]
-    span.rows = [row for _, row in rows]
-    for row in span.rows:
+    span._by_pivot = dict(rows)
+    for _, row in rows:
         if not rep.is_invariant(row):
             raise VerificationError(f"non-invariant basis row {row}")
     rep._basis_cache[d] = span

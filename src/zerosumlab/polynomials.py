@@ -4,8 +4,10 @@ Terms live in a dict from exponent vector to non-zero coefficient; the
 global term order is graded lexicographic (total degree first, then the
 exponent tuple), fixed once so that all linear algebra pivots are
 deterministic.  A GradedSpan keeps a fully reduced echelon basis — the
-unique reduced form of the span — so membership is a reduction to zero
-and reported bases do not depend on insertion order.
+unique reduced form of the span — as one map from each row's pivot to
+that row, so reported bases do not depend on insertion order.
+Membership is a reduction to zero, and a reduction looks up only the
+terms of the polynomial being reduced.
 """
 
 from __future__ import annotations
@@ -234,7 +236,9 @@ class MultiPoly:
         return diff.is_zero()
 
     def __hash__(self):
-        return hash((self.nvars, frozenset((e, c) for e, c in self.terms.items())))
+        # the support: equal polynomials share it at any conductor, while
+        # their coefficients' representations differ after a lift
+        return hash((self.nvars, frozenset(self.terms)))
 
     def sort_terms(self):
         return sorted(self.terms.items(), key=lambda ec: grlex_key(ec[0]), reverse=True)
@@ -283,40 +287,45 @@ class MultiPoly:
 
 
 class GradedSpan:
-    """Fully reduced echelon basis of a span of polynomials.
+    """Fully reduced echelon basis of a span, held as one map pivot → row.
 
-    Rows are monic on their grlex-leading monomial, every pivot monomial
-    occurs in exactly one row, and rows are kept sorted by descending
-    pivot — the unique reduced basis of the span.  Each row's pivot is
-    stored when the row is inserted: later inserts only change terms
-    below it, so it is never recomputed.
+    Rows are monic on their grlex-leading monomial (the pivot), and no row
+    has a term at another row's pivot: the unique reduced basis of the
+    span.  ``rows`` and ``pivots()`` read the map in descending grlex
+    order of the pivots.
     """
 
-    __slots__ = ("nvars", "rows", "_pivots")
+    __slots__ = ("nvars", "_by_pivot")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self.rows: list[MultiPoly] = []
-        self._pivots: list[tuple[int, ...]] = []
+        self._by_pivot: dict[tuple[int, ...], MultiPoly] = {}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._by_pivot)
 
     def pivots(self):
-        return list(self._pivots)
+        return sorted(self._by_pivot, key=grlex_key, reverse=True)
+
+    @property
+    def rows(self) -> list[MultiPoly]:
+        by_pivot = self._by_pivot
+        return [by_pivot[pivot] for pivot in self.pivots()]
 
     def reduce(self, f: MultiPoly) -> MultiPoly:
         """Normal form of f against the basis (every pivot eliminated).
 
-        No row has a term at another row's pivot, so the order of
-        elimination does not matter.
+        Only f's own terms are looked up.  Subtracting a row changes f only
+        at that row's pivot and at monomials that are no pivot, so each
+        other pivot keeps the coefficient it had in f.
         """
         if f.nvars != self.nvars:
             raise StructuralError("arity mismatch in span reduction")
-        for pivot, row in zip(self._pivots, self.rows):
-            c = f.terms.get(pivot)
-            if c is not None:
+        by_pivot = self._by_pivot
+        for exp, c in list(f.terms.items()):
+            row = by_pivot.get(exp)
+            if row is not None:
                 f = f - row * c
         return f
 
@@ -331,24 +340,20 @@ class GradedSpan:
         pivot, lead = f.leading()
         if lead != 1:
             f = f * lead.inverse()
-        key = grlex_key(pivot)
-        # Only rows with a higher pivot can hold f's pivot, and f is reduced,
-        # so clearing it from them leaves their pivots as they were.
-        i = 0
-        while i < len(self.rows) and grlex_key(self._pivots[i]) > key:
-            c = self.rows[i].terms.get(pivot)
+        # f is reduced, so clearing its pivot from a row leaves that row
+        # reduced and its pivot as it was.
+        by_pivot = self._by_pivot
+        for row_pivot, row in by_pivot.items():
+            c = row.terms.get(pivot)
             if c is not None:
-                self.rows[i] = self.rows[i] - f * c
-            i += 1
-        self.rows.insert(i, f)
-        self._pivots.insert(i, pivot)
+                by_pivot[row_pivot] = row - f * c
+        by_pivot[pivot] = f
         return True
 
     def copy(self) -> "GradedSpan":
         """A span with the same rows that ``insert`` can grow independently."""
         out = GradedSpan(self.nvars)
-        out.rows = list(self.rows)
-        out._pivots = list(self._pivots)
+        out._by_pivot = dict(self._by_pivot)
         return out
 
     def extend(self, polys) -> int:
@@ -405,9 +410,9 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
             left = _generators(algebra, e)
             if not left:
                 continue
-            right = algebra.power_span(j - 1, d - e)
+            right = algebra.power_span(j - 1, d - e).rows
             for a in left:
-                for b in right.rows:
+                for b in right:
                     span.insert(algebra.normal_form(a * b))
     algebra._power_cache[key] = span
     return span

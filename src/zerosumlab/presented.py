@@ -152,7 +152,7 @@ class PresentedGradedAlgebra:
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate generator names in {names}")
         for name, degree in gens:
-            if not isinstance(degree, int) or degree < 1:
+            if type(degree) is not int or degree < 1:
                 raise ValidationError(f"generator {name} needs a positive degree, got {degree}")
         self.generators = tuple(gens)
         self.nvars = len(gens)

@@ -246,28 +246,20 @@ def _has_short_zero_sum(group, items, bound) -> bool:
     """Any non-empty zero-sum sub-multiset of the int runs ``items`` of
     length <= bound?
 
-    This is η's test (bound = exp(A)); the k_max engine finds minimal
-    blocks with ``_pivot_blocks`` instead.
+    This is η's test (bound = exp(A)).  ``reach[l]`` is the bitmask of the
+    sums of the length-l sub-multisets of the copies taken so far, moved by
+    ``translate`` like the subset sums of ``_pivot_blocks``: a new copy of
+    g adds reach[l − 1] + g to reach[l], longest l first, so that the copy
+    is used at most once.
     """
-    sums = group.sums()
-    n = len(items)
-
-    def rec(i, total, used, room):
-        if used and total == 0:
-            return True
-        if i == n or room == 0:
-            return False
-        elem, mult = items[i]
-        row = sums[elem]
-        acc = total
-        for c in range(0, min(mult, room) + 1):
-            if c:
-                acc = row[acc]
-            if rec(i + 1, acc, used + c, room - c):
-                return True
-        return False
-
-    return rec(0, 0, 0, bound)
+    table = group.translations()
+    reach = [1] + [0] * bound
+    for elem, mult in items:
+        moves = table[elem][1]
+        for _ in range(min(mult, bound)):
+            for l in range(bound, 0, -1):
+                reach[l] |= translate(reach[l - 1], moves)
+    return any(mask & 1 for mask in reach[1:])
 
 
 def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:

@@ -150,6 +150,15 @@ def test_str_default_names():
     assert str(MultiPoly(1, {(1,): zeta(3)})) == "(z3)*x1"
 
 
+def test_equal_polynomials_hash_alike_across_conductors():
+    p = MultiPoly(1, {(1,): zeta(4)})
+    q = MultiPoly(1, {(1,): zeta(4).lift(8)})
+    assert q.conductor == 8
+    assert p == q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
 def test_format_custom_names():
     f = X**2 + 3 * Y
     assert f.format(["a", "b"]) == "a^2 + 3*b"
@@ -234,6 +243,31 @@ def test_span_stores_the_pivots_of_a_reduced_basis(m):
         assert shuffled.rows == span.rows
         probe = _random_homogeneous(rng, m) + inserted[-1]
         assert span.reduce(probe) == shuffled.reduce(probe)
+        for probe in (probe, sum((f * rng.randint(-2, 2) for f in inserted), probe)):
+            assert shuffled.reduce(probe) == _eliminate_pivot_by_pivot(span, probe)
+
+
+def _eliminate_pivot_by_pivot(span, f):
+    """Normal form by cancelling f's grlex-largest term at a pivot until none is left."""
+    rows = dict(zip(span.pivots(), span.rows))
+    while True:
+        hits = [exp for exp in f.terms if exp in rows]
+        if not hits:
+            return f
+        pivot = max(hits, key=grlex_key)
+        f = f - rows[pivot] * f.terms[pivot]
+
+
+def test_span_copy_grows_independently():
+    span = GradedSpan(2)
+    span.extend([X**2 + Y**2, X * Y])
+    rows, pivots = span.rows, span.pivots()
+    twin = span.copy()
+    assert twin.insert(Y**2)  # clears y^2 from the copy's row x^2 + y^2
+    assert twin.rows == [X**2, X * Y, Y**2]
+    assert span.rows == rows == [X**2 + Y**2, X * Y]
+    assert span.pivots() == pivots
+    assert not span.contains(Y**2)
 
 
 # --- ideal powers shared by invariant rings and presented algebras ----------------

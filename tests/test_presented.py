@@ -43,6 +43,9 @@ def test_generator_validation():
         PresentedGradedAlgebra([("a", 1), ("a", 2)], [])
     with pytest.raises(ValidationError):
         PresentedGradedAlgebra([("a", 0)], [])
+    for degree in (True, 1.0):  # weights are ints, not bools or floats
+        with pytest.raises(ValidationError):
+            PresentedGradedAlgebra([("a", degree)], [])
 
 
 def test_relation_must_be_homogeneous():

@@ -216,6 +216,30 @@ def test_pivot_blocks_match_the_definition():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def test_short_zero_sum_search_matches_the_definition():
+    rng = random.Random(1209)
+    groups = [parse_groupspec(spec) for spec in ("Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2")]
+    Z6 = groups[0]
+    # shortest zero sums of length 5 and 6, rare among random entries
+    cases = [(Z6, [(1,)] * 4 + [(2,)]), (Z6, [(5,)] * 7)]
+    for _ in range(200):
+        A = rng.choice(groups)
+        # entries from a small support, so that long shortest zero sums occur
+        support = rng.sample(A.elements(), rng.randint(1, 3))
+        cases.append((A, [rng.choice(support) for _ in range(rng.randint(0, 8))]))
+    shortest_seen = set()
+    for A, entries in cases:
+        s = Sequence.from_elements(A, entries)
+        items = _to_indices(A, s.items)
+        shortest = min((sum(c for _, c in block)
+                        for block in sequences._zero_sum_subitems(A, items)), default=None)
+        shortest_seen.add(shortest)
+        for bound in range(6):
+            expected = shortest is not None and shortest <= bound
+            assert sequences._has_short_zero_sum(A, items, bound) == expected, (s.literal(), bound)
+    assert shortest_seen == {None, 1, 2, 3, 4, 5, 6}
+
+
 def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
     """Only ``k_max_naive`` enumerates every zero-sum sub-multiset, and only
     η runs the short zero-sum search; the engine, the D_k scan and the η

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, StructuralError, VerificationError
 
@@ -74,9 +74,9 @@ def euler_phi(m: int) -> int:
 class CyclotomicNumber:
     """Element of Q(ζ_m): int/Fraction vector of length φ(m), powers ascending.
 
-    Equality is representation equality: same conductor and same
-    coefficients, except that rational values (only the constant
-    coefficient non-zero) compare equal across conductors and to plain
+    Equality is value equality: two numbers at different conductors are
+    compared at their lcm conductor, and rational values (only the
+    constant coefficient non-zero) also compare equal to plain
     ints/Fractions.  Cross-conductor arithmetic requires an explicit
     lift to a common conductor.
     """
@@ -165,7 +165,7 @@ class CyclotomicNumber:
         other = self._same(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return CyclotomicNumber(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -227,14 +227,15 @@ class CyclotomicNumber:
             return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        if self.is_rational() and other.is_rational():
-            return self.coeffs[0] == other.coeffs[0]
-        return self.m == other.m and self.coeffs == other.coeffs
+        if self.m == other.m:
+            return self.coeffs == other.coeffs
+        m = lcm(self.m, other.m)
+        return self.lift(m).coeffs == other.lift(m).coeffs
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.m, self.coeffs))
+        # Tr(a)/φ(m) does not depend on the conductor a is written at, and
+        # is a itself for a rational a, so it hashes like the int/Fraction
+        return hash(sum(w * a for w, a in zip(_trace_weights(self.m), self.coeffs)))
 
     def __str__(self):
         if self.is_rational():
@@ -267,6 +268,16 @@ def _poly_mul(a, b):
                 if cb:
                     out[i + j] += ca * cb
     return out
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(m: int) -> tuple[Fraction, ...]:
+    """Tr(ζ_m^j)/φ(m) for j < φ(m); the trace Σ ζ_m^(jk) over k prime to m is rational."""
+    table = _residue_table(m)
+    units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+    return tuple(
+        Fraction(sum(table[j * k % m][0] for k in units), len(units)) for j in range(len(table[0]))
+    )
 
 
 @lru_cache(maxsize=None)

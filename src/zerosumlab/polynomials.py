@@ -7,7 +7,10 @@ deterministic.  A GradedSpan keeps a fully reduced echelon basis — the
 unique reduced form of the span — as one map from each row's pivot to
 that row, so reported bases do not depend on insertion order.
 Membership is a reduction to zero, and a reduction looks up only the
-terms of the polynomial being reduced.
+terms of the polynomial being reduced.  Reduction and insertion share
+one elimination kernel (``_eliminate``): it lifts f's terms once into a
+single coefficient dict, cancels each pivot there in place, and builds
+one polynomial at the end.
 """
 
 from __future__ import annotations
@@ -65,6 +68,15 @@ class MultiPoly:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict, m: int) -> "MultiPoly":
+        """Internal: terms already checked and all at conductor m; drops zeros only."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.conductor = m
+        out.terms = {exp: c for exp, c in terms.items() if not c.is_zero()}
+        return out
+
+    @classmethod
     def zero(cls, nvars: int, conductor: int = 1) -> "MultiPoly":
         return cls(nvars, (), conductor)
 
@@ -119,24 +131,26 @@ class MultiPoly:
         out = {exp: c.lift(m) for exp, c in self.terms.items()}
         for exp, c in other.terms.items():
             c = c.lift(m)
-            if exp in out:
-                c = out[exp] + c
-            out[exp] = c
-        return MultiPoly(self.nvars, out, m)
+            out[exp] = out[exp] + c if exp in out else c
+        return MultiPoly._of(self.nvars, out, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(
-            self.nvars, {e: -c for e, c in self.terms.items()}, self.conductor
-        )
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()}, self.conductor)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self + (-other)
+        self._check_arity(other)
+        m = math.lcm(self.conductor, other.conductor)
+        out = {exp: c.lift(m) for exp, c in self.terms.items()}
+        for exp, c in other.terms.items():
+            c = c.lift(m)
+            out[exp] = out[exp] - c if exp in out else -c
+        return MultiPoly._of(self.nvars, out, m)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -146,10 +160,8 @@ class MultiPoly:
             c = _as_coeff(other)
             m = math.lcm(self.conductor, c.m)
             c = c.lift(m)
-            return MultiPoly(
-                self.nvars,
-                {e: co.lift(m) * c for e, co in self.terms.items()},
-                m,
+            return MultiPoly._of(
+                self.nvars, {e: co.lift(m) * c for e, co in self.terms.items()}, m
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -161,10 +173,8 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 c = c1 * c2.lift(m)
-                if exp in out:
-                    c = out[exp] + c
-                out[exp] = c
-        return MultiPoly(self.nvars, out, m)
+                out[exp] = out[exp] + c if exp in out else c
+        return MultiPoly._of(self.nvars, out, m)
 
     __rmul__ = __mul__
 
@@ -230,10 +240,8 @@ class MultiPoly:
             other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        diff = self - other
-        return diff.is_zero()
+        # no map holds a zero; coefficients compare by value across conductors
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         # the support: equal polynomials share it at any conductor, while
@@ -286,6 +294,30 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self})"
 
 
+def _eliminate(f: MultiPoly, rows) -> MultiPoly:
+    """f − Σ c·row over the (pivot, row) pairs, c being f's coefficient at pivot.
+
+    Each row is monic at its pivot, each pivot is a term of f and no row
+    has a term at another listed pivot, so every c is read off f.  f's
+    terms are lifted once into one dict; each pivot is popped there and
+    c·(the row's other terms) subtracted in place.
+    """
+    if not rows:
+        return f
+    m = f.conductor
+    for _, row in rows:
+        m = math.lcm(m, row.conductor)
+    out = {exp: c.lift(m) for exp, c in f.terms.items()}
+    for pivot, row in rows:
+        neg = -out.pop(pivot)
+        for exp, r in row.terms.items():
+            if exp != pivot:
+                d = neg * r.lift(m)
+                old = out.get(exp)
+                out[exp] = d if old is None else old + d
+    return MultiPoly._of(f.nvars, out, m)
+
+
 class GradedSpan:
     """Fully reduced echelon basis of a span, held as one map pivot → row.
 
@@ -316,18 +348,15 @@ class GradedSpan:
     def reduce(self, f: MultiPoly) -> MultiPoly:
         """Normal form of f against the basis (every pivot eliminated).
 
-        Only f's own terms are looked up.  Subtracting a row changes f only
-        at that row's pivot and at monomials that are no pivot, so each
-        other pivot keeps the coefficient it had in f.
+        Only f's own terms are looked up, and every row whose pivot is one
+        of them is subtracted in one ``_eliminate`` pass: subtracting a row
+        changes f only at that row's pivot and at monomials that are no
+        pivot, so each other pivot keeps the coefficient it had in f.
         """
         if f.nvars != self.nvars:
             raise StructuralError("arity mismatch in span reduction")
         by_pivot = self._by_pivot
-        for exp, c in list(f.terms.items()):
-            row = by_pivot.get(exp)
-            if row is not None:
-                f = f - row * c
-        return f
+        return _eliminate(f, [(exp, by_pivot[exp]) for exp in f.terms if exp in by_pivot])
 
     def contains(self, f: MultiPoly) -> bool:
         return self.reduce(f).is_zero()
@@ -344,9 +373,8 @@ class GradedSpan:
         # reduced and its pivot as it was.
         by_pivot = self._by_pivot
         for row_pivot, row in by_pivot.items():
-            c = row.terms.get(pivot)
-            if c is not None:
-                by_pivot[row_pivot] = row - f * c
+            if pivot in row.terms:
+                by_pivot[row_pivot] = _eliminate(row, [(pivot, f)])
         by_pivot[pivot] = f
         return True
 

@@ -237,6 +237,21 @@ def test_rationals_compare_across_conductors():
     )
 
 
+def test_values_compare_and_hash_alike_across_conductors():
+    assert zeta(4) == zeta(4).lift(8)
+    assert hash(zeta(4)) == hash(zeta(4).lift(8))
+    assert zeta(4) != zeta(8)
+    assert zeta(3) != zeta(4)
+    rng = random.Random(0xC0D)
+    for m in (1, 2, 3, 4, 5, 6, 8, 9, 12):
+        for _ in range(6):
+            a = _random_number(rng, m, rng.choice([int, Fraction]))
+            for big in (2 * m, 3 * m, 4 * m):
+                assert a == a.lift(big) and a.lift(big) == a, (m, big, a)
+                assert hash(a) == hash(a.lift(big)), (m, big, a)
+            assert a + zeta(m) != a.lift(2 * m)
+
+
 def test_to_fraction():
     assert CyclotomicNumber.from_rational(Fraction(2, 3)).to_fraction() == Fraction(2, 3)
     assert (zeta(6) - zeta(6)).to_fraction() == 0

@@ -258,6 +258,64 @@ def _eliminate_pivot_by_pivot(span, f):
         f = f - rows[pivot] * f.terms[pivot]
 
 
+def test_reduce_against_rows_of_another_conductor():
+    rng = random.Random(3412)
+    span = GradedSpan(3)
+    while span.dim < 6:
+        span.insert(_random_homogeneous(rng, 3))
+    assert {row.conductor for row in span.rows} == {3}
+    for _ in range(20):
+        f = _random_homogeneous(rng, 4) + rng.choice(span.rows) * zeta(4)
+        nf = span.reduce(f)
+        assert nf.conductor == 12
+        assert nf == _eliminate_pivot_by_pivot(span, f)
+        assert not set(nf.terms) & set(span.pivots())
+
+
+def _snapshot(polys):
+    return [(p, p.conductor, dict(p.terms)) for p in polys]
+
+
+def _unchanged(snapshot):
+    return all(p.conductor == m and p.terms == terms for p, m, terms in snapshot)
+
+
+@pytest.mark.parametrize("m", [1, 3], ids=["Q", "Q(zeta_3)"])
+def test_reduce_and_insert_leave_their_inputs_alone(m):
+    rng = random.Random(2718 + m)
+    span = GradedSpan(3)
+    inserted = []
+    for _ in range(12):
+        f = _random_homogeneous(rng, m)
+        if inserted:  # shares terms with the rows, so that pivots are hit
+            f = f + inserted[-1] * rng.randint(1, 2)
+        before = _snapshot([f] + span.rows)
+        span.reduce(f)
+        span.insert(f)
+        inserted.append(f)
+        assert _unchanged(before)
+        assert all(span.contains(g) for g in inserted)
+
+
+def _no_zero_coefficient(*polys):
+    return all(not c.is_zero() for p in polys for c in p.terms.values())
+
+
+def test_no_result_holds_a_zero_coefficient():
+    rng = random.Random(1618)
+    for m in (1, 4):
+        span = GradedSpan(3)
+        fs = [_random_homogeneous(rng, m) for _ in range(8)]
+        span.extend(fs)
+        for f, g in zip(fs, fs[1:]):
+            results = [f + g, f - g, f - f, -f, f * g, f * 0, 0 * f, f * zeta(4) * 0,
+                       f + (-f), g - (g - f)]
+            combo = f * 2 - g * Fraction(1, 3)
+            results += [span.reduce(combo), span.reduce(f)]
+            assert _no_zero_coefficient(f, g, combo, *results, *span.rows)
+            assert (f - f).terms == (f * 0).terms == span.reduce(combo).terms == {}
+
+
 def test_span_copy_grows_independently():
     span = GradedSpan(2)
     span.extend([X**2 + Y**2, X * Y])

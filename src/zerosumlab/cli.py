@@ -245,11 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sigma_az2)
 
     p = sub.add_parser("ring-beta", parents=[common],
-                       help="β_k of a presented graded algebra, up to a cutoff")
+                       help="β_k of a presented graded algebra, exact by β_k ≤ k·(largest weight)")
     p.add_argument("--gens", required=True, help='e.g. "a:1,b:3"')
     p.add_argument("--rels", required=True, help='e.g. "b^3-a^9, a*b^2-a^7"')
     p.add_argument("--k", type=_integer, default=1)
-    p.add_argument("--cutoff", type=_integer, default=DEFAULT_RING_CUTOFF)
+    p.add_argument("--cutoff", type=_integer, default=DEFAULT_RING_CUTOFF,
+                   help="cap on the scanned degrees (default %(default)s); below "
+                        "k·(largest weight) the status is verified-up-to-cutoff")
     p.set_defaults(handler=_cmd_ring_beta)
 
     p = sub.add_parser("verify-all", parents=[budgeted],

@@ -7,12 +7,12 @@ of the polynomial slice modulo the matching slice of the relation ideal,
 which makes quotient linear algebra exact row reduction; ideal powers and the
 β scan are those of ``polynomials``, shared with invariant rings.
 
-Degrees are only ever explored up to an explicit cutoff, so every
-reported β_k carries status ``verified-up-to-cutoff`` — the honest
-strength of a finite scan over a ring with no a-priori degree bound.
-A separate tail check (each slice in a window is generated by
-generator-times-lower-slice products) supplies the usual argument that
-no new ring generators appear past the window start.
+Every presentation has a degree bound: with w_max the largest generator
+weight, a monomial of degree d > k·w_max has at least k+1 factors, so
+A_d ⊆ A_+^{k+1} and β_k ≤ k·w_max.  The β scan stops there and reports
+status ``exact``; a cutoff below the bound caps the scan, and the report
+then says ``verified-up-to-cutoff``.  For the same reason (k = 1) no
+minimal generator lives above w_max, which bounds the tail check.
 """
 
 from __future__ import annotations
@@ -158,6 +158,8 @@ class PresentedGradedAlgebra:
         self.nvars = len(gens)
         self.names = tuple(name for name, _ in gens)
         self.weights = tuple(degree for _, degree in gens)
+        if type(degree_cap) is not int or degree_cap < 1:
+            raise ValidationError(f"degree_cap must be a positive int, got {degree_cap!r}")
         self.degree_cap = degree_cap
         self._var_index = {name: i for i, (name, _) in enumerate(gens)}
         self.relations = tuple(self._check_relation(r) for r in relations)
@@ -291,11 +293,12 @@ class PresentedGradedAlgebra:
         return self.power_span(j, d).contains(f)
 
     def beta_k(self, k: int, cutoff: int = DEFAULT_RING_CUTOFF) -> dict:
-        """Largest degree ≤ cutoff where the slice escapes the (k+1)-st power.
+        """β_k: the largest degree d with A_d ⊄ (A_+^{k+1})_d.
 
-        A presented ring carries no a-priori degree bound, so the scan is
-        a window, never a certificate: status is always
-        ``verified-up-to-cutoff``.
+        Degrees are scanned up to ``scan_limit`` = min(cutoff, k·w_max).
+        No degree above k·w_max can escape, so the value is ``exact`` when
+        the cutoff reaches that bound, and ``verified-up-to-cutoff`` when
+        the cutoff stops the scan short of it.
         """
         if k < 1:
             raise DomainError(f"k must be >= 1, got {k}")
@@ -306,16 +309,19 @@ class PresentedGradedAlgebra:
                 f"cutoff {cutoff} is over the materialization cap {self.degree_cap}",
                 limit=self.degree_cap,
             )
-        failing, witness = escaping_degrees(self, k + 1, range(1, cutoff + 1))
+        bound = k * max(self.weights)
+        limit = min(cutoff, bound)
+        failing, witness = escaping_degrees(self, k + 1, range(1, limit + 1))
         return {
             "generators": [list(g) for g in self.generators],
             "relations": [self.render(r) for r in self.relations],
             "k": k,
             "cutoff": cutoff,
+            "scan_limit": limit,
             "beta": max(failing) if failing else 0,
             "failing_degrees": failing,
             "witness": self.render(witness) if witness is not None else None,
-            "status": "verified-up-to-cutoff",
+            "status": "exact" if limit == bound else "verified-up-to-cutoff",
         }
 
     def tail_generated(self, start: int, end: int) -> dict:
@@ -323,11 +329,13 @@ class PresentedGradedAlgebra:
 
         A minimal generator lives in degree d exactly when R_d strictly
         contains (R_+²)_d, so the window is clean when every slice lies
-        in the square of the positive-degree ideal.
+        in the square of the positive-degree ideal.  That holds for every
+        d > w_max, so only start..min(end, w_max) is scanned.
         """
         if start < 1 or end < start:
             raise DomainError(f"bad window [{start}, {end}]")
-        failures, _ = escaping_degrees(self, 2, range(start, end + 1))
+        top = min(end, max(self.weights))
+        failures, _ = escaping_degrees(self, 2, range(start, top + 1))
         return {
             "window": [start, end],
             "generated": not failures,

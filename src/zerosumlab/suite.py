@@ -286,13 +286,15 @@ def _check_example_ring(run):
     for k in (1, 2, 3, 4):
         result = R.beta_k(k, cutoff=30)
         betas[str(k)] = result["beta"]
-        ok = ok and result["beta"] == golden[str(k)] and result["status"] == "verified-up-to-cutoff"
+        ok = ok and result["beta"] == golden[str(k)] and result["status"] == "exact"
     dims = {"0": R.dimension(0), "3": R.dimension(3), "9": R.dimension(9)}
     ok = ok and dims == {"0": 1, "3": 2, "9": 2}
     b2_in_2 = R.in_power("b^2", 2)
     b2_in_3 = R.in_power("b^2", 3)
     ok = ok and b2_in_2 and not b2_in_3
-    window_failures, _ = escaping_degrees(R, 5, range(7, 31))
+    # A_d ⊆ A_+^5 for every d > 4·w_max = 12 whatever the relations say,
+    # so 7..12 are the only degrees where this check can fail.
+    window_failures, _ = escaping_degrees(R, 5, range(7, 13))
     ok = ok and not window_failures
     # b² spans the degree-6 part of R_+² over R_+⁴
     spanning = GradedSpan(R.nvars)

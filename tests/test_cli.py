@@ -96,7 +96,8 @@ def test_ring_beta(capsys):
         "--rels", "b^3-a^9, a*b^2-a^7", "--k", "2", "--cutoff", "30",
     )
     assert payload["beta"] == 6
-    assert payload["status"] == "verified-up-to-cutoff"
+    assert payload["scan_limit"] == 6  # k·w_max = 2·3
+    assert payload["status"] == "exact"
 
 
 def test_verify_all_filtered(capsys):

@@ -409,6 +409,8 @@ def test_a_redundant_generator_is_not_a_minimal_generator():
 
 
 # Reports of the parent implementation (two β scans per algebra kind), written out.
+# A presented ring's scan stops at scan_limit = k·w_max, where β_k ≤ k·w_max
+# makes the value exact.
 @pytest.mark.parametrize(
     "compute, expected",
     [
@@ -426,23 +428,23 @@ def test_a_redundant_generator_is_not_a_minimal_generator():
           "scan_limit": 6, "failing_degrees": [2, 3, 4, 5, 6], "witness": "x1^6 + x2^6"}),
         (lambda: PresentedGradedAlgebra(*_EXAMPLE_RING).beta_k(2, cutoff=30),
          {"generators": [["a", 1], ["b", 3]], "relations": ["-a^9 + b^3", "-a^7 + a*b^2"],
-          "k": 2, "cutoff": 30, "beta": 6, "failing_degrees": [1, 2, 3, 4, 6],
-          "witness": "b^2", "status": "verified-up-to-cutoff"}),
+          "k": 2, "cutoff": 30, "scan_limit": 6, "beta": 6, "failing_degrees": [1, 2, 3, 4, 6],
+          "witness": "b^2", "status": "exact"}),
         (lambda: PresentedGradedAlgebra(*_EXAMPLE_RING).tail_generated(3, 20),
          {"window": [3, 20], "generated": False, "failures": [3]}),
         # as for Q[a]: β_k = k, and a^3 has the standard monomial b
         (lambda: PresentedGradedAlgebra(*_REDUNDANT_RING).beta_k(1, cutoff=12),
          {"generators": [["a", 1], ["b", 3]], "relations": ["-a^3 + b"], "k": 1,
-          "cutoff": 12, "beta": 1, "failing_degrees": [1], "witness": "a",
-          "status": "verified-up-to-cutoff"}),
+          "cutoff": 12, "scan_limit": 3, "beta": 1, "failing_degrees": [1], "witness": "a",
+          "status": "exact"}),
         (lambda: PresentedGradedAlgebra(*_REDUNDANT_RING).beta_k(2, cutoff=12),
          {"generators": [["a", 1], ["b", 3]], "relations": ["-a^3 + b"], "k": 2,
-          "cutoff": 12, "beta": 2, "failing_degrees": [1, 2], "witness": "a^2",
-          "status": "verified-up-to-cutoff"}),
+          "cutoff": 12, "scan_limit": 6, "beta": 2, "failing_degrees": [1, 2], "witness": "a^2",
+          "status": "exact"}),
         (lambda: PresentedGradedAlgebra(*_REDUNDANT_RING).beta_k(3, cutoff=12),
          {"generators": [["a", 1], ["b", 3]], "relations": ["-a^3 + b"], "k": 3,
-          "cutoff": 12, "beta": 3, "failing_degrees": [1, 2, 3], "witness": "b",
-          "status": "verified-up-to-cutoff"}),
+          "cutoff": 12, "scan_limit": 9, "beta": 3, "failing_degrees": [1, 2, 3], "witness": "b",
+          "status": "exact"}),
     ],
     ids=["reg(Z3)-k2", "reg(Z2xZ2)-k2", "ind(SD(3,2,2))-k1", "ind(SD(3,2,2))-k2",
          "example-ring-k2", "example-ring-tail", "redundant-ring-k1", "redundant-ring-k2",

@@ -10,6 +10,7 @@ from zerosumlab import (
     ValidationError,
     parse_generator_spec,
 )
+from zerosumlab.polynomials import escaping_degrees
 
 
 def example_ring(**kwargs) -> PresentedGradedAlgebra:
@@ -46,6 +47,13 @@ def test_generator_validation():
     for degree in (True, 1.0):  # weights are ints, not bools or floats
         with pytest.raises(ValidationError):
             PresentedGradedAlgebra([("a", degree)], [])
+
+
+@pytest.mark.parametrize("cap", ["5", 0, -3, True, 2.5])
+def test_degree_cap_must_be_a_positive_int(cap):
+    # like the weights: an int >= 1, or `d > degree_cap` fails far from the cause
+    with pytest.raises(ValidationError):
+        example_ring(degree_cap=cap)
 
 
 def test_relation_must_be_homogeneous():
@@ -154,11 +162,48 @@ def test_beta_table():
 
 def test_beta_report_shape():
     report = example_ring().beta_k(2, cutoff=30)
-    assert report["status"] == "verified-up-to-cutoff"
+    assert report["status"] == "exact"
     assert report["cutoff"] == 30
+    assert report["scan_limit"] == 6  # k·w_max = 2·3
     assert report["beta"] == 6
     assert report["witness"]
     assert max(report["failing_degrees"]) == 6
+
+
+def test_a_cutoff_below_the_bound_is_only_a_window():
+    report = example_ring().beta_k(2, cutoff=4)
+    assert report["scan_limit"] == 4
+    assert report["beta"] == 4
+    assert report["failing_degrees"] == [1, 2, 3, 4]
+    assert report["status"] == "verified-up-to-cutoff"
+
+
+_BOUND_RINGS = {
+    "example": ([("a", 1), ("b", 3)], ["b^3-a^9", "a*b^2-a^7"]),
+    "weighted": ([("a", 1), ("b", 2), ("c", 3)], ["a*c-b^2"]),
+    "twisted-cubic": ([("a", 1), ("b", 1), ("c", 1), ("d", 1)],
+                      ["a*c-b^2", "b*d-c^2", "a*d-b*c"]),
+    "redundant": ([("a", 1), ("b", 3)], ["b-a^3"]),
+    "all-generators-die": ([("a", 1), ("b", 2)], ["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("gens, rels", _BOUND_RINGS.values(), ids=_BOUND_RINGS.keys())
+def test_no_degree_escapes_past_k_times_the_largest_weight(gens, rels):
+    R = PresentedGradedAlgebra(gens, rels)
+    w_max = max(w for _, w in gens)
+    for k in (1, 2, 3, 4):
+        past = range(k * w_max + 1, k * w_max + 2 * w_max + 1)
+        assert escaping_degrees(R, k + 1, past) == ([], None), k
+        report = R.beta_k(k, cutoff=k * w_max + 2 * w_max)
+        assert report["scan_limit"] == k * w_max
+        assert report["status"] == "exact"
+
+
+def test_a_ring_whose_generators_all_die_has_beta_zero():
+    report = PresentedGradedAlgebra([("a", 1), ("b", 2)], ["a", "b"]).beta_k(3)
+    assert (report["beta"], report["failing_degrees"], report["witness"]) == (0, [], None)
+    assert report["status"] == "exact"
 
 
 def test_beta_validation():
@@ -190,6 +235,14 @@ def test_tail_window_detects_missing_generator():
     report = R.tail_generated(3, 3)
     assert not report["generated"]
     assert report["failures"] == [3]
+
+
+def test_tail_window_past_the_largest_weight_needs_no_scan():
+    # no minimal generator lives above w_max = 3, so no slice of this
+    # window is built, not even those over the degree cap
+    R = example_ring(degree_cap=10)
+    assert R.tail_generated(4, 1000) == {
+        "window": [4, 1000], "generated": True, "failures": []}
 
 
 def test_tail_window_validation():

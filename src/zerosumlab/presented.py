@@ -298,19 +298,21 @@ class PresentedGradedAlgebra:
         Degrees are scanned up to ``scan_limit`` = min(cutoff, k·w_max).
         No degree above k·w_max can escape, so the value is ``exact`` when
         the cutoff reaches that bound, and ``verified-up-to-cutoff`` when
-        the cutoff stops the scan short of it.
+        the cutoff stops the scan short of it.  Only the scanned degrees are
+        held to ``degree_cap``.
         """
         if k < 1:
             raise DomainError(f"k must be >= 1, got {k}")
         if cutoff < 1:
             raise DomainError(f"cutoff must be >= 1, got {cutoff}")
-        if cutoff > self.degree_cap:
-            raise CapacityError(
-                f"cutoff {cutoff} is over the materialization cap {self.degree_cap}",
-                limit=self.degree_cap,
-            )
         bound = k * max(self.weights)
         limit = min(cutoff, bound)
+        if limit > self.degree_cap:
+            raise CapacityError(
+                f"beta_{k} scan needs degrees up to {limit}, over the materialization "
+                f"cap {self.degree_cap}",
+                limit=self.degree_cap,
+            )
         failing, witness = escaping_degrees(self, k + 1, range(1, limit + 1))
         return {
             "generators": [list(g) for g in self.generators],

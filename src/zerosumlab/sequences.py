@@ -30,6 +30,7 @@ S − x; so the recursion stops at the first minimal block B with
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -44,6 +45,7 @@ from .groups import AbelianGroup, _is_int, translate
 
 ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
 _CACHE_FILE = "zsl_kmax_cache.json"
+_SAVE_SLICE = 512  # entries per json.dumps call of save_kmax_cache
 
 # k_max memo, shared across all queries: (group factors, int runs) -> int.
 # Values are mathematical facts, so concurrent/idempotent inserts are safe.
@@ -600,49 +602,64 @@ def parse_sequence(text: str, group: AbelianGroup) -> Sequence:
                 if s[pos] != ",":
                     raise ParseError("expected ',' between tuples", pos)
                 pos += 1
-    for x in elems:
-        group.check(x)
     return Sequence.from_elements(group, elems)
 
 
 # -- optional on-disk memo spill ---------------------------------------------
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(type(x) is int for x in value)
-
-
 def _cache_entry(entry, groups):
     """Memo (key, value) of one spilled entry; None unless it can be a k_max fact.
 
     ``groups`` maps each factor tuple seen so far to its group, or to None
-    when the factors are not an invariant-factor chain.
+    when the factors are not an invariant-factor chain.  Run indices must
+    increase strictly, as ``save_kmax_cache`` writes them.
     """
     if not (isinstance(entry, list) and len(entry) == 3):
         return None
     factors, items, value = entry
-    if not (_is_int_list(factors) and isinstance(items, list) and type(value) is int):
+    if not (isinstance(factors, list) and isinstance(items, list) and type(value) is int):
         return None
+    for n in factors:
+        if type(n) is not int:
+            return None
     factors = tuple(factors)
     if factors not in groups:
         try:
             groups[factors] = AbelianGroup(factors)
         except ValidationError:
             groups[factors] = None
-    group = groups[factors]
-    if group is None:
+    if groups[factors] is None:
         return None
+    rank = len(factors)
     runs = []
+    last = -1
+    length = 0
     for item in items:
-        if not (isinstance(item, list) and len(item) == 2
-                and _is_int_list(item[0]) and type(item[1]) is int and item[1] >= 1
-                and len(item[0]) == len(factors)
-                and all(0 <= x < n for x, n in zip(item[0], factors))):
+        if not (isinstance(item, list) and len(item) == 2):
             return None
-        runs.append((group.index(item[0]), item[1]))
+        coords, mult = item
+        if not (isinstance(coords, list) and len(coords) == rank
+                and type(mult) is int and mult >= 1):
+            return None
+        if rank == 1:
+            i = coords[0]
+            if type(i) is not int or not 0 <= i < factors[0]:
+                return None
+        else:
+            i = 0
+            for x, n in zip(coords, factors):
+                if type(x) is not int or not 0 <= x < n:
+                    return None
+                i = i * n + x
+        if i <= last:
+            return None
+        last = i
+        runs.append((i, mult))
+        length += mult
     # each zero is one block; a block without zeros holds at least 2 entries
-    zeros = sum(mult for i, mult in runs if i == 0)
-    if not 0 <= value <= zeros + (sum(mult for _, mult in runs) - zeros) // 2:
+    zeros = runs[0][1] if runs and runs[0][0] == 0 else 0
+    if not 0 <= value <= zeros + (length - zeros) // 2:
         return None
     return (factors, tuple(runs)), value
 
@@ -688,27 +705,30 @@ def save_kmax_cache(directory: str) -> int:
     directory and then renamed over the cache, so a reader never sees a
     partial file.  An unwritable path raises ValidationError naming it.
     Elements are written as coordinate lists; index order is tuple order,
-    so the entries come out in the same order as their tuple forms.
+    so the entries come out in the same order as their tuple forms.  The
+    bytes are those of one ``json.dump``, written a slice at a time.
     """
-    groups: dict[tuple, AbelianGroup] = {}
-    entries = []
-    for (factors, runs), value in sorted(_KMAX_MEMO.items()):
-        group = groups.get(factors)
-        if group is None:
-            group = groups[factors] = AbelianGroup(factors)
-        entries.append(
-            [list(factors), [[list(group.element(i)), mult] for i, mult in runs], value]
-        )
+    memo = sorted(_KMAX_MEMO.items())
+    decoders = {}  # factors -> group.element, once per index
     path = os.path.join(directory, _CACHE_FILE)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(directory, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"schema_version": 1, "entries": entries}, fh)
+            fh.write('{"schema_version": 1, "entries": [')
+            for at in range(0, len(memo), _SAVE_SLICE):
+                part = []
+                for (factors, runs), value in memo[at:at + _SAVE_SLICE]:
+                    if factors not in decoders:
+                        decoders[factors] = functools.cache(AbelianGroup(factors).element)
+                    decode = decoders[factors]
+                    part.append([factors, [[decode(i), mult] for i, mult in runs], value])
+                fh.write((", " if at else "") + json.dumps(part)[1:-1])
+            fh.write("]}")
         os.replace(tmp, path)
     except OSError as exc:
         raise ValidationError(f"cannot write k_max cache {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return len(entries)
+    return len(memo)

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import zerosumlab
-from zerosumlab import ValidationError, save_kmax_cache
+from zerosumlab import (
+    AbelianGroup,
+    ValidationError,
+    davenport_table,
+    load_kmax_cache,
+    save_kmax_cache,
+    sequences,
+)
 from zerosumlab.cli import main
 from zerosumlab.sequences import _cache_entry
 
@@ -98,6 +105,14 @@ def test_ring_beta(capsys):
     assert payload["beta"] == 6
     assert payload["scan_limit"] == 6  # k·w_max = 2·3
     assert payload["status"] == "exact"
+
+
+def test_ring_beta_cutoff_over_the_cap_is_answered_when_the_scan_is_not(capsys):
+    payload = run_json(
+        capsys, "ring-beta", "--gens", "a:1,b:3",
+        "--rels", "b^3-a^9, a*b^2-a^7", "--k", "2", "--cutoff", "100",
+    )
+    assert (payload["beta"], payload["scan_limit"], payload["status"]) == (6, 6, "exact")
 
 
 def test_verify_all_filtered(capsys):
@@ -372,11 +387,21 @@ def _entry(factors, items, value):
         _entry([3], [[[1], 3]], -1),
         _entry([6], [[[1], 5]], 3),
         _entry([3], [[[0], 2], [[1], 3]], 4),
+        _entry([3], [[[True], 3]], 1),
+        _entry([3], [[[1], 3.0]], 1),
+        _entry([3], [[[1], 3]], True),
+        _entry([3], [[[1], 3]], float("nan")),
+        _entry([3], {"not": "a list"}, 1),
+        _entry([3], [[[1], 3, 0]], 1),
+        _entry([3], [[[2], 1], [[1], 1]], 1),
+        _entry([3], [[[1], 1], [[1], 2]], 1),
     ],
     ids=["truncated", "entries-not-a-list", "value-not-an-int", "factors-not-a-chain",
          "element-wrong-arity", "element-over-range", "element-negative",
          "multiplicity-zero", "value-over-length", "value-negative",
-         "value-over-pair-bound", "value-over-zeros-plus-pairs"],
+         "value-over-pair-bound", "value-over-zeros-plus-pairs", "coordinate-a-bool",
+         "multiplicity-a-float", "value-a-bool", "value-nan", "items-not-a-list",
+         "item-of-three", "runs-unsorted", "element-repeated"],
 )
 def test_corrupt_cache_exits_2_and_is_left_alone(tmp_path, raw):
     cache_file = tmp_path / "zsl_kmax_cache.json"
@@ -395,6 +420,45 @@ def test_cache_values_up_to_zeros_plus_pairs_load():
     assert _cache_entry([[3], [[[0], 2], [[1], 3]], 3], groups) == (((3,), ((0, 2), (1, 3))), 3)
     assert _cache_entry([[6], [[[1], 5]], 2], groups) == (((6,), ((1, 5),)), 2)
     assert _cache_entry([[6], [[[1], 5]], 3], groups) is None
+
+
+def test_cache_runs_must_increase_strictly():
+    # save_kmax_cache writes each key's runs in index order, one run per element
+    groups = {}
+    assert _cache_entry([[3], [[[1], 1], [[2], 1]], 1], groups) == (((3,), ((1, 1), (2, 1))), 1)
+    assert _cache_entry([[3], [[[2], 1], [[1], 1]], 1], groups) is None
+    assert _cache_entry([[3], [[[1], 1], [[1], 2]], 1], groups) is None
+    assert _cache_entry([[2, 2], [[[0, 1], 1], [[1, 0], 1]], 0], groups) == (
+        ((2, 2), ((1, 1), (2, 1))), 0)
+    assert _cache_entry([[2, 2], [[[1, 0], 1], [[0, 1], 1]], 0], groups) is None
+
+
+def _one_json_dump(memo):
+    entries = []
+    for (factors, runs), value in sorted(memo.items()):
+        group = AbelianGroup(factors)
+        entries.append([list(factors), [[list(group.element(i)), m] for i, m in runs], value])
+    return json.dumps({"schema_version": 1, "entries": entries}).encode()
+
+
+def test_a_save_streams_the_bytes_of_one_json_dump(tmp_path, monkeypatch):
+    memo = {}
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", memo)
+    davenport_table(AbelianGroup((2, 2)), 2)
+    davenport_table(AbelianGroup((6,)), 3)
+    full = dict(memo)
+    keys = sorted(full)
+    cut = sequences._SAVE_SLICE
+    assert len(keys) > 3 * cut and len({factors for factors, _ in keys}) == 2
+    for size in (0, 1, cut, cut + 1, len(keys)):
+        part = {key: full[key] for key in keys[:size]}
+        memo.clear()
+        memo.update(part)
+        assert save_kmax_cache(str(tmp_path)) == size
+        assert (tmp_path / "zsl_kmax_cache.json").read_bytes() == _one_json_dump(part)
+        memo.clear()
+        assert load_kmax_cache(str(tmp_path)) == size
+        assert memo == part
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the D_k scan trusts the memo's "

@@ -212,8 +212,10 @@ def test_beta_validation():
         R.beta_k(0)
     with pytest.raises(DomainError):
         R.beta_k(1, cutoff=0)
+    # the scan stops at k·w_max = 6, so only that is held to the cap
+    assert R.beta_k(2, cutoff=100)["scan_limit"] == 6
     with pytest.raises(CapacityError):
-        R.beta_k(1, cutoff=R.degree_cap + 1)
+        example_ring(degree_cap=4).beta_k(2)
 
 
 def test_degree_cap_guard():

@@ -229,6 +229,21 @@ class AbelianGroup:
             i = i * n + c
         return i
 
+    def coords_index(self, coords) -> int | None:
+        """``index`` of a list of ``rank`` exact ints in range, else None.
+
+        >>> AbelianGroup((2, 4)).coords_index([1, 2]), AbelianGroup((2, 4)).coords_index([1, True])
+        (6, None)
+        """
+        if not (isinstance(coords, list) and len(coords) == self.rank):
+            return None
+        i = 0
+        for c, n in zip(coords, self.factors):
+            if type(c) is not int or not 0 <= c < n:
+                return None
+            i = i * n + c
+        return i
+
     def element(self, i: int) -> tuple[int, ...]:
         """The element at position ``i`` of ``elements()``; inverse of ``index``.
 

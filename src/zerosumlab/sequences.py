@@ -45,7 +45,7 @@ from .groups import AbelianGroup, _is_int, translate
 
 ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
 _CACHE_FILE = "zsl_kmax_cache.json"
-_SAVE_SLICE = 512  # entries per json.dumps call of save_kmax_cache
+_SAVE_SLICE = 512
 
 # k_max memo, shared across all queries: (group factors, int runs) -> int.
 # Values are mathematical facts, so concurrent/idempotent inserts are safe.
@@ -602,6 +602,8 @@ def parse_sequence(text: str, group: AbelianGroup) -> Sequence:
                 if s[pos] != ",":
                     raise ParseError("expected ',' between tuples", pos)
                 pos += 1
+    for x in elems:
+        group.check(x)
     return Sequence.from_elements(group, elems)
 
 
@@ -611,9 +613,8 @@ def parse_sequence(text: str, group: AbelianGroup) -> Sequence:
 def _cache_entry(entry, groups):
     """Memo (key, value) of one spilled entry; None unless it can be a k_max fact.
 
-    ``groups`` maps each factor tuple seen so far to its group, or to None
-    when the factors are not an invariant-factor chain.  Run indices must
-    increase strictly, as ``save_kmax_cache`` writes them.
+    ``groups`` caches groups by factors.  Run indices increase strictly,
+    as a save writes them.
     """
     if not (isinstance(entry, list) and len(entry) == 3):
         return None
@@ -624,39 +625,23 @@ def _cache_entry(entry, groups):
         if type(n) is not int:
             return None
     factors = tuple(factors)
-    if factors not in groups:
+    group = groups.get(factors)
+    if group is None:
         try:
-            groups[factors] = AbelianGroup(factors)
+            group = groups[factors] = AbelianGroup(factors)
         except ValidationError:
-            groups[factors] = None
-    if groups[factors] is None:
-        return None
-    rank = len(factors)
+            return None
     runs = []
-    last = -1
     length = 0
     for item in items:
-        if not (isinstance(item, list) and len(item) == 2):
+        if not (isinstance(item, list) and len(item) == 2
+                and type(item[1]) is int and item[1] >= 1):
             return None
-        coords, mult = item
-        if not (isinstance(coords, list) and len(coords) == rank
-                and type(mult) is int and mult >= 1):
+        i = group.coords_index(item[0])
+        if i is None or runs and i <= runs[-1][0]:
             return None
-        if rank == 1:
-            i = coords[0]
-            if type(i) is not int or not 0 <= i < factors[0]:
-                return None
-        else:
-            i = 0
-            for x, n in zip(coords, factors):
-                if type(x) is not int or not 0 <= x < n:
-                    return None
-                i = i * n + x
-        if i <= last:
-            return None
-        last = i
-        runs.append((i, mult))
-        length += mult
+        runs.append((i, item[1]))
+        length += item[1]
     # each zero is one block; a block without zeros holds at least 2 entries
     zeros = runs[0][1] if runs and runs[0][0] == 0 else 0
     if not 0 <= value <= zeros + (length - zeros) // 2:
@@ -688,12 +673,13 @@ def load_kmax_cache(directory: str) -> int:
     if not isinstance(entries, list):
         raise ValidationError(f"k_max cache {path} has no list of entries")
     loaded = {}
-    groups: dict[tuple, AbelianGroup | None] = {}
+    groups: dict[tuple, AbelianGroup] = {}
     for index, entry in enumerate(entries):
         pair = _cache_entry(entry, groups)
         if pair is None:
             raise ValidationError(f"k_max cache {path}: entry {index} is malformed")
         loaded[pair[0]] = pair[1]
+        entries[index] = None  # let the memo reuse it
     _KMAX_MEMO.update(loaded)
     return len(loaded)
 
@@ -705,25 +691,19 @@ def save_kmax_cache(directory: str) -> int:
     directory and then renamed over the cache, so a reader never sees a
     partial file.  An unwritable path raises ValidationError naming it.
     Elements are written as coordinate lists; index order is tuple order,
-    so the entries come out in the same order as their tuple forms.  The
-    bytes are those of one ``json.dump``, written a slice at a time.
+    so the entries come out in the same order as their tuple forms.
     """
-    memo = sorted(_KMAX_MEMO.items())
-    decoders = {}  # factors -> group.element, once per index
+    decode = functools.cache(lambda factors, i: AbelianGroup(factors).element(i))
+    entries = [[factors, [(decode(factors, i), m) for i, m in runs], value]
+               for (factors, runs), value in sorted(_KMAX_MEMO.items())]
     path = os.path.join(directory, _CACHE_FILE)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(directory, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write('{"schema_version": 1, "entries": [')
-            for at in range(0, len(memo), _SAVE_SLICE):
-                part = []
-                for (factors, runs), value in memo[at:at + _SAVE_SLICE]:
-                    if factors not in decoders:
-                        decoders[factors] = functools.cache(AbelianGroup(factors).element)
-                    decode = decoders[factors]
-                    part.append([factors, [[decode(i), mult] for i, mult in runs], value])
-                fh.write((", " if at else "") + json.dumps(part)[1:-1])
+            for at in range(0, len(entries), _SAVE_SLICE):
+                fh.write((", " if at else "") + json.dumps(entries[at:at + _SAVE_SLICE])[1:-1])
             fh.write("]}")
         os.replace(tmp, path)
     except OSError as exc:
@@ -731,4 +711,4 @@ def save_kmax_cache(directory: str) -> int:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return len(memo)
+    return len(entries)

@@ -251,6 +251,18 @@ def test_index_round_trips_in_element_order(A):
 
 
 @pytest.mark.parametrize("A", KERNEL_GROUPS, ids=AbelianGroup.spec)
+def test_coords_index_is_index_of_exact_in_range_lists(A):
+    assert [A.coords_index(list(x)) for x in A.elements()] == list(range(A.order))
+    bad = [tuple(A.zero), list(A.zero) + [0], None]
+    if A.rank:
+        last = A.factors[-1]
+        bad += [[0] * (A.rank - 1) + [c] for c in (True, 0.0, "0", None, -1, last)]
+        bad.append([0] * (A.rank - 1))
+    for coords in bad:
+        assert A.coords_index(coords) is None
+
+
+@pytest.mark.parametrize("A", KERNEL_GROUPS, ids=AbelianGroup.spec)
 def test_index_addition_matches_tuple_addition(A):
     elems = A.elements()
     sums = A.sums()

@@ -4,12 +4,18 @@ Output is JSON (sorted keys, schema-versioned) or, for the D_k table,
 CSV with columns k, D_k, d_k, witness.  Exit codes: 0 success, 1 a
 verification reported failure, 2 bad input or domain error, 3 a
 capacity/budget limit was hit.
+
+Each subcommand imports its own engine when it runs, so a call loads only
+the modules it uses.  The engine functions named in ``_LAZY`` are also
+attributes of this module, bound on first use; the CLI calls whatever is
+bound to them, so a wrapper set on this module is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -18,6 +24,8 @@ import re
 import sys
 
 from .errors import (
+    DEFAULT_RING_CUTOFF,
+    SCHEMA_VERSION,
     CapacityError,
     DomainError,
     ParseError,
@@ -25,22 +33,31 @@ from .errors import (
     ZeroSumLabError,
 )
 from .groups import AbelianGroup, SemidirectGroup, _parse_int, parse_groupspec
-from .sequences import _KMAX_MEMO, load_kmax_cache, save_kmax_cache, ZSL_CACHE_ENV
-from .davenport import davenport_k, davenport_table, eta, linearity_profile
-from .lemmas import verify_direct_product_bound, zero_sum_with_support
-from .invariants import (
-    beta_k,
-    parse_repspec,
-    verify_beta_equals_davenport,
-    verify_sigma_az2,
-    verify_sigma_zpzd,
-)
-from .presented import (
-    DEFAULT_RING_CUTOFF,
-    PresentedGradedAlgebra,
-    parse_generator_spec,
-)
-from .suite import SCHEMA_VERSION, verify_all
+
+ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
+
+# engine functions bound on this module at first use: name -> submodule
+_LAZY = {
+    "load_kmax_cache": "sequences",
+    "save_kmax_cache": "sequences",
+    "beta_k": "invariants",
+    "verify_beta_equals_davenport": "invariants",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + module, __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bound(name):
+    """The function bound to ``name`` on this module now."""
+    return globals().get(name) or __getattr__(name)
+
 
 # the subcommands that can query k_max; only they read and write the cache
 _KMAX_COMMANDS = frozenset(
@@ -79,11 +96,15 @@ def _semidirect(spec: str) -> SemidirectGroup:
 
 
 def _cmd_davenport(args):
+    from .davenport import davenport_k
+
     report = davenport_k(_abelian(args.group), args.k, budget_seconds=args.budget_seconds)
     return report.as_dict()
 
 
 def _cmd_dk_table(args):
+    from .davenport import davenport_table
+
     table = davenport_table(_abelian(args.group), args.k_upto,
                             budget_seconds=args.budget_seconds)
     return {
@@ -94,17 +115,23 @@ def _cmd_dk_table(args):
 
 
 def _cmd_eta(args):
+    from .davenport import eta
+
     A = _abelian(args.group)
     return {"group": A.spec(), "eta": eta(A, budget_seconds=args.budget_seconds)}
 
 
 def _cmd_linearity(args):
+    from .davenport import linearity_profile
+
     profile = linearity_profile(_abelian(args.group), args.k_upto,
                                 budget_seconds=args.budget_seconds)
     return profile.as_dict()
 
 
 def _cmd_support_lemma(args):
+    from .lemmas import zero_sum_with_support
+
     try:
         support = [_parse_int(s.strip()) for s in args.support.split(",") if s.strip() != ""]
     except ParseError:
@@ -120,29 +147,39 @@ def _cmd_support_lemma(args):
 
 
 def _cmd_product_bound(args):
+    from .lemmas import verify_direct_product_bound
+
     return verify_direct_product_bound(
         _abelian(args.group_g), _abelian(args.group_h), args.r, args.s
     )
 
 
 def _cmd_beta(args):
-    return beta_k(parse_repspec(args.rep), args.k)
+    from .invariants import parse_repspec
+
+    return _bound("beta_k")(parse_repspec(args.rep), args.k)
 
 
 def _cmd_crosscheck(args):
-    return verify_beta_equals_davenport(_abelian(args.group), args.k,
-                                        budget_seconds=args.budget_seconds)
+    return _bound("verify_beta_equals_davenport")(_abelian(args.group), args.k,
+                                                  budget_seconds=args.budget_seconds)
 
 
 def _cmd_sigma_zpzd(args):
+    from .invariants import verify_sigma_zpzd
+
     return verify_sigma_zpzd(_semidirect(args.group))
 
 
 def _cmd_sigma_az2(args):
+    from .invariants import verify_sigma_az2
+
     return verify_sigma_az2(args.n, args.e)
 
 
 def _cmd_ring_beta(args):
+    from .presented import PresentedGradedAlgebra, parse_generator_spec
+
     generators = parse_generator_spec(args.gens)
     relations = [r.strip() for r in args.rels.split(",") if r.strip()]
     algebra = PresentedGradedAlgebra(generators, relations)
@@ -150,6 +187,8 @@ def _cmd_ring_beta(args):
 
 
 def _cmd_verify_all(args):
+    from .suite import verify_all
+
     groups = None
     if args.groups:
         groups = [g.strip() for g in args.groups.split(",") if g.strip()]
@@ -287,8 +326,10 @@ def main(argv=None) -> int:
     cache_dir = os.environ.get(ZSL_CACHE_ENV) if args.command in _KMAX_COMMANDS else None
     on_disk = 0
     if cache_dir:
+        from .sequences import _KMAX_MEMO
+
         try:
-            on_disk = load_kmax_cache(cache_dir)
+            on_disk = _bound("load_kmax_cache")(cache_dir)
         except ValidationError as exc:
             # leave the file as found: a save would overwrite it
             print(f"error: {exc}", file=sys.stderr)
@@ -308,7 +349,7 @@ def main(argv=None) -> int:
         # file already holds the memo and is left alone
         if cache_dir and len(_KMAX_MEMO) != on_disk:
             try:
-                save_kmax_cache(cache_dir)
+                _bound("save_kmax_cache")(cache_dir)
             except ValidationError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 code = 2

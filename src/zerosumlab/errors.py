@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types, and the constants, shared across the package.
 
 Every failure is one of a handful of shapes: input outside the
 mathematical domain (DomainError), input that parses but violates a
@@ -7,7 +7,15 @@ structure but don't (StructuralError), text that does not parse
 (ParseError), a search that hit an explicit resource ceiling
 (CapacityError), or a mechanically checked claim that came out false
 (VerificationError).
+
+The constants live here, in a module without dependencies, so that the
+CLI reads them without loading an engine.
 """
+
+# the version stamped on every JSON report
+SCHEMA_VERSION = "1"
+# degrees a presented-ring beta scan covers unless told otherwise
+DEFAULT_RING_CUTOFF = 24
 
 
 class ZeroSumLabError(Exception):

@@ -33,10 +33,27 @@ from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
 from .cyclotomic import CyclotomicNumber
 from .polynomials import GradedSpan, MultiPoly, escaping_degrees, grlex_key
 from .polynomials import power_span as _power_span
-from .davenport import davenport_k, sigma_diagonal
 
 DEFAULT_DEGREE_CAP = 64
 _CLOSURE_CAP = 4096
+
+# Bound on this module at first use, so that beta_k alone never loads the
+# k_max engine; the functions below call whatever is bound to them.
+_FROM_DAVENPORT = ("davenport_k", "sigma_diagonal")
+
+
+def __getattr__(name):
+    if name not in _FROM_DAVENPORT:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import davenport
+
+    value = globals()[name] = getattr(davenport, name)
+    return value
+
+
+def _bound(name):
+    """The function bound to ``name`` on this module now."""
+    return globals().get(name) or __getattr__(name)
 
 
 class MonomialRep:
@@ -367,7 +384,7 @@ def verify_beta_equals_davenport(A: AbelianGroup, k: int, budget_seconds=None) -
     if not isinstance(A, AbelianGroup):
         raise DomainError("the cross-check is defined for abelian groups only")
     beta_report = beta_k(regular_representation(A), k)
-    dav = davenport_k(A, k, budget_seconds=budget_seconds)
+    dav = _bound("davenport_k")(A, k, budget_seconds=budget_seconds)
     return {
         "group": A.spec(),
         "k": k,
@@ -479,7 +496,7 @@ def verify_sigma_zpzd(G: SemidirectGroup) -> dict:
                 }
             )
     upper = max(f.degree() for f in fks)
-    lower = sigma_diagonal(AbelianGroup((G.p,)), [(1,)])
+    lower = _bound("sigma_diagonal")(AbelianGroup((G.p,)), [(1,)])
     return {
         "group": G.spec(),
         "p": G.p,

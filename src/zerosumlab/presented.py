@@ -19,11 +19,16 @@ from __future__ import annotations
 
 import re
 
-from .errors import CapacityError, DomainError, ParseError, ValidationError
+from .errors import (
+    DEFAULT_RING_CUTOFF,
+    CapacityError,
+    DomainError,
+    ParseError,
+    ValidationError,
+)
 from .groups import _parse_int
 from .polynomials import GradedSpan, MultiPoly, escaping_degrees, power_span
 
-DEFAULT_RING_CUTOFF = 24
 DEFAULT_DEGREE_CAP = 48
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .groups import AbelianGroup, _is_int, translate
 
-ZSL_CACHE_ENV = "ZSL_CACHE_DIR"
 _CACHE_FILE = "zsl_kmax_cache.json"
 _SAVE_SLICE = 512
 
@@ -691,19 +690,22 @@ def save_kmax_cache(directory: str) -> int:
     directory and then renamed over the cache, so a reader never sees a
     partial file.  An unwritable path raises ValidationError naming it.
     Elements are written as coordinate lists; index order is tuple order,
-    so the entries come out in the same order as their tuple forms.
+    so the entries come out in the same order as their tuple forms.  Only
+    one slice of ``_SAVE_SLICE`` entries is decoded at a time.
     """
     decode = functools.cache(lambda factors, i: AbelianGroup(factors).element(i))
-    entries = [[factors, [(decode(factors, i), m) for i, m in runs], value]
-               for (factors, runs), value in sorted(_KMAX_MEMO.items())]
+    keys = sorted(_KMAX_MEMO)
     path = os.path.join(directory, _CACHE_FILE)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(directory, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write('{"schema_version": 1, "entries": [')
-            for at in range(0, len(entries), _SAVE_SLICE):
-                fh.write((", " if at else "") + json.dumps(entries[at:at + _SAVE_SLICE])[1:-1])
+            for at in range(0, len(keys), _SAVE_SLICE):
+                entries = [[factors, [(decode(factors, i), m) for i, m in runs],
+                            _KMAX_MEMO[factors, runs]]
+                           for factors, runs in keys[at:at + _SAVE_SLICE]]
+                fh.write((", " if at else "") + json.dumps(entries)[1:-1])
             fh.write("]}")
         os.replace(tmp, path)
     except OSError as exc:
@@ -711,4 +713,4 @@ def save_kmax_cache(directory: str) -> int:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return len(entries)
+    return len(keys)

@@ -18,7 +18,7 @@ import itertools
 import random
 import time
 
-from .errors import DomainError, ZeroSumLabError
+from .errors import SCHEMA_VERSION, DomainError, ZeroSumLabError
 from .groups import (
     AbelianGroup,
     SemidirectGroup,
@@ -44,8 +44,6 @@ from .invariants import (
 )
 from .polynomials import GradedSpan, escaping_degrees
 from .presented import PresentedGradedAlgebra
-
-SCHEMA_VERSION = "1"
 
 GOLDEN = {
     "davenport-baselines": {

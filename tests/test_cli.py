@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import re
@@ -12,13 +13,16 @@ import pytest
 import zerosumlab
 from zerosumlab import (
     AbelianGroup,
+    PresentedGradedAlgebra,
     ValidationError,
     davenport_table,
     load_kmax_cache,
     save_kmax_cache,
     sequences,
+    verify_all,
 )
 from zerosumlab.cli import main
+from zerosumlab.errors import DEFAULT_RING_CUTOFF, SCHEMA_VERSION
 from zerosumlab.sequences import _cache_entry
 
 
@@ -119,6 +123,17 @@ def test_verify_all_filtered(capsys):
     payload = run_json(capsys, "verify-all", "--groups", "Z2")
     assert payload["passed"]
     assert payload["counts"]["fail"] == 0
+
+
+def test_shared_constants_reach_help_and_reports(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ring-beta", "--help"])
+    assert exc.value.code == 0
+    assert f"(default {DEFAULT_RING_CUTOFF})" in " ".join(capsys.readouterr().out.split())
+    cutoff = inspect.signature(PresentedGradedAlgebra.beta_k).parameters["cutoff"]
+    assert cutoff.default == DEFAULT_RING_CUTOFF
+    assert verify_all(groups=["Z2"])["schema_version"] == SCHEMA_VERSION
+    assert run_json(capsys, "eta", "Z2")["schema_version"] == SCHEMA_VERSION
 
 
 # --- output modes ----------------------------------------------------------------

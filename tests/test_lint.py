@@ -3,6 +3,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import zerosumlab
 
 PACKAGE = Path(zerosumlab.__file__).parent
@@ -52,3 +54,45 @@ def test_cli_parses_integers_as_ascii():
         and node.value.id in ("int", "float")
     ]
     assert not found, f"type=int or type=float in the CLI: {found}"
+
+
+def _package_imports(tree):
+    """Modules of the package that ``tree`` imports outside function bodies."""
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("zerosumlab")
+        ):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("zerosumlab")]
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name, allowed", [("cli.py", {".errors", ".groups"}),
+                                           ("__init__.py", set())])
+def test_module_level_imports_load_no_engine(name, allowed):
+    # each subcommand imports its own engine; see tests/test_imports.py
+    path = PACKAGE / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert set(_package_imports(tree)) <= allowed
+
+
+@pytest.mark.parametrize("constant", ["SCHEMA_VERSION", "DEFAULT_RING_CUTOFF", "ZSL_CACHE_ENV"])
+def test_shared_constants_are_defined_once(constant):
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and any(isinstance(t, ast.Name) and t.id == constant
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))
+        ]
+    assert len(found) == 1, found

@@ -3,7 +3,10 @@
 D_k and η come out of one frontier scan (``_levels``), which walks lengths
 upward keeping at each length the canonical multisets over A∖{0} that a
 predicate keeps: the "bad" ones (k_max ≤ k−1) for D_k, those with no
-non-empty zero-sum block of length ≤ exp(A) for η.  Both properties are
+non-empty zero-sum block of length ≤ exp(A) for η.  For D = D_1 the bad
+ones are the zero-sum-free ones, and a table that stops at k = 1 asks
+only that, with one subset-sum bitmask per candidate (``_has_zero_sum``):
+it runs no k_max and neither reads nor fills the memo.  Both properties are
 closed under sub-multisets, so every kept multiset of length n extends a
 kept one of length n−1 — extending the previous level by single elements
 and deduplicating canonical forms is a complete enumeration.  D_k and η
@@ -45,6 +48,7 @@ from .sequences import (
     _OrbitTable,
     _canonical_items,
     _has_short_zero_sum,
+    _has_zero_sum,
     _items_add_one,
     _kmax_items,
     _stabiliser,
@@ -215,9 +219,14 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
             )
         return reports
 
-    def bad(items):
-        km = _kmax_items(A, items)
-        return km if km < k_upto else None
+    if k_upto == 1:
+        # D_1 keeps the zero-sum-free candidates, those with k_max = 0
+        def bad(items):
+            return None if _has_zero_sum(A, items) else 0
+    else:
+        def bad(items):
+            km = _kmax_items(A, items)
+            return km if km < k_upto else None
 
     t0 = time.monotonic()
     cutoff = k_upto * A.order + 1

@@ -263,6 +263,27 @@ def _has_short_zero_sum(group, items, bound) -> bool:
     return any(mask & 1 for mask in reach[1:])
 
 
+def _has_zero_sum(group, items) -> bool:
+    """Any non-empty zero-sum sub-multiset of the int runs ``items``?
+
+    This is D(A)'s test: ``items`` counts towards D(A) iff it is zero-sum
+    free.  ``sums`` is the bitmask of the non-empty subset sums of the
+    copies taken so far; a new copy of g turns it into
+    sums | (sums + g) | {g}, as in ``_pivot_blocks``, and the search stops
+    once 0 is one of them.
+    """
+    table = group.translations()
+    sums = 0
+    for elem, mult in items:
+        moves = table[elem][1]
+        bit = 1 << elem
+        for _ in range(mult):
+            sums |= translate(sums, moves) | bit
+            if sums & 1:
+                return True
+    return False
+
+
 def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
     """All minimal non-empty zero-sum sub-multisets, in encoding order.
 
@@ -519,7 +540,7 @@ def _canonical_items(items, table):
     D_k/η scans extend an item by the least g of each stabiliser orbit
     only (see ``davenport``).
     """
-    if not items:
+    if not items or len(table.maps) == 1:  # the identity alone fixes everything
         return items
     return tuple(min([sorted([(m[elem], mult) for elem, mult in items])
                       for m in _candidate_maps(items, table)]))

@@ -347,15 +347,15 @@ def _zsl_davenport_z3(cache_dir):
 
 def test_a_call_that_adds_no_memo_entry_leaves_the_cache_alone(tmp_path):
     cache_file = tmp_path / "zsl_kmax_cache.json"
-    assert _zsl_davenport_z3(tmp_path).returncode == 0
+    assert _zsl_cached(tmp_path, "davenport", "Z3", "--k", "2").returncode == 0
     written = cache_file.read_bytes()
     # a rewrite would stamp the file with the current time
     os.utime(cache_file, ns=(10**18, 10**18))
-    assert _zsl_davenport_z3(tmp_path).returncode == 0
+    assert _zsl_cached(tmp_path, "davenport", "Z3", "--k", "2").returncode == 0
     assert cache_file.read_bytes() == written
     assert cache_file.stat().st_mtime_ns == 10**18
     # a call that adds entries still writes them
-    assert _zsl_cached(tmp_path, "davenport", "Z4").returncode == 0
+    assert _zsl_cached(tmp_path, "davenport", "Z4", "--k", "2").returncode == 0
     assert cache_file.stat().st_mtime_ns != 10**18
     grown = json.loads(cache_file.read_text())["entries"]
     assert len(grown) > len(json.loads(written)["entries"])
@@ -476,13 +476,37 @@ def test_a_save_streams_the_bytes_of_one_json_dump(tmp_path, monkeypatch):
         assert memo == part
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the D_k scan trusts the memo's "
-                                       "k_max values; a forged one inside the bound is not caught")
+def test_davenport_without_k_adds_no_memo_entry_and_leaves_the_cache_alone(tmp_path):
+    # D = D_1 asks only whether a candidate is zero-sum free, which needs no k_max
+    cache_file = tmp_path / "zsl_kmax_cache.json"
+    cache_file.write_text(_GOOD_CACHE)
+    os.utime(cache_file, ns=(10**18, 10**18))
+    for spec, value in (("Z4", 4), ("Z2xZ4", 5)):
+        proc = _zsl_cached(tmp_path, "davenport", spec)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["value_Dk"] == value
+    assert cache_file.read_text() == _GOOD_CACHE
+    assert cache_file.stat().st_mtime_ns == 10**18
+    assert [p.name for p in tmp_path.iterdir()] == ["zsl_kmax_cache.json"]
+
+
 def test_a_forged_value_inside_the_bound_does_not_change_D(tmp_path):
-    # k_max([1,1,1,1,1] over Z6) is 0; a claimed 2 prunes the extremal sequence
+    # k_max([1,1,1,1,1] over Z6) is 0; the D_1 scan reads no k_max, so a
+    # claimed 2 cannot prune the extremal sequence
     (tmp_path / "zsl_kmax_cache.json").write_text(_entry([6], [[[1], 5]], 2))
     proc = _zsl_cached(tmp_path, "davenport", "Z6")
-    assert proc.returncode != 0 or json.loads(proc.stdout)["value_Dk"] == 6
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value_Dk"] == 6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the D_k scan for k >= 2 trusts the "
+                                       "memo's k_max values; a forged one inside the bound "
+                                       "is not caught")
+def test_a_forged_value_inside_the_bound_does_not_change_D_2(tmp_path):
+    # k_max of eleven 1s over Z6 is 1; a claimed 2 prunes the extremal sequence
+    (tmp_path / "zsl_kmax_cache.json").write_text(_entry([6], [[[1], 11]], 2))
+    proc = _zsl_cached(tmp_path, "davenport", "Z6", "--k", "2")
+    assert proc.returncode != 0 or json.loads(proc.stdout)["value_Dk"] == 12
 
 
 @pytest.mark.parametrize("blocked", ["cache-dir-is-a-file", "cache-file-is-a-directory"])

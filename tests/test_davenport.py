@@ -131,8 +131,8 @@ def _row(group, k, Dk, dk, witness, nodes, levels):
             "search_stats": {"nodes": nodes, "levels": levels}}
 
 
-def _table(A, k_upto):
-    reports = [r.as_dict() for r in davenport_table(A, k_upto)]
+def _table(A, k_upto, budget_seconds=None):
+    reports = [r.as_dict() for r in davenport_table(A, k_upto, budget_seconds=budget_seconds)]
     for report in reports:
         del report["search_stats"]["seconds"]
     return reports
@@ -166,11 +166,46 @@ def _table(A, k_upto):
         ]),
         (lambda: eta(Z2cubed), 8),
         (lambda: eta(Z3xZ3), 7),
+        # D = D_1 alone: the scan that keeps the zero-sum-free candidates
+        (lambda: _table(Z6, 1), [_row("Z6", 1, 6, 5, "[1,1,1,1,1]", 70, 6)]),
+        (lambda: _table(AbelianGroup((11,)), 1),
+         [_row("Z11", 1, 11, 10, "[" + ",".join(["1"] * 10) + "]", 626, 11)]),
+        (lambda: _table(Z2xZ4, 1),
+         [_row("Z2xZ4", 1, 5, 4, "[(0,1),(1,0),(1,1),(1,1)]", 77, 5)]),
+        (lambda: _table(Z3xZ3, 1),
+         [_row("Z3xZ3", 1, 5, 4, "[(0,1),(1,0),(1,2),(1,2)]", 31, 5)]),
+        (lambda: _table(AbelianGroup((2, 2, 4)), 1),
+         [_row("Z2xZ2xZ4", 1, 6, 5, "[(0,0,1),(0,1,0),(0,1,1),(1,0,0),(1,0,1)]", 274, 6)]),
+        (lambda: _table(AbelianGroup((2, 2, 2, 2)), 1),
+         [_row("Z2xZ2xZ2xZ2", 1, 5, 4, "[(0,0,0,1),(0,0,1,0),(0,1,0,0),(1,0,0,0)]", 14, 5)]),
+        (lambda: _table(AbelianGroup((17,)), 1, budget_seconds=60),
+         [_row("Z17", 1, 17, 16, "[" + ",".join(["1"] * 16) + "]", 8793, 17)]),
     ],
-    ids=["Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "eta-Z2xZ2xZ2", "eta-Z3xZ3"],
+    ids=["Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "eta-Z2xZ2xZ2", "eta-Z3xZ3", "D1-Z6", "D1-Z11",
+         "D1-Z2xZ4", "D1-Z3xZ3", "D1-Z2xZ2xZ4", "D1-Z2xZ2xZ2xZ2", "D1-Z17"],
 )
 def test_davenport_reports_are_pinned(compute, expected):
     assert compute() == expected
+
+
+def test_the_D1_scan_runs_no_k_max(monkeypatch):
+    # zero-sum freeness is all D_1 asks, so no candidate reaches the engine or the memo
+    calls = []
+    kmax_items = davenport._kmax_items
+
+    def counted(*args):
+        calls.append(args)
+        return kmax_items(*args)
+
+    memo = {}
+    monkeypatch.setattr(davenport, "_kmax_items", counted)
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", memo)
+    for A in (Z6, Z2xZ4, Z3xZ3, Z2cubed):
+        assert davenport_k(A).value_Dk == 1 + sum(n - 1 for n in A.factors)
+    assert calls == [] and memo == {}
+    # a D_2 scan still runs the engine
+    assert davenport_table(Z3, 2)[1].value_Dk == 6
+    assert calls and memo
 
 
 # --- capacity and budgets ---------------------------------------------------
@@ -454,6 +489,23 @@ def test_extensions_without_automorphisms_yield_every_extension(monkeypatch):
         frontier = extended
     # multisets of size 3 over the 7 non-zero elements
     assert len(frontier) == math.comb(7 + 2, 3)
+
+
+def test_canonical_items_under_the_identity_alone_are_the_items(monkeypatch):
+    # Aut(Z2) is trivial, and a refused Aut listing leaves only the identity
+    trivial = davenport._canonical_maps(Z2)
+
+    def unavailable(group):
+        raise CapacityError("no automorphisms", limit=0)
+
+    monkeypatch.setattr(davenport, "automorphism_group", unavailable)
+    refused = davenport._canonical_maps(Z2xZ4)
+    rng = random.Random(1211)
+    for A, table in ((Z2, trivial), (Z2xZ4, refused)):
+        assert len(table.maps) == 1
+        for _ in range(20):
+            items = _random_runs(A, rng)
+            assert _canonical_items(items, table) is items
 
 
 def test_levels_run_to_the_first_empty_level():

@@ -147,7 +147,8 @@ def _spy(monkeypatch, name):
         ("beta_k", ["beta", "reg(Z3)"]),
         ("verify_beta_equals_davenport", ["crosscheck", "Z2", "--k", "1"]),
         ("load_kmax_cache", ["davenport", "Z3"]),
-        ("save_kmax_cache", ["davenport", "Z3"]),
+        # D_1 reads no k_max, so only a D_2 scan adds memo entries to save
+        ("save_kmax_cache", ["davenport", "Z3", "--k", "2"]),
     ],
 )
 def test_main_calls_the_function_bound_on_cli(monkeypatch, tmp_path, capsys, name, argv):

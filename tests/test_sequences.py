@@ -19,6 +19,7 @@ from zerosumlab.errors import DomainError, ParseError, StructuralError, Verifica
 from zerosumlab.groups import AbelianGroup, automorphism_group, parse_groupspec
 from zerosumlab import davenport, sequences
 from zerosumlab.davenport import davenport_table, eta
+from zerosumlab.suite import _ORACLE_POOL
 from zerosumlab.sequences import (
     _KMAX_MEMO,
     BlockPacking,
@@ -240,6 +241,23 @@ def test_short_zero_sum_search_matches_the_definition():
     assert shortest_seen == {None, 1, 2, 3, 4, 5, 6}
 
 
+def test_zero_sum_test_matches_the_enumeration():
+    """D(A)'s subset-sum bitmask agrees with the oracle's enumeration of
+    every zero-sum sub-multiset on a seeded corpus over the oracle pool."""
+    rng = random.Random(1210)
+    pool = [parse_groupspec(spec) for spec in _ORACLE_POOL]
+    outcomes = set()
+    for _ in range(500):
+        A = rng.choice(pool)
+        elems = A.elements()
+        s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
+        items = _to_indices(A, s.items)
+        expected = bool(sequences._zero_sum_subitems(A, items))
+        assert sequences._has_zero_sum(A, items) == expected, s.literal()
+        outcomes.add((expected, A.zero in s.support()))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
 def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
     """Only ``k_max_naive`` enumerates every zero-sum sub-multiset, and only
     η runs the short zero-sum search; the engine, the D_k scan and the η
@@ -383,8 +401,12 @@ _LARGE_GROUP_CHILD = """
 import json, random, resource, sys, time, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from zerosumlab.groups import parse_groupspec
-from zerosumlab.sequences import (Sequence, k_max, k_max_naive, k_max_with_witness,
-                                  minimal_zero_sum_subsequences)
+from zerosumlab.sequences import (Sequence, _has_zero_sum, _to_indices, k_max, k_max_naive,
+                                  k_max_with_witness, minimal_zero_sum_subsequences)
+
+def has_zero_sum(S):
+    return _has_zero_sum(S.group, _to_indices(S.group, S.items))
+
 rng = random.Random(2020)
 out = []
 for spec in sys.argv[1:]:
@@ -395,7 +417,8 @@ for spec in sys.argv[1:]:
         S = Sequence.from_elements(A, x + [A.neg(A.add(x[0], x[1])), A.neg(x[2]),
                                            A.neg(A.add(x[2], x[3])), x[0]])
         values = []
-        for f in (k_max, k_max_naive, k_max_with_witness, minimal_zero_sum_subsequences):
+        for f in (k_max, k_max_naive, k_max_with_witness, minimal_zero_sum_subsequences,
+                  has_zero_sum):
             tracemalloc.start()
             start = time.perf_counter()
             result = f(S)
@@ -406,6 +429,7 @@ for spec in sys.argv[1:]:
             out.append([spec, f.__name__, seconds, peak])
         assert values[0] == values[1] == values[2] >= 2, S.literal()
         assert len(values[3]) >= 2, S.literal()
+        assert values[4] is True, S.literal()
 print(json.dumps(out))
 """
 
@@ -420,7 +444,7 @@ def test_engine_on_groups_of_order_2_to_the_20():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
-    assert len(calls) == 3 * 3 * 4
+    assert len(calls) == 3 * 3 * 5
     for spec, name, seconds, peak in calls:
         assert seconds < 1.0, (spec, name, seconds)
         assert peak < 16 << 20, (spec, name, peak)

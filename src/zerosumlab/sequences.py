@@ -26,11 +26,19 @@ other zero sums.  And k_max(S) ≤ k_max(S − x) + 1, since dropping the
 block that holds one copy of x from a packing of S leaves a packing of
 S − x; so the recursion stops at the first minimal block B with
 1 + k_max(S − B) > k_max(S − x).
+
+The oracle ``k_max_naive`` uses none of this.  Over every T ⊆ S it takes
+k(T) = [T ≠ ∅, σ(T) = 0] + max over x ∈ T of k(T − x), k(∅) = 0.  A
+packing of T − x packs T, plus the rest of T if σ(T) = 0, which is
+zero-sum and holds x.  If σ(T) ≠ 0, an optimal packing of T misses some
+x, so it packs T − x; if σ(T) = 0 it covers T (a zero-sum rest is one
+more block), so dropping the block that holds x leaves k − 1 in T − x.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 
@@ -215,32 +223,30 @@ def subtract(S: Sequence, T: Sequence) -> Sequence:
 # -- zero-sum sub-multiset enumeration ---------------------------------------
 
 
-def _zero_sum_subitems(group, items):
-    """All non-empty zero-sum sub-multisets of the int runs ``items``, in
-    lexicographic order of the multiplicity chosen for each run, first run
-    first.  Only the ``k_max_naive`` oracle enumerates them.
+def _subitem_sums(group, items):
+    """σ(T) as an index for each sub-multiset T of the int runs ``items``,
+    by code: T's copies of each run are its digits, in base mult + 1, the
+    first run most significant.
     """
     sums = group.sums()
-    # every choice of multiplicities so far: (index of its sum, choices in
-    # mixed radix with base mult + 1 per run)
-    states = [(0, 0)]
+    out = [0]
     for elem, mult in items:
         row = sums[elem]
         multiples = [0]
         for _ in range(mult):
             multiples.append(row[multiples[-1]])
-        shifts = [(sums[m], c) for c, m in enumerate(multiples)]
-        base = mult + 1
-        states = [(shift[t], code * base + c) for t, code in states for shift, c in shifts]
-    results = []
-    for code in [code for t, code in states if t == 0 and code]:
-        chosen = []
-        for elem, mult in reversed(items):
-            code, c = divmod(code, mult + 1)
-            if c:
-                chosen.append((elem, c))
-        results.append(tuple(reversed(chosen)))
-    return results
+        shifts = [sums[m] for m in multiples]
+        out = [shift[t] for t in out for shift in shifts]
+    return out
+
+
+def _zero_sum_subitems(group, items):
+    """All non-empty zero-sum sub-multisets of the int runs ``items``, in
+    code order.  Only the tests' definitional references enumerate them.
+    """
+    codes = itertools.product(*[range(mult + 1) for _, mult in items])
+    return [tuple([(elem, c) for (elem, _), c in zip(items, counts) if c])
+            for counts, t in zip(codes, _subitem_sums(group, items)) if t == 0 and any(counts)]
 
 
 def _has_short_zero_sum(group, items, bound) -> bool:
@@ -454,28 +460,30 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
 
 
 def k_max_naive(S: Sequence) -> int:
-    """Independent oracle: recursion over arbitrary zero-sum blocks.
-
-    No zero peeling, no minimality restriction, no shared memo — only a
-    per-call table so repeated sub-multisets aren't recomputed.  It shares
-    only the int-run encoding with the engine: it enumerates every zero-sum
-    sub-multiset with ``_zero_sum_subitems``, which the engine never calls.
+    """Independent oracle: k(T) = [T ≠ ∅, σ(T) = 0] + max over x ∈ T of
+    k(T − x) (module docstring), bottom-up over the codes of all T ⊆ S
+    (``_subitem_sums``); T − x is T's code less the stride of x's run.
+    No recursion, no memo: it shares only the int runs and the sums table
+    with the engine.
     """
     g = S.group
-    seen: dict = {}
-
-    def rec(items):
-        if items in seen:
-            return seen[items]
+    items = _to_indices(g, S.items)
+    sums = _subitem_sums(g, items)
+    digits = []  # (stride, base) of each run, last run first
+    stride = 1
+    for _, mult in reversed(items):
+        digits.append((stride, mult + 1))
+        stride *= mult + 1
+    k = [0] * len(sums)
+    for code in range(1, len(sums)):
         best = 0
-        for block in _zero_sum_subitems(g, items):
-            v = 1 + rec(_items_subtract(items, block))
-            if v > best:
-                best = v
-        seen[items] = best
-        return best
-
-    return rec(_to_indices(g, S.items))
+        for stride, base in digits:
+            if code // stride % base:  # T holds a copy of this run
+                v = k[code - stride]
+                if v > best:
+                    best = v
+        k[code] = best + (sums[code] == 0)
+    return k[-1]
 
 
 # -- canonical forms under automorphisms -------------------------------------
@@ -509,12 +517,9 @@ class _OrbitTable:
 
 def _candidate_maps(items, table):
     """The maps of ``table`` whose image of the non-empty int runs
-    ``items`` starts with the least possible first run.
-
-    That run is (t*, m0): t* is the least leader over the support and m0
-    the least multiplicity among the support elements led by t*.  A map
-    gives it exactly when it sends one of those tied elements to t*; the
-    maps are injective, so no two tied elements share a map.
+    ``items`` starts with the least possible first run (t*, m0): those
+    that send a support element with leader t* and multiplicity m0 to t*
+    (see ``davenport``).  Being injective, no two such elements share one.
     """
     leader = table.leader
     first = min([(leader[elem], mult) for elem, mult in items])
@@ -529,16 +534,9 @@ def _canonical_items(items, table):
     """Least image of the int runs ``items`` under the maps of ``table``
     (an ``_OrbitTable``, which holds the identity).
 
-    Only the candidates of ``_candidate_maps`` are scanned: the least
-    image starts with the least first run, and they are exactly the maps
-    whose image does.  This uses no group structure, only the map set.
-    The maps are injective, so mapped runs never need merging.
-
-    When the maps form a group, the candidates that fix a canonical
-    ``items`` are its stabiliser (``_stabiliser``), and items + g and
-    items + p(g) have the same least image for each p in it; so the
-    D_k/η scans extend an item by the least g of each stabiliser orbit
-    only (see ``davenport``).
+    Only the candidates of ``_candidate_maps`` are scanned (see
+    ``davenport``).  This uses no group structure, only the map set.  The
+    maps are injective, so mapped runs never need merging.
     """
     if not items or len(table.maps) == 1:  # the identity alone fixes everything
         return items
@@ -622,8 +620,6 @@ def parse_sequence(text: str, group: AbelianGroup) -> Sequence:
                 if s[pos] != ",":
                     raise ParseError("expected ',' between tuples", pos)
                 pos += 1
-    for x in elems:
-        group.check(x)
     return Sequence.from_elements(group, elems)
 
 

@@ -259,16 +259,17 @@ def test_zero_sum_test_matches_the_enumeration():
 
 
 def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
-    """Only ``k_max_naive`` enumerates every zero-sum sub-multiset, and only
-    η runs the short zero-sum search; the engine, the D_k scan and the η
+    """Only ``k_max_naive`` takes the sum of every sub-multiset (with
+    ``_subitem_sums``, which ``_zero_sum_subitems`` calls too), and only η
+    runs the short zero-sum search; the engine, the D_k scan and the η
     scan find blocks without either."""
     in_oracle = []
-    enumerate_zero_sums = sequences._zero_sum_subitems
+    subitem_sums = sequences._subitem_sums
 
-    def enumeration(*args, **kwargs):
+    def guarded_sums(*args, **kwargs):
         if not in_oracle:
-            raise AssertionError("the engine enumerated every zero-sum sub-multiset")
-        return enumerate_zero_sums(*args, **kwargs)
+            raise AssertionError("the engine took the sum of every sub-multiset")
+        return subitem_sums(*args, **kwargs)
 
     def short_search(*args):
         raise AssertionError("the k_max engine ran a second zero-sum search")
@@ -280,7 +281,7 @@ def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
         finally:
             in_oracle.pop()
 
-    monkeypatch.setattr(sequences, "_zero_sum_subitems", enumeration)
+    monkeypatch.setattr(sequences, "_subitem_sums", guarded_sums)
     monkeypatch.setattr(sequences, "_has_short_zero_sum", short_search)
     # davenport_table re-checks its witnesses with the oracle
     monkeypatch.setattr(davenport, "k_max_naive", oracle)
@@ -355,6 +356,88 @@ def test_engine_matches_naive_oracle():
         elems = A.elements()
         s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
         assert k_max(s) == k_max_naive(s), s.literal()
+
+
+def _k_max_by_definition(S):
+    """k_max as the largest 1 + k_max(S − B) over the non-empty zero-sum
+    sub-multisets B of S (0 if there is none), with a per-call table."""
+    A = S.group
+    seen = {}
+
+    def rec(items):
+        if items not in seen:
+            seen[items] = max([1 + rec(_items_subtract(items, block))
+                               for block in sequences._zero_sum_subitems(A, items)],
+                              default=0)
+        return seen[items]
+
+    return rec(_to_indices(A, S.items))
+
+
+def _oracle_pool_corpus():
+    rng = random.Random(1211)
+    pool = [parse_groupspec(spec) for spec in _ORACLE_POOL]
+    for _ in range(500):
+        A = rng.choice(pool)
+        elems = A.elements()
+        entries = [rng.choice(elems) for _ in range(rng.randint(0, 8))]
+        yield Sequence.from_elements(A, entries), None
+
+
+def _long_sequences():
+    """Length 6 to 14 from supports of 1 to 4 elements, so that runs are long."""
+    rng = random.Random(1212)
+    groups = [parse_groupspec(spec) for spec in ("Z2xZ2xZ2", "Z2xZ2xZ4", "Z2xZ2xZ2xZ2")]
+    for _ in range(300):
+        A = rng.choice(groups)
+        support = rng.sample(A.elements(), rng.randint(1, 4))
+        entries = [rng.choice(support) for _ in range(rng.randint(6, 14))]
+        yield Sequence.from_elements(A, entries), None
+
+
+def _edge_cases():
+    """∅, runs of zeros, Z1 and single runs of x, with their k_max."""
+    for spec in ("Z1", "Z2", "Z6", "Z2xZ4", "Z2xZ2xZ2xZ2"):
+        A = parse_groupspec(spec)
+        for n in range(9):
+            yield Sequence(A, [(A.zero, n)] if n else []), n
+        for x in A.elements()[1:]:
+            order = next(n for n in range(1, A.order + 1) if A.scale(n, x) == A.zero)
+            for n in range(1, 13):
+                yield Sequence(A, [(x, n)]), n // order
+
+
+@pytest.mark.parametrize("inputs", [_oracle_pool_corpus, _long_sequences, _edge_cases],
+                         ids=["corpus", "long", "edges"])
+def test_oracle_engine_and_definition_agree(inputs):
+    values = set()
+    for s, expected in inputs():
+        value = _k_max_by_definition(s)
+        assert k_max_naive(s) == k_max(s) == value, s.literal()
+        assert expected in (None, value), s.literal()
+        values.add(value)
+    assert len(values) >= 4
+
+
+def test_the_oracle_ignores_a_poisoned_memo(monkeypatch):
+    """Every sub-multiset of the checked sequences has a wrong memo entry:
+    the engine returns it, and ``k_max_naive`` still returns the truth."""
+    memo = {}
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", memo)
+    rng = random.Random(1213)
+    cases = []
+    for A in (Z4, V4, AbelianGroup((6,)), AbelianGroup((2, 4))):
+        elems = A.elements()
+        for _ in range(25):
+            s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(1, 8))])
+            runs = _to_indices(A, s.items)
+            for counts in itertools.product(*(range(m + 1) for _, m in runs)):
+                sub = tuple((elem, c) for (elem, _), c in zip(runs, counts) if c)
+                memo[A.factors, sub] = sum(counts) + 1  # above any k_max
+            cases.append(s)
+    for s in cases:
+        assert k_max(s) == len(s) + 1, s.literal()
+        assert k_max_naive(s) == _k_max_by_definition(s) <= len(s), s.literal()
 
 
 def test_k_max_superadditive_under_concat():

@@ -326,8 +326,11 @@ def main(argv=None) -> int:
     cache_dir = os.environ.get(ZSL_CACHE_ENV) if args.command in _KMAX_COMMANDS else None
     on_disk = 0
     if cache_dir:
-        from .sequences import _KMAX_MEMO
+        from .sequences import _CACHE_FILE, _KMAX_MEMO
 
+        # a missing file is written even from an empty memo, so that each
+        # such call leaves a cache behind
+        missing = not os.path.exists(os.path.join(cache_dir, _CACHE_FILE))
         try:
             on_disk = _bound("load_kmax_cache")(cache_dir)
         except ValidationError as exc:
@@ -347,7 +350,7 @@ def main(argv=None) -> int:
     finally:
         # the memo holds every key of the file, so equal sizes mean the
         # file already holds the memo and is left alone
-        if cache_dir and len(_KMAX_MEMO) != on_disk:
+        if cache_dir and (missing or len(_KMAX_MEMO) != on_disk):
             try:
                 _bound("save_kmax_cache")(cache_dir)
             except ValidationError as exc:

@@ -1,38 +1,59 @@
 """Exact D_k(A), d_k(A), η(A), σ values and eventual-linearity profiles.
 
 D_k and η come out of one frontier scan (``_levels``), which walks lengths
-upward keeping at each length the canonical multisets over A∖{0} that a
-predicate keeps: the "bad" ones (k_max ≤ k−1) for D_k, those with no
-non-empty zero-sum block of length ≤ exp(A) for η.  For D = D_1 the bad
-ones are the zero-sum-free ones, and a table that stops at k = 1 asks
-only that, with one subset-sum bitmask per candidate (``_has_zero_sum``):
-it runs no k_max and neither reads nor fills the memo.  Both properties are
-closed under sub-multisets, so every kept multiset of length n extends a
-kept one of length n−1 — extending the previous level by single elements
-and deduplicating canonical forms is a complete enumeration.  D_k and η
-are the first length with nothing kept.  The D_k scan is bounded a priori
-by k·D(A) ≤ k·|A|; the η scan keeps fewer than exp(A) copies of each
-element, so it ends by length (|A|−1)·(exp(A)−1) + 1.  Zero entries are
-handled analytically: each is exactly one block, and appending a non-zero
-entry to a zero-free bad sequence shows zeros never lengthen extremal
-sequences, so the search runs over A∖{0}.  The scans work on int runs
-(element indices, see ``sequences``) and decode only the reported witness.
+upward keeping at each length the canonical multisets over A∖{0} whose
+value stays below a limit.  The value is the recurrence of the oracle
+``k_max_naive``, with the zero-sum term capped by length:
+
+    v(∅) = 0,  v(C) = [σ(C) = 0 and |C| ≤ cap] + max over x ∈ C of v(C − x).
+
+With no cap v is k_max, and D_k keeps v < k (k = k_upto; a table that
+stops at k = 1 keeps the zero-sum-free multisets).  With cap = exp(A) and
+limit 1, v(C) = 0 says that C has no non-empty zero-sum block of length
+≤ exp(A), which is η's test.  v never falls when an entry is added, so the
+kept set is closed under sub-multisets: every kept multiset of length n
+extends a kept one of length n−1, and C can be kept only if every parent
+C − x was.  So C is decided from the previous level alone, with no k_max
+engine and no memo.  D_k and η are the first length with nothing kept.
+The D_k scan is bounded a priori by k·D(A) ≤ k·|A|; the η scan keeps fewer
+than exp(A) copies of each element, so it ends by length
+(|A|−1)·(exp(A)−1) + 1.  Zero entries are handled analytically: each is
+exactly one block, and appending a non-zero entry to a zero-free bad
+sequence shows zeros never lengthen extremal sequences, so the search runs
+over A∖{0}.  The scans work on int runs (element indices, see
+``sequences``) and decode only the reported witness.
 
 Canonical forms are least images under Aut(A), found from an orbit table
 (``_canonical_maps``): leader[x] is the least element of x's orbit and
-to_leader[x] the automorphisms that send x there.  Two arguments keep the
-scans exact while skipping work:
+to_leader[x] the automorphisms that send x there.  Three arguments keep
+the scans exact while skipping work:
 
 * The least image of a multiset starts with the run (t*, m0), t* the least
   leader over its support and m0 the least multiplicity among the support
   elements led by t*.  Every map reaching the least image sends one of
   those tied elements to t*, so only their to_leader lists are scanned.
-* Each frontier item is canonical, so its stabiliser is the set of scanned
-  maps that fix it.  For p in it, items + g = p(items + g′) with
-  g′ = p⁻¹(g), so items + g and items + g′ share a canonical form.  Only
-  the least g of each stabiliser orbit is appended; the others give
-  candidates already met from the same parent, so the order in which
-  candidates are first met is unchanged.
+  The maps that reach it form a coset of its stabiliser, so their number
+  (the ``ties`` of ``_canonical_items``) is |Stab(C)|.
+* Each frontier item P is canonical, so its stabiliser is the set of
+  scanned maps that fix it.  For p in it, P + g = p(P + g′) with
+  g′ = p⁻¹(g), so P + g and P + g′ share a canonical form.  Only the least
+  g of each Stab(P)-orbit (a "first") is appended, and each candidate is
+  examined once, in the order it is first met.
+* Whether every parent of C was kept comes from counting, not from
+  canonicalising each C − x.  Each kept P and first g with can(P + g) = C
+  credits C with |Aut| / |Stab(P)_g|, the size of the Aut-orbit of the
+  pair (P, g); Stab(P)_g fixes P and g.  Count the pairs (D, y) with
+  can(D) kept and D + y in the orbit of C in two ways: by Aut-orbits of
+  pairs, each holding exactly one (P, first g) above, and by the
+  |Aut| / |Stab(C)| images of C, each of which splits as D + y in one way
+  per x ∈ supp C with C − x kept.
+  So the credits of C add up to (|Aut| / |Stab(C)|)·#{x : C − x kept}, and
+  every parent was kept iff they reach |supp C|·|Aut| / |Stab(C)|.  Every
+  kept parent's orbit holds some such P, so the max over parents is the
+  max of v(P) over the same pairs.  Each orbit is examined once, as in
+  McKay's isomorph-free generation (J. Algorithms 26, 1998), though with
+  no canonical construction path: a candidate met again only collects
+  credit.
 """
 
 from __future__ import annotations
@@ -47,10 +68,8 @@ from .sequences import (
     Sequence,
     _OrbitTable,
     _canonical_items,
-    _has_short_zero_sum,
-    _has_zero_sum,
     _items_add_one,
-    _kmax_items,
+    _kmax_items,  # no scan calls it; perfbench's tracer wraps it here
     _stabiliser,
     _to_elements,
     k_max_naive,
@@ -124,28 +143,6 @@ def _canonical_maps(A: AbelianGroup) -> _OrbitTable:
     return _OrbitTable(list(dict.fromkeys([identity, *perms])), range(A.order))
 
 
-def _extensions(A: AbelianGroup, frontier, table):
-    """Each distinct canonical one-element extension of ``frontier``, once.
-
-    Only non-zero elements (indices 1..|A|-1) are appended; see the module
-    docstring.  Of each orbit of an item's stabiliser on them only the
-    least element is appended.
-    """
-    seen = set()
-    for items in frontier:
-        stab = _stabiliser(items, table)
-        firsts = range(1, A.order)
-        if len(stab) > 1:  # most items are fixed by the identity alone
-            # images[g]: the images of g under the maps that fix items
-            images = list(zip(*stab))
-            firsts = [g for g in firsts if min(images[g]) == g]
-        for g in firsts:
-            cand = _canonical_items(_items_add_one(items, g), table)
-            if cand not in seen:
-                seen.add(cand)
-                yield cand
-
-
 def _check_budget(budget_seconds):
     if budget_seconds is not None and not 0 < budget_seconds < math.inf:  # NaN never trips
         raise DomainError(f"budget must be finite and positive, got {budget_seconds}")
@@ -161,38 +158,77 @@ def _require_capacity(A: AbelianGroup, budget_seconds):
         )
 
 
-def _levels(A: AbelianGroup, keep, budget_seconds, partial):
+def _firsts(items, table, plain):
+    """(g, credit) for each first g of the canonical int runs ``items``:
+    the least g of each Stab(items)-orbit on A∖{0}, credited
+    |Aut| / |Stab(items)_g| = |Aut|·|orbit of g| / |Stab(items)|.
+    ``plain`` lists (g, |Aut|) for every g ≠ 0, the answer when only the
+    identity fixes ``items``.
+    """
+    stab = _stabiliser(items, table)
+    if len(stab) == 1:  # most items are fixed by the identity alone
+        return plain
+    images = list(zip(*stab))  # images[g]: the Stab(items)-orbit of g
+    return [(g, len(table.maps) * len(set(images[g])) // len(stab))
+            for g, _ in plain if min(images[g]) == g]
+
+
+def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
     """The frontier scan behind D_k and η: yields (length, survivors, nodes)
     for lengths 1, 2, … up to and including the first empty level.
 
-    ``survivors`` maps each canonical candidate of that length for which
-    ``keep`` returns a value other than None to that value; candidates
-    extend the previous level's survivors (see the module docstring).
-    ``nodes`` counts the distinct candidates examined so far.  The clock
-    is read every 256 candidates; past ``budget_seconds`` the scan raises
-    CapacityError carrying ``partial``.
+    ``survivors`` maps each canonical multiset of that length with every
+    parent kept and v < ``limit`` to its v, the value of the module
+    docstring with the zero-sum term counted up to length ``cap`` (None:
+    no cap).  ``nodes`` counts the distinct candidates examined so far.
+    The clock is read every 256 candidates; past ``budget_seconds`` the
+    scan raises CapacityError carrying ``partial``.
+
+    Each candidate holds one int, missing·(limit + 1) + best: ``missing``
+    is the credit it still lacks and ``best`` the largest v(P) + [σ = 0]
+    over the pairs met so far, which is v(C) once nothing is missing.
     """
     _require_capacity(A, budget_seconds)
     t0 = time.monotonic()
     table = _canonical_maps(A)
-    survivors = {(): None}
+    order = len(table.maps)
+    sums = A.sums()
+    base = limit + 1
+    plain = [(g, order) for g in range(1, A.order)]
+    survivors = {(): 0}
     length = nodes = 0
     while survivors:
         length += 1
-        frontier, survivors = survivors, {}
-        for cand in _extensions(A, frontier, table):
-            nodes += 1
-            if budget_seconds is not None and nodes % 256 == 0:
-                if time.monotonic() - t0 > budget_seconds:
-                    raise CapacityError(
-                        f"time budget of {budget_seconds}s exhausted at "
-                        f"length {length} for {A.spec()}",
-                        limit=budget_seconds,
-                        partial=partial,
-                    )
-            value = keep(cand)
-            if value is not None:
-                survivors[cand] = value
+        counts_zero = cap is None or length <= cap
+        frontier, cands = survivors, {}
+        for items, value in frontier.items():
+            total = 0  # σ(P)
+            for elem, mult in items:
+                row = sums[elem]
+                for _ in range(mult):
+                    total = row[total]
+            for g, credit in _firsts(items, table, plain):
+                cand, ties = _canonical_items(_items_add_one(items, g), table)
+                best = value + (counts_zero and sums[g][total] == 0)
+                packed = cands.get(cand)
+                if packed is None:
+                    nodes += 1
+                    if budget_seconds is not None and nodes % 256 == 0:
+                        if time.monotonic() - t0 > budget_seconds:
+                            raise CapacityError(
+                                f"time budget of {budget_seconds}s exhausted at "
+                                f"length {length} for {A.spec()}",
+                                limit=budget_seconds,
+                                partial=partial,
+                            )
+                    # ties = |Stab(C)|: C is owed |supp C|·|Aut| / |Stab(C)|
+                    cands[cand] = (len(cand) * order // ties - credit) * base + best
+                else:
+                    packed -= credit * base
+                    if best > packed % base:
+                        packed += best - packed % base
+                    cands[cand] = packed
+        survivors = {cand: packed for cand, packed in cands.items() if packed < limit}
         yield length, survivors, nodes
 
 
@@ -219,21 +255,12 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
             )
         return reports
 
-    if k_upto == 1:
-        # D_1 keeps the zero-sum-free candidates, those with k_max = 0
-        def bad(items):
-            return None if _has_zero_sum(A, items) else 0
-    else:
-        def bad(items):
-            km = _kmax_items(A, items)
-            return km if km < k_upto else None
-
     t0 = time.monotonic()
     cutoff = k_upto * A.order + 1
     resolved_D: dict[int, int] = {}
     witnesses: dict[int, tuple] = {}
     previous = {(): 0}
-    for level, survivors, nodes in _levels(A, bad, budget_seconds, resolved_D):
+    for level, survivors, nodes in _levels(A, k_upto, None, budget_seconds, resolved_D):
         if level > cutoff:
             raise VerificationError(
                 f"scan passed the certified cutoff {cutoff} for {A.spec()}; "
@@ -278,11 +305,9 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
     >>> eta(AbelianGroup((2, 2)))
     4
     """
-    def free(items):
-        return None if _has_short_zero_sum(A, items, A.exponent) else True
-
-    return next(level for level, survivors, _ in _levels(A, free, budget_seconds, None)
-                if not survivors)
+    # limit 1 and cap exp(A): a kept multiset has no short zero-sum block
+    levels = _levels(A, 1, A.exponent, budget_seconds, None)
+    return next(level for level, survivors, _ in levels if not survivors)
 
 
 def sigma_abelian(A: AbelianGroup) -> int:

@@ -81,11 +81,28 @@ class Sequence:
 
     @classmethod
     def from_elements(cls, group: AbelianGroup, elements) -> "Sequence":
+        """The multiset of ``elements``.  Each element object is checked
+        once: a copy that is the very object first met under its key needs
+        no second look, and an equal copy of another type, such as
+        (1.0,) after (1,), is checked on its own."""
         counts: dict = {}
+        firsts: dict = {}  # key -> the object first met under it
         for x in elements:
-            group.check(x)
+            try:
+                first = firsts.get(x)
+            except TypeError:  # unhashable: let check name the fault
+                group.check(x)
+                raise
+            if first is not x:
+                group.check(x)
+                if first is None:
+                    firsts[x] = x
             counts[x] = counts.get(x, 0) + 1
-        return cls(group, counts.items())
+        seq = cls.__new__(cls)
+        seq.group = group
+        seq.items = tuple(sorted(counts.items()))
+        seq.length = sum(counts.values())
+        return seq
 
     @classmethod
     def empty(cls, group: AbelianGroup) -> "Sequence":
@@ -247,47 +264,6 @@ def _zero_sum_subitems(group, items):
     codes = itertools.product(*[range(mult + 1) for _, mult in items])
     return [tuple([(elem, c) for (elem, _), c in zip(items, counts) if c])
             for counts, t in zip(codes, _subitem_sums(group, items)) if t == 0 and any(counts)]
-
-
-def _has_short_zero_sum(group, items, bound) -> bool:
-    """Any non-empty zero-sum sub-multiset of the int runs ``items`` of
-    length <= bound?
-
-    This is η's test (bound = exp(A)).  ``reach[l]`` is the bitmask of the
-    sums of the length-l sub-multisets of the copies taken so far, moved by
-    ``translate`` like the subset sums of ``_pivot_blocks``: a new copy of
-    g adds reach[l − 1] + g to reach[l], longest l first, so that the copy
-    is used at most once.
-    """
-    table = group.translations()
-    reach = [1] + [0] * bound
-    for elem, mult in items:
-        moves = table[elem][1]
-        for _ in range(min(mult, bound)):
-            for l in range(bound, 0, -1):
-                reach[l] |= translate(reach[l - 1], moves)
-    return any(mask & 1 for mask in reach[1:])
-
-
-def _has_zero_sum(group, items) -> bool:
-    """Any non-empty zero-sum sub-multiset of the int runs ``items``?
-
-    This is D(A)'s test: ``items`` counts towards D(A) iff it is zero-sum
-    free.  ``sums`` is the bitmask of the non-empty subset sums of the
-    copies taken so far; a new copy of g turns it into
-    sums | (sums + g) | {g}, as in ``_pivot_blocks``, and the search stops
-    once 0 is one of them.
-    """
-    table = group.translations()
-    sums = 0
-    for elem, mult in items:
-        moves = table[elem][1]
-        bit = 1 << elem
-        for _ in range(mult):
-            sums |= translate(sums, moves) | bit
-            if sums & 1:
-                return True
-    return False
 
 
 def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
@@ -531,17 +507,22 @@ def _candidate_maps(items, table):
 
 
 def _canonical_items(items, table):
-    """Least image of the int runs ``items`` under the maps of ``table``
-    (an ``_OrbitTable``, which holds the identity).
+    """(least image, ties) of the int runs ``items`` under the maps of
+    ``table`` (an ``_OrbitTable``, which holds the identity).
 
-    Only the candidates of ``_candidate_maps`` are scanned (see
-    ``davenport``).  This uses no group structure, only the map set.  The
-    maps are injective, so mapped runs never need merging.
+    ``ties`` counts the maps that reach the least image.  They form a coset
+    of the least image's stabiliser, and every one of them is a candidate
+    of ``_candidate_maps``, so ``ties`` is the order of that stabiliser.
+    Only those candidates are scanned (see ``davenport``).  This uses no
+    group structure, only the map set.  The maps are injective, so mapped
+    runs never need merging.
     """
     if not items or len(table.maps) == 1:  # the identity alone fixes everything
-        return items
-    return tuple(min([sorted([(m[elem], mult) for elem, mult in items])
-                      for m in _candidate_maps(items, table)]))
+        return items, len(table.maps)
+    images = [sorted([(m[elem], mult) for elem, mult in items])
+              for m in _candidate_maps(items, table)]
+    least = min(images)
+    return tuple(least), images.count(least)
 
 
 def _stabiliser(items, table):
@@ -550,7 +531,7 @@ def _stabiliser(items, table):
     ``items`` is its own least image, so each map fixing it is one of
     its candidates.
     """
-    if not items:
+    if not items or len(table.maps) == 1:
         return table.maps
     runs = list(items)
     return [m for m in _candidate_maps(items, table)
@@ -573,7 +554,7 @@ def canonical_form(S: Sequence, auts) -> Sequence:
     runs = _to_indices(g, S.items)
     maps = [tuple(range(g.order))] + [aut.perm for aut in auts]
     table = _OrbitTable(maps, [i for i, _ in runs])
-    return Sequence(g, _to_elements(g, _canonical_items(runs, table)))
+    return Sequence(g, _to_elements(g, _canonical_items(runs, table)[0]))
 
 
 # -- sequence literals --------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import os
 import re
@@ -14,8 +15,9 @@ import zerosumlab
 from zerosumlab import (
     AbelianGroup,
     PresentedGradedAlgebra,
+    Sequence,
     ValidationError,
-    davenport_table,
+    k_max,
     load_kmax_cache,
     save_kmax_cache,
     sequences,
@@ -306,24 +308,32 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
 
 # --- the k_max cache ------------------------------------------------------------------
 
+# verify-all on one small group still queries k_max (the engine-vs-oracle
+# corpus), so it fills the memo; the D_k and η scans do not
+
 def test_cache_spill_and_reload(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ZSL_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "davenport", "Z2xZ2", "--k", "2")
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", {})
+    code, _, _ = run(capsys, "verify-all", "--groups", "Z3")
     assert code == 0
     cache_file = tmp_path / "zsl_kmax_cache.json"
     assert cache_file.exists()
     data = json.loads(cache_file.read_text())
     assert data["schema_version"] == 1
     assert data["entries"]
-    # a second invocation loads the cache without error
-    code, _, _ = run(capsys, "davenport", "Z2xZ2", "--k", "2")
+    # a second invocation, from an empty memo as in a new process, loads it
+    memo = {}
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", memo)
+    code, _, _ = run(capsys, "verify-all", "--groups", "Z3")
     assert code == 0
+    assert len(memo) == len(data["entries"])
 
 
 def test_cache_save_leaves_only_the_cache_file(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ZSL_CACHE_DIR", str(tmp_path))
     for _ in range(2):
-        code, _, _ = run(capsys, "davenport", "Z3", "--k", "2")
+        monkeypatch.setattr(sequences, "_KMAX_MEMO", {})
+        code, _, _ = run(capsys, "verify-all", "--groups", "Z3")
         assert code == 0
         assert [p.name for p in tmp_path.iterdir()] == ["zsl_kmax_cache.json"]
         assert json.loads((tmp_path / "zsl_kmax_cache.json").read_text())["entries"]
@@ -347,19 +357,37 @@ def _zsl_davenport_z3(cache_dir):
 
 def test_a_call_that_adds_no_memo_entry_leaves_the_cache_alone(tmp_path):
     cache_file = tmp_path / "zsl_kmax_cache.json"
-    assert _zsl_cached(tmp_path, "davenport", "Z3", "--k", "2").returncode == 0
+    assert _zsl_cached(tmp_path, "verify-all", "--groups", "Z3").returncode == 0
     written = cache_file.read_bytes()
+    assert json.loads(written)["entries"]
     # a rewrite would stamp the file with the current time
     os.utime(cache_file, ns=(10**18, 10**18))
-    assert _zsl_cached(tmp_path, "davenport", "Z3", "--k", "2").returncode == 0
+    assert _zsl_cached(tmp_path, "verify-all", "--groups", "Z3").returncode == 0
     assert cache_file.read_bytes() == written
     assert cache_file.stat().st_mtime_ns == 10**18
     # a call that adds entries still writes them
-    assert _zsl_cached(tmp_path, "davenport", "Z4", "--k", "2").returncode == 0
+    assert _zsl_cached(tmp_path, "verify-all", "--groups", "Z4").returncode == 0
     assert cache_file.stat().st_mtime_ns != 10**18
     grown = json.loads(cache_file.read_text())["entries"]
     assert len(grown) > len(json.loads(written)["entries"])
     assert [4] in [factors for factors, _, _ in grown]
+
+
+def test_a_kmax_command_writes_a_missing_cache_even_from_an_empty_memo(tmp_path):
+    # no D_k scan adds a memo entry, yet a k_max command leaves a cache file
+    cache_file = tmp_path / "zsl_kmax_cache.json"
+    proc = _zsl_cached(tmp_path, "davenport", "Z6", "--k", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value_Dk"] == 18
+    assert json.loads(cache_file.read_text()) == {"schema_version": 1, "entries": []}
+    # once it exists, a call that adds nothing leaves it alone
+    os.utime(cache_file, ns=(10**18, 10**18))
+    assert _zsl_cached(tmp_path, "dk-table", "Z6", "--k-upto", "3").returncode == 0
+    assert cache_file.stat().st_mtime_ns == 10**18
+    # a command that never queries k_max writes none
+    cache_file.unlink()
+    assert _zsl_cached(tmp_path, "eta", "Z3").returncode == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 _RING = ("ring-beta", "--gens", "a:1,b:3", "--rels", "b^3-a^9, a*b^2-a^7",
@@ -459,8 +487,11 @@ def _one_json_dump(memo):
 def test_a_save_streams_the_bytes_of_one_json_dump(tmp_path, monkeypatch):
     memo = {}
     monkeypatch.setattr(sequences, "_KMAX_MEMO", memo)
-    davenport_table(AbelianGroup((2, 2)), 2)
-    davenport_table(AbelianGroup((6,)), 3)
+    # every multiset of length 4 over Z2×Z2 and of length 8 over Z6
+    for factors, length in (((2, 2), 4), ((6,), 8)):
+        A = AbelianGroup(factors)
+        for entries in itertools.combinations_with_replacement(A.elements(), length):
+            k_max(Sequence.from_elements(A, entries))
     full = dict(memo)
     keys = sorted(full)
     cut = sequences._SAVE_SLICE
@@ -477,7 +508,7 @@ def test_a_save_streams_the_bytes_of_one_json_dump(tmp_path, monkeypatch):
 
 
 def test_davenport_without_k_adds_no_memo_entry_and_leaves_the_cache_alone(tmp_path):
-    # D = D_1 asks only whether a candidate is zero-sum free, which needs no k_max
+    # the D_k scans decide each candidate from the previous level, with no k_max
     cache_file = tmp_path / "zsl_kmax_cache.json"
     cache_file.write_text(_GOOD_CACHE)
     os.utime(cache_file, ns=(10**18, 10**18))
@@ -499,11 +530,9 @@ def test_a_forged_value_inside_the_bound_does_not_change_D(tmp_path):
     assert json.loads(proc.stdout)["value_Dk"] == 6
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the D_k scan for k >= 2 trusts the "
-                                       "memo's k_max values; a forged one inside the bound "
-                                       "is not caught")
 def test_a_forged_value_inside_the_bound_does_not_change_D_2(tmp_path):
-    # k_max of eleven 1s over Z6 is 1; a claimed 2 prunes the extremal sequence
+    # k_max of eleven 1s over Z6 is 1; a claimed 2 would prune the extremal
+    # sequence of a scan that read the memo, and no scan does
     (tmp_path / "zsl_kmax_cache.json").write_text(_entry([6], [[[1], 11]], 2))
     proc = _zsl_cached(tmp_path, "davenport", "Z6", "--k", "2")
     assert proc.returncode != 0 or json.loads(proc.stdout)["value_Dk"] == 12

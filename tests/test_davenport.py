@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -9,10 +10,12 @@ import pytest
 from zerosumlab import davenport, sequences
 from zerosumlab.groups import automorphism_group, factorize
 from zerosumlab.sequences import (
+    Sequence,
     _candidate_maps,
     _canonical_items,
     _items_add_one,
     _stabiliser,
+    _to_elements,
 )
 from zerosumlab import (
     AbelianGroup,
@@ -21,6 +24,7 @@ from zerosumlab import (
     davenport_k,
     davenport_table,
     eta,
+    k_max,
     k_max_naive,
     linearity_profile,
     parse_sequence,
@@ -188,24 +192,83 @@ def test_davenport_reports_are_pinned(compute, expected):
     assert compute() == expected
 
 
+class _WatchedMemo(dict):
+    """A k_max memo that records every read and write."""
+
+    def __init__(self, touched):
+        super().__init__()
+        self.touched = touched
+
+    def get(self, key, default=None):
+        self.touched.append(("get", key))
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.touched.append(("contains", key))
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.touched.append(("getitem", key))
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.touched.append(("setitem", key))
+        super().__setitem__(key, value)
+
+
 def test_the_D1_scan_runs_no_k_max(monkeypatch):
-    # zero-sum freeness is all D_1 asks, so no candidate reaches the engine or the memo
-    calls = []
+    # every D_k and η scan decides a candidate from the previous level, so no
+    # candidate reaches the engine or the memo, whatever k is
+    calls, touched = [], []
     kmax_items = davenport._kmax_items
 
     def counted(*args):
         calls.append(args)
         return kmax_items(*args)
 
-    memo = {}
     monkeypatch.setattr(davenport, "_kmax_items", counted)
-    monkeypatch.setattr(sequences, "_KMAX_MEMO", memo)
+    monkeypatch.setattr(sequences, "_kmax_items", counted)
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", _WatchedMemo(touched))
     for A in (Z6, Z2xZ4, Z3xZ3, Z2cubed):
-        assert davenport_k(A).value_Dk == 1 + sum(n - 1 for n in A.factors)
-    assert calls == [] and memo == {}
-    # a D_2 scan still runs the engine
-    assert davenport_table(Z3, 2)[1].value_Dk == 6
-    assert calls and memo
+        n1, n2 = (1, *A.factors) if A.rank == 1 else A.factors[-2:]
+        table = [r.value_Dk for r in davenport_table(A, 3)]
+        if A.rank <= 2:
+            assert table == [n1 + k * n2 - 1 for k in (1, 2, 3)]
+            assert eta(A) == 2 * n1 + n2 - 2
+        else:
+            assert table == [4, 7, 9]
+            assert eta(A) == 8
+    assert calls == [] and touched == []
+    # the public k_max still runs the engine through the memo
+    assert k_max(parse_sequence("[1,1,1,1,1,1]", Z3)) == 2
+    assert calls and touched
+
+
+class _PoisonedMemo(dict):
+    """A k_max memo that claims ``value`` for every key."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def get(self, key, default=None):
+        return self.value
+
+    def __contains__(self, key):
+        return True
+
+    def __getitem__(self, key):
+        return self.value
+
+
+@pytest.mark.parametrize("poison", [0, 1, 99], ids=["zero", "one", "high"])
+def test_a_poisoned_memo_changes_no_report(monkeypatch, poison):
+    # a memo that answers 0 would keep every candidate of a scan that read it,
+    # one that answers 99 would keep none; the scans read no memo
+    cases = [(Z6, 3), (Z2xZ4, 2), (Z3xZ3, 2), (Z2cubed, 3), (TRIVIAL, 2)]
+    clean = [_table(A, k) for A, k in cases] + [eta(A) for A, _ in cases]
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", _PoisonedMemo(poison))
+    assert [_table(A, k) for A, k in cases] + [eta(A) for A, _ in cases] == clean
 
 
 # --- capacity and budgets ---------------------------------------------------
@@ -428,7 +491,9 @@ def test_canonical_items_is_the_least_image_and_its_stabiliser(A, monkeypatch):
         items = _random_runs(A, rng)
         images = [_image(perm, items) for perm in perms]
         least = tuple(min(images))
-        assert _canonical_items(items, table) == least, items
+        assert _canonical_items(items, table) == (least, images.count(list(least))), items
+        # the ties are the maps onto the least image, a coset of its stabiliser
+        assert _canonical_items(items, table)[1] == len(_stabiliser(least, table)), items
         if not items:
             continue
         # the scanned maps are exactly those that reach the least first run
@@ -451,6 +516,38 @@ def _unpruned_extensions(A, frontier, perms):
     return list(out)
 
 
+def _parents(items):
+    """C − x for each distinct x in the int runs ``items``."""
+    return [tuple((e, m - (e == x)) for e, m in items if m > (e == x)) for x, _ in items]
+
+
+def _check_levels(A, perms, limit, cap, depth):
+    """Each of the first ``depth`` levels of ``_levels`` against a
+    brute-force scan: the candidates are every extension of the previous
+    level, and a candidate survives iff every parent did and its value,
+    k_max_naive (or a short zero sum for a cap), is below ``limit``."""
+    previous = {(): 0}
+    nodes = 0
+    for level, survivors, seen in itertools.islice(
+            davenport._levels(A, limit, cap, None, None), depth):
+        candidates = _unpruned_extensions(A, previous, perms)
+        expected = {}
+        for cand in candidates:
+            if all(_least_image(p, perms) in previous for p in _parents(cand)):
+                S = Sequence(A, _to_elements(A, cand))
+                if cap is None:
+                    value = k_max_naive(S)
+                else:
+                    value = int(any(sum(m for _, m in block) <= cap for block in
+                                    sequences._zero_sum_subitems(A, cand)))
+                if value < limit:
+                    expected[cand] = value
+        assert seen - nodes == len(candidates), level
+        assert list(survivors.items()) == list(expected.items()), level
+        previous, nodes = survivors, seen
+    return previous
+
+
 @pytest.mark.parametrize("A", [Z2cubed, Z3xZ3, AbelianGroup((2, 2, 4))], ids=AbelianGroup.spec)
 def test_extensions_match_the_unpruned_scan(A, monkeypatch):
     auts = automorphism_group(A)
@@ -463,14 +560,13 @@ def test_extensions_match_the_unpruned_scan(A, monkeypatch):
         return _canonical_items(items, table)
 
     monkeypatch.setattr(davenport, "_canonical_items", counted)
-    frontier = [()]
-    for level in range(3):
-        extended = list(davenport._extensions(A, frontier, table))
-        assert extended == _unpruned_extensions(A, frontier, perms)
-        if level == 0:
-            # Aut(A) fixes the empty item: one call per orbit on A∖{0}
-            assert len(calls) == len({table.leader[g] for g in range(1, A.order)})
-        frontier = extended
+    next(davenport._levels(A, 1, None, None, None))
+    # Aut(A) fixes the empty item: one call per orbit on A∖{0}
+    assert len(calls) == len({table.leader[g] for g in range(1, A.order)})
+    depth = 3 if A.order == 16 else 4
+    for limit in (1, 2, 3):
+        _check_levels(A, perms, limit, None, depth)
+    _check_levels(A, perms, 1, A.exponent, depth)
 
 
 def test_extensions_without_automorphisms_yield_every_extension(monkeypatch):
@@ -481,14 +577,54 @@ def test_extensions_without_automorphisms_yield_every_extension(monkeypatch):
     table = davenport._canonical_maps(Z2xZ4)
     identity = tuple(range(Z2xZ4.order))
     assert table.maps == [identity]
-    frontier = [()]
-    for _ in range(3):
-        extended = list(davenport._extensions(Z2xZ4, frontier, table))
-        assert extended == _unpruned_extensions(Z2xZ4, frontier, [identity])
-        assert len(extended) == len(set(extended))
-        frontier = extended
+    # a limit past the length keeps every multiset
+    frontier = _check_levels(Z2xZ4, [identity], 4, None, 3)
     # multisets of size 3 over the 7 non-zero elements
     assert len(frontier) == math.comb(7 + 2, 3)
+    for limit, cap in ((1, None), (2, None), (1, Z2xZ4.exponent)):
+        _check_levels(Z2xZ4, [identity], limit, cap, 4)
+
+
+@pytest.mark.parametrize("A, refused", [(Z2cubed, False), (Z3xZ3, False),
+                                        (AbelianGroup((2, 2, 4)), False), (Z2xZ4, True)],
+                         ids=["Z2xZ2xZ2", "Z3xZ3", "Z2xZ2xZ4", "Z2xZ4-refused"])
+def test_credits_count_the_kept_parents(A, refused, monkeypatch):
+    # for any set K of canonical items, the credits that the firsts of K give
+    # a multiset C add up to (|Aut| / |Stab(C)|)·#{x ∈ supp C : can(C − x) ∈ K};
+    # stabilisers, orbits and least images here are brute force
+    if refused:
+        def unavailable(group):
+            raise CapacityError("no automorphisms", limit=0)
+
+        monkeypatch.setattr(davenport, "automorphism_group", unavailable)
+        perms = [tuple(range(A.order))]
+        table = davenport._canonical_maps(A)
+    else:
+        auts = automorphism_group(A)
+        perms = sorted(set(_permutations(A, auts)))
+        table = _orbit_table(A, auts, monkeypatch)
+    plain = [(g, len(perms)) for g in range(1, A.order)]
+    rng = random.Random(A.order * 31 + refused)
+    orbits = [()]
+    for _ in range(3):
+        orbits = _unpruned_extensions(A, orbits, perms)
+        K = set(rng.sample(orbits, (len(orbits) + 1) // 2))
+        credits = {}
+        for P in K:
+            stab = [perm for perm in perms if tuple(_image(perm, P)) == P]
+            firsts = [g for g in range(1, A.order) if min(perm[g] for perm in stab) == g]
+            assert [g for g, _ in davenport._firsts(P, table, plain)] == firsts
+            for g, credit in davenport._firsts(P, table, plain):
+                fixing = [perm for perm in stab if perm[g] == g]
+                assert credit == len(perms) // len(fixing)
+                cand = _least_image(_items_add_one(P, g), perms)
+                credits[cand] = credits.get(cand, 0) + credit
+        assert credits
+        for cand, credit in credits.items():
+            stab_c = [perm for perm in perms if tuple(_image(perm, cand)) == cand]
+            kept = sum(_least_image(p, perms) in K for p in _parents(cand))
+            assert credit * len(stab_c) == kept * len(perms), cand
+            assert _canonical_items(cand, table)[1] == len(stab_c)
 
 
 def test_canonical_items_under_the_identity_alone_are_the_items(monkeypatch):
@@ -505,28 +641,28 @@ def test_canonical_items_under_the_identity_alone_are_the_items(monkeypatch):
         assert len(table.maps) == 1
         for _ in range(20):
             items = _random_runs(A, rng)
-            assert _canonical_items(items, table) is items
+            least, ties = _canonical_items(items, table)
+            assert least is items and ties == 1
 
 
 def test_levels_run_to_the_first_empty_level():
-    # keep the multisets shorter than 3, valued by their number of runs;
-    # Aut(Z2×Z2) = GL(2,2) leaves one orbit of length 1 and two of length 2
-    def short(items):
-        return len(items) if sum(m for _, m in items) < 3 else None
-
-    assert list(davenport._levels(Z2xZ2, short, None, None)) == [
-        (1, {((1, 1),): 1}, 1),
-        (2, {((1, 2),): 1, ((1, 1), (2, 1)): 2}, 3),
-        (3, {}, 6),
+    # Aut(Z2×Z2) = GL(2,2) leaves one orbit of length 1 and two of length 2;
+    # below limit 2 the value is k_max: a^3·b and a^2·b·c are the length-4
+    # multisets with one block only, and D_2(Z2×Z2) = 5
+    assert list(davenport._levels(Z2xZ2, 2, None, None, None)) == [
+        (1, {((1, 1),): 0}, 1),
+        (2, {((1, 2),): 1, ((1, 1), (2, 1)): 0}, 3),
+        (3, {((1, 3),): 1, ((1, 1), (2, 2)): 1, ((1, 1), (2, 1), (3, 1)): 1}, 6),
+        (4, {((1, 1), (2, 3)): 1, ((1, 1), (2, 1), (3, 2)): 1}, 10),
+        (5, {}, 14),
     ]
     # the trivial group has no non-zero element: η(Z1) = 1
-    assert list(davenport._levels(TRIVIAL, short, None, None)) == [(1, {}, 0)]
+    assert list(davenport._levels(TRIVIAL, 1, 1, None, None)) == [(1, {}, 0)]
 
 
 def test_budget_is_checked_by_the_shared_scan():
     partial = {}
-    levels = davenport._levels(Z3xZ3, lambda items: 0 if sum(m for _, m in items) < 12 else None,
-                             1e-9, partial)
+    levels = davenport._levels(Z3xZ3, 12, None, 1e-9, partial)
     with pytest.raises(CapacityError) as info:
         list(levels)
     assert info.value.partial is partial and info.value.limit == 1e-9

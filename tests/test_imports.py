@@ -147,7 +147,7 @@ def _spy(monkeypatch, name):
         ("beta_k", ["beta", "reg(Z3)"]),
         ("verify_beta_equals_davenport", ["crosscheck", "Z2", "--k", "1"]),
         ("load_kmax_cache", ["davenport", "Z3"]),
-        # D_1 reads no k_max, so only a D_2 scan adds memo entries to save
+        # no scan adds a memo entry, but a k_max command writes a missing file
         ("save_kmax_cache", ["davenport", "Z3", "--k", "2"]),
     ],
 )

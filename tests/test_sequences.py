@@ -69,6 +69,39 @@ def test_multiplicities_must_be_ints(mult):
         Sequence(Z3, (((1,), mult),))
 
 
+def test_from_elements_checks_each_element_object_once(monkeypatch):
+    checked = []
+    check = AbelianGroup.check
+
+    def counted(self, x):
+        checked.append(x)
+        return check(self, x)
+
+    monkeypatch.setattr(AbelianGroup, "check", counted)
+    one, two = (1,), (2,)
+    s = Sequence.from_elements(Z4, [one, two, one, one, two])
+    assert checked == [one, two]
+    assert s.items == ((one, 3), (two, 2)) and s.length == 5
+    assert s == Sequence(Z4, ((one, 3), (two, 2)))
+    # an equal copy that is another object is checked on its own
+    checked.clear()
+    assert Sequence.from_elements(Z4, [(1,), tuple([1])]).items == ((one, 2),)
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize(
+    "elements, error",
+    [([[1]], StructuralError), ([(1,), [1]], StructuralError), ([(1, 0)], StructuralError),
+     ([(1,), (1, 0)], StructuralError), ([(1,), (1.0,)], DomainError),
+     ([(1,), (4,)], DomainError), ([(1,), ([1],)], DomainError)],
+    ids=["unhashable", "unhashable-later", "mis-ranked", "mis-ranked-later",
+         "float-equal-to-an-element", "out-of-range", "unhashable-coordinate"],
+)
+def test_from_elements_rejects_each_bad_element(elements, error):
+    with pytest.raises(error):
+        Sequence.from_elements(Z4, elements)
+
+
 def test_literal_parse_round_trip():
     s = seq(Z4, 1, 1, 3)
     assert s.literal() == "[1,1,3]"
@@ -217,52 +250,10 @@ def test_pivot_blocks_match_the_definition():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_short_zero_sum_search_matches_the_definition():
-    rng = random.Random(1209)
-    groups = [parse_groupspec(spec) for spec in ("Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2")]
-    Z6 = groups[0]
-    # shortest zero sums of length 5 and 6, rare among random entries
-    cases = [(Z6, [(1,)] * 4 + [(2,)]), (Z6, [(5,)] * 7)]
-    for _ in range(200):
-        A = rng.choice(groups)
-        # entries from a small support, so that long shortest zero sums occur
-        support = rng.sample(A.elements(), rng.randint(1, 3))
-        cases.append((A, [rng.choice(support) for _ in range(rng.randint(0, 8))]))
-    shortest_seen = set()
-    for A, entries in cases:
-        s = Sequence.from_elements(A, entries)
-        items = _to_indices(A, s.items)
-        shortest = min((sum(c for _, c in block)
-                        for block in sequences._zero_sum_subitems(A, items)), default=None)
-        shortest_seen.add(shortest)
-        for bound in range(6):
-            expected = shortest is not None and shortest <= bound
-            assert sequences._has_short_zero_sum(A, items, bound) == expected, (s.literal(), bound)
-    assert shortest_seen == {None, 1, 2, 3, 4, 5, 6}
-
-
-def test_zero_sum_test_matches_the_enumeration():
-    """D(A)'s subset-sum bitmask agrees with the oracle's enumeration of
-    every zero-sum sub-multiset on a seeded corpus over the oracle pool."""
-    rng = random.Random(1210)
-    pool = [parse_groupspec(spec) for spec in _ORACLE_POOL]
-    outcomes = set()
-    for _ in range(500):
-        A = rng.choice(pool)
-        elems = A.elements()
-        s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
-        items = _to_indices(A, s.items)
-        expected = bool(sequences._zero_sum_subitems(A, items))
-        assert sequences._has_zero_sum(A, items) == expected, s.literal()
-        outcomes.add((expected, A.zero in s.support()))
-    assert outcomes == {(False, False), (True, False), (True, True)}
-
-
 def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
     """Only ``k_max_naive`` takes the sum of every sub-multiset (with
-    ``_subitem_sums``, which ``_zero_sum_subitems`` calls too), and only η
-    runs the short zero-sum search; the engine, the D_k scan and the η
-    scan find blocks without either."""
+    ``_subitem_sums``, which ``_zero_sum_subitems`` calls too); the
+    engine, the D_k scan and the η scan find blocks without it."""
     in_oracle = []
     subitem_sums = sequences._subitem_sums
 
@@ -270,9 +261,6 @@ def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
         if not in_oracle:
             raise AssertionError("the engine took the sum of every sub-multiset")
         return subitem_sums(*args, **kwargs)
-
-    def short_search(*args):
-        raise AssertionError("the k_max engine ran a second zero-sum search")
 
     def oracle(S):
         in_oracle.append(S)
@@ -282,7 +270,6 @@ def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
             in_oracle.pop()
 
     monkeypatch.setattr(sequences, "_subitem_sums", guarded_sums)
-    monkeypatch.setattr(sequences, "_has_short_zero_sum", short_search)
     # davenport_table re-checks its witnesses with the oracle
     monkeypatch.setattr(davenport, "k_max_naive", oracle)
     monkeypatch.setattr(sequences, "_KMAX_MEMO", {})  # a cold memo reaches the engine
@@ -484,11 +471,8 @@ _LARGE_GROUP_CHILD = """
 import json, random, resource, sys, time, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from zerosumlab.groups import parse_groupspec
-from zerosumlab.sequences import (Sequence, _has_zero_sum, _to_indices, k_max, k_max_naive,
-                                  k_max_with_witness, minimal_zero_sum_subsequences)
-
-def has_zero_sum(S):
-    return _has_zero_sum(S.group, _to_indices(S.group, S.items))
+from zerosumlab.sequences import (Sequence, k_max, k_max_naive, k_max_with_witness,
+                                  minimal_zero_sum_subsequences)
 
 rng = random.Random(2020)
 out = []
@@ -500,8 +484,7 @@ for spec in sys.argv[1:]:
         S = Sequence.from_elements(A, x + [A.neg(A.add(x[0], x[1])), A.neg(x[2]),
                                            A.neg(A.add(x[2], x[3])), x[0]])
         values = []
-        for f in (k_max, k_max_naive, k_max_with_witness, minimal_zero_sum_subsequences,
-                  has_zero_sum):
+        for f in (k_max, k_max_naive, k_max_with_witness, minimal_zero_sum_subsequences):
             tracemalloc.start()
             start = time.perf_counter()
             result = f(S)
@@ -512,7 +495,6 @@ for spec in sys.argv[1:]:
             out.append([spec, f.__name__, seconds, peak])
         assert values[0] == values[1] == values[2] >= 2, S.literal()
         assert len(values[3]) >= 2, S.literal()
-        assert values[4] is True, S.literal()
 print(json.dumps(out))
 """
 
@@ -527,7 +509,7 @@ def test_engine_on_groups_of_order_2_to_the_20():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
-    assert len(calls) == 3 * 3 * 5
+    assert len(calls) == 3 * 3 * 4
     for spec, name, seconds, peak in calls:
         assert seconds < 1.0, (spec, name, seconds)
         assert peak < 16 << 20, (spec, name, peak)

@@ -32,13 +32,17 @@ the scans exact while skipping work:
   leader over its support and m0 the least multiplicity among the support
   elements led by t*.  Every map reaching the least image sends one of
   those tied elements to t*, so only their to_leader lists are scanned.
-  The maps that reach it form a coset of its stabiliser, so their number
-  (the ``ties`` of ``_canonical_items``) is |Stab(C)|.
-* Each frontier item P is canonical, so its stabiliser is the set of
-  scanned maps that fix it.  For p in it, P + g = p(P + g′) with
-  g′ = p⁻¹(g), so P + g and P + g′ share a canonical form.  Only the least
-  g of each Stab(P)-orbit (a "first") is appended, and each candidate is
-  examined once, in the order it is first met.
+  The maps T that send C to its least image L (the ``ties`` of
+  ``_canonical_items``) form the coset Stab(L)·t for any t in T (m is in
+  T iff m·t⁻¹ fixes L), so |T| = |Stab(L)| and, for every h,
+  {m(h) : m ∈ T} = {s(t(h)) : s ∈ Stab(L)} is the Stab(L)-orbit of t(h).
+* For p in Stab(P), P + g = p(P + g′) with g′ = p⁻¹(g), so P + g and
+  P + g′ share a canonical form.  Only the least g of each Stab(P)-orbit
+  (a "first") is appended, and each candidate is examined once, in the
+  order it is first met.  The scan keeps the ties T of every kept item P
+  whose stabiliser is not trivial, from when P was a candidate, and reads
+  its firsts off them: g = t(h) is a first iff it is the least of
+  {m(h) : m ∈ T}, with no inverse map and no second canonicalisation.
 * Whether every parent of C was kept comes from counting, not from
   canonicalising each C − x.  Each kept P and first g with can(P + g) = C
   credits C with |Aut| / |Stab(P)_g|, the size of the Aut-orbit of the
@@ -63,14 +67,14 @@ import time
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError, VerificationError
-from .groups import AbelianGroup, automorphism_group, subgroup_embeddable
+from .groups import (AUTOMORPHISM_INDEX_ENTRIES, AbelianGroup, automorphism_group,
+                     subgroup_embeddable)
 from .sequences import (
     Sequence,
     _OrbitTable,
     _canonical_items,
     _items_add_one,
     _kmax_items,  # no scan calls it; perfbench's tracer wraps it here
-    _stabiliser,
     _to_elements,
     k_max_naive,
 )
@@ -134,12 +138,13 @@ class LinearityProfile:
 
 def _canonical_maps(A: AbelianGroup) -> _OrbitTable:
     """The orbit table of Aut(A) as permutations of element indices; only
-    the identity when the listing is refused (CapacityError)."""
+    the identity, with no leader index, when the listing is refused
+    (CapacityError)."""
     identity = tuple(range(A.order))
     try:
         perms = [aut.perm for aut in automorphism_group(A)]
     except CapacityError:
-        perms = []
+        return _OrbitTable([identity], ())  # _canonical_items reads no index
     return _OrbitTable(list(dict.fromkeys([identity, *perms])), range(A.order))
 
 
@@ -150,6 +155,9 @@ def _check_budget(budget_seconds):
 
 def _require_capacity(A: AbelianGroup, budget_seconds):
     _check_budget(budget_seconds)
+    if A.order > AUTOMORPHISM_INDEX_ENTRIES:  # the identity alone holds |A| entries
+        raise CapacityError(f"scans index at most {AUTOMORPHISM_INDEX_ENTRIES} elements "
+                            f"(attempted |A| = {A.order})", limit=AUTOMORPHISM_INDEX_ENTRIES)
     if A.order > GUARANTEED_ORDER and budget_seconds is None:
         raise CapacityError(
             f"groups of order > {GUARANTEED_ORDER} need an explicit time budget "
@@ -158,19 +166,15 @@ def _require_capacity(A: AbelianGroup, budget_seconds):
         )
 
 
-def _firsts(items, table, plain):
-    """(g, credit) for each first g of the canonical int runs ``items``:
-    the least g of each Stab(items)-orbit on A∖{0}, credited
-    |Aut| / |Stab(items)_g| = |Aut|·|orbit of g| / |Stab(items)|.
-    ``plain`` lists (g, |Aut|) for every g ≠ 0, the answer when only the
-    identity fixes ``items``.
+def _firsts(ties, order):
+    """(g, credit) for each first g of L, sorted by g, from the ``ties`` of
+    some C with least image L.  The images m(h), m in ``ties``, are the
+    Stab(L)-orbit of g = t(h), t = ties[0]; g is a first iff it is their
+    least, credited |Aut| / |Stab(L)_g| = ``order``·|orbit| / |ties|.
     """
-    stab = _stabiliser(items, table)
-    if len(stab) == 1:  # most items are fixed by the identity alone
-        return plain
-    images = list(zip(*stab))  # images[g]: the Stab(items)-orbit of g
-    return [(g, len(table.maps) * len(set(images[g])) // len(stab))
-            for g, _ in plain if min(images[g]) == g]
+    t = ties[0]
+    return sorted([(t[h], order * len(set(orbit)) // len(ties))
+                   for h, orbit in enumerate(zip(*ties)) if h and min(orbit) == t[h]])
 
 
 def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
@@ -187,6 +191,7 @@ def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
     Each candidate holds one int, missing·(limit + 1) + best: ``missing``
     is the credit it still lacks and ``best`` the largest v(P) + [σ = 0]
     over the pairs met so far, which is v(C) once nothing is missing.
+    ``cosets`` holds the ties of each kept item that has more than one.
     """
     _require_capacity(A, budget_seconds)
     t0 = time.monotonic()
@@ -194,20 +199,22 @@ def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
     order = len(table.maps)
     sums = A.sums()
     base = limit + 1
-    plain = [(g, order) for g in range(1, A.order)]
+    plain = [(g, order) for g in range(1, A.order)]  # the firsts of a trivial Stab
     survivors = {(): 0}
+    cosets = {(): table.maps} if order > 1 else {}  # every map fixes the empty item
     length = nodes = 0
     while survivors:
         length += 1
         counts_zero = cap is None or length <= cap
-        frontier, cands = survivors, {}
+        frontier, cands, cand_cosets = survivors, {}, {}
         for items, value in frontier.items():
             total = 0  # σ(P)
             for elem, mult in items:
                 row = sums[elem]
                 for _ in range(mult):
                     total = row[total]
-            for g, credit in _firsts(items, table, plain):
+            coset = cosets.get(items)
+            for g, credit in plain if coset is None else _firsts(coset, order):
                 cand, ties = _canonical_items(_items_add_one(items, g), table)
                 best = value + (counts_zero and sums[g][total] == 0)
                 packed = cands.get(cand)
@@ -221,14 +228,17 @@ def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
                                 limit=budget_seconds,
                                 partial=partial,
                             )
-                    # ties = |Stab(C)|: C is owed |supp C|·|Aut| / |Stab(C)|
-                    cands[cand] = (len(cand) * order // ties - credit) * base + best
+                    if len(ties) > 1:
+                        cand_cosets[cand] = ties
+                    # |ties| = |Stab(C)|: C is owed |supp C|·|Aut| / |Stab(C)|
+                    cands[cand] = (len(cand) * order // len(ties) - credit) * base + best
                 else:
                     packed -= credit * base
                     if best > packed % base:
                         packed += best - packed % base
                     cands[cand] = packed
         survivors = {cand: packed for cand, packed in cands.items() if packed < limit}
+        cosets = {cand: ties for cand, ties in cand_cosets.items() if cand in survivors}
         yield length, survivors, nodes
 
 

@@ -349,6 +349,8 @@ def regular_representation(A: AbelianGroup) -> MonomialRep:
     >>> regular_representation(AbelianGroup((3,))).group_order
     3
     """
+    if A.order > _CLOSURE_CAP:  # the closure would hold |A| elements
+        raise CapacityError(f"element closure exceeded {_CLOSURE_CAP}", limit=_CLOSURE_CAP)
     m = A.exponent
     variables = A.elements()  # sorted tuples; the zero index is the trivial character
     generators = []

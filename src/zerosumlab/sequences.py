@@ -510,32 +510,21 @@ def _canonical_items(items, table):
     """(least image, ties) of the int runs ``items`` under the maps of
     ``table`` (an ``_OrbitTable``, which holds the identity).
 
-    ``ties`` counts the maps that reach the least image.  They form a coset
-    of the least image's stabiliser, and every one of them is a candidate
-    of ``_candidate_maps``, so ``ties`` is the order of that stabiliser.
-    Only those candidates are scanned (see ``davenport``).  This uses no
-    group structure, only the map set.  The maps are injective, so mapped
-    runs never need merging.
+    ``ties`` lists the maps that send ``items`` to its least image.  They
+    form a coset Stab(least)·t, and every one of them is a candidate of
+    ``_candidate_maps``; only those candidates are scanned (see
+    ``davenport``, whose ``_firsts`` reads the stabiliser's orbits off the
+    coset).  This uses no group structure, only the map set.  The maps are
+    injective, so mapped runs never need merging.
     """
-    if not items or len(table.maps) == 1:  # the identity alone fixes everything
-        return items, len(table.maps)
-    images = [sorted([(m[elem], mult) for elem, mult in items])
-              for m in _candidate_maps(items, table)]
+    if not items or len(table.maps) == 1:  # every map fixes them
+        return items, table.maps
+    maps = _candidate_maps(items, table)
+    images = [sorted([(m[elem], mult) for elem, mult in items]) for m in maps]
     least = min(images)
-    return tuple(least), images.count(least)
-
-
-def _stabiliser(items, table):
-    """The maps of ``table`` that fix the canonical int runs ``items``.
-
-    ``items`` is its own least image, so each map fixing it is one of
-    its candidates.
-    """
-    if not items or len(table.maps) == 1:
-        return table.maps
-    runs = list(items)
-    return [m for m in _candidate_maps(items, table)
-            if sorted([(m[elem], mult) for elem, mult in items]) == runs]
+    if images.count(least) == 1:  # the usual case, found without a Python loop
+        return tuple(least), [maps[images.index(least)]]
+    return tuple(least), [m for m, image in zip(maps, images) if image == least]
 
 
 def canonical_form(S: Sequence, auts) -> Sequence:

@@ -97,6 +97,14 @@ class _Run:
         return self.goldens[name]
 
 
+def _verdict(instances):
+    """A check's result: None (skipped) when the group filter left no
+    instance, else the instances and whether every one is ok."""
+    if not instances:
+        return None
+    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+
+
 def _check_davenport_baselines(run):
     """D(A) for the small-order groups, witnesses re-verified naively."""
     golden = run.golden("davenport-baselines")
@@ -117,9 +125,7 @@ def _check_davenport_baselines(run):
                    and witness_kmax == 0
                    and witness.length == report.value_Dk - 1),
         })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_generalized_dk(run):
@@ -136,9 +142,7 @@ def _check_generalized_dk(run):
             "expected": golden[spec],
             "ok": table == golden[spec],
         })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_eventual_linearity(run):
@@ -165,9 +169,7 @@ def _check_eventual_linearity(run):
                    and profile.slope == golden[spec]
                    and steps_ok),
         })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_inequality_suite(run):
@@ -185,9 +187,7 @@ def _check_inequality_suite(run):
             "violations": violations,
             "ok": result["passed"],
         })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_product_bound(run):
@@ -215,9 +215,7 @@ def _check_product_bound(run):
                 "witness_kmax": result["witness_kmax"],
                 "ok": ok,
             })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_support_lemma(run):
@@ -248,9 +246,7 @@ def _check_support_lemma(run):
             "failures": failures,
             "ok": not failures,
         })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_beta_crosscheck(run):
@@ -270,9 +266,7 @@ def _check_beta_crosscheck(run):
             "expected": expected,
             "ok": result["passed"] and result["beta"] == expected,
         })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_example_ring(run):
@@ -330,9 +324,7 @@ def _check_sigma_zpzd(run):
                    and result["sigma"] == golden[spec]
                    and result["max_degree"] <= result["p"]),
         })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_sigma_az2(run):
@@ -353,9 +345,7 @@ def _check_sigma_az2(run):
                        and result["bound"] == max(e, 2)
                        and result["closure_order"] == 2 * e),
             })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _sigma_over_q(spec, sigma, order):
@@ -386,9 +376,7 @@ def _check_sigma_over_q(run):
             continue
         G = parse_groupspec(spec)
         instances.append(_sigma_over_q(spec, verify_sigma_zpzd(G)["sigma"], G.order))
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_subquotient(run):
@@ -405,9 +393,7 @@ def _check_subquotient(run):
             "checks": result["checks"],
             "ok": result["passed"],
         })
-    if not instances:
-        return None
-    return {"instances": instances, "passed": all(i["ok"] for i in instances)}
+    return _verdict(instances)
 
 
 def _check_engine_vs_oracle(run):

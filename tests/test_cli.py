@@ -296,6 +296,29 @@ def test_budget_holds_where_aut_is_too_large_to_list(command):
     assert "capacity:" in proc.stderr
 
 
+HUGE = "Z99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["davenport", HUGE, "--budget-seconds", "1"],
+    ["eta", HUGE, "--budget-seconds", "1"],
+    ["dk-table", HUGE, "--k-upto", "2", "--budget-seconds", "1"],
+    ["linearity", HUGE, "--k-upto", "2", "--budget-seconds", "1"],
+    # more than 2^20 elements: refused before any |A|-sized table is built
+    ["davenport", "Z3000000", "--budget-seconds", "1"],
+    # the closure of reg(A) would hold |A| elements
+    ["beta", "reg(Z999999999999)"],
+    ["crosscheck", "Z999999999999", "--budget-seconds", "1"],
+], ids=["davenport", "eta", "dk-table", "linearity", "davenport-3e6", "beta-reg",
+        "crosscheck"])
+def test_a_huge_group_is_refused_with_exit_3(argv):
+    proc = _zsl(*argv, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("capacity: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_failed_verification_exits_1(capsys, monkeypatch):
     import zerosumlab.suite as suite
 

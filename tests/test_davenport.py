@@ -14,7 +14,6 @@ from zerosumlab.sequences import (
     _candidate_maps,
     _canonical_items,
     _items_add_one,
-    _stabiliser,
     _to_elements,
 )
 from zerosumlab import (
@@ -491,19 +490,47 @@ def test_canonical_items_is_the_least_image_and_its_stabiliser(A, monkeypatch):
         items = _random_runs(A, rng)
         images = [_image(perm, items) for perm in perms]
         least = tuple(min(images))
-        assert _canonical_items(items, table) == (least, images.count(list(least))), items
-        # the ties are the maps onto the least image, a coset of its stabiliser
-        assert _canonical_items(items, table)[1] == len(_stabiliser(least, table)), items
+        found, ties = _canonical_items(items, table)
+        assert found == least, items
+        # the ties are every map onto the least image, each once
+        assert sorted(ties) == [
+            perm for perm, image in zip(perms, images) if tuple(image) == least
+        ], items
+        # the ties of the least image are its stabiliser, and the ties of
+        # ``items`` a coset of it
+        stab = _canonical_items(least, table)[1]
+        assert sorted(stab) == [perm for perm in perms if tuple(_image(perm, least)) == least]
+        assert len(ties) == len(stab), items
         if not items:
             continue
         # the scanned maps are exactly those that reach the least first run
         assert sorted(_candidate_maps(items, table)) == [
             perm for perm, image in zip(perms, images) if image[0] == least[0]
         ], items
-        assert sorted(_stabiliser(least, table)) == [
-            perm for perm in perms if tuple(_image(perm, least)) == least
-        ], items
-    assert sorted(_stabiliser((), table)) == perms
+    assert sorted(_canonical_items((), table)[1]) == perms
+
+
+def test_each_canonicalisation_scans_the_candidate_maps_once(monkeypatch):
+    # the firsts of a kept item come from the ties its candidate already
+    # found, so no second scan of the candidate maps looks for its stabiliser
+    A = AbelianGroup((2, 2, 4))
+    table_calls = []
+    scans = []
+
+    def counted(items, table):
+        table_calls.append(len(table.maps) > 1)
+        return _canonical_items(items, table)
+
+    def candidate_maps(items, table):
+        scans.append(items)
+        return _candidate_maps(items, table)
+
+    monkeypatch.setattr(davenport, "_canonical_items", counted)
+    monkeypatch.setattr(sequences, "_candidate_maps", candidate_maps)
+    # the first 8 of the 14 levels of the D_1..3 scan: 5,206 of its 40,931 candidates
+    levels = list(itertools.islice(davenport._levels(A, 3, None, None, None), 8))
+    assert levels[-1][2] == 5206  # candidates examined
+    assert all(table_calls) and len(scans) == len(table_calls) > levels[-1][2]
 
 
 def _unpruned_extensions(A, frontier, perms):
@@ -603,18 +630,25 @@ def test_credits_count_the_kept_parents(A, refused, monkeypatch):
         auts = automorphism_group(A)
         perms = sorted(set(_permutations(A, auts)))
         table = _orbit_table(A, auts, monkeypatch)
-    plain = [(g, len(perms)) for g in range(1, A.order)]
     rng = random.Random(A.order * 31 + refused)
     orbits = [()]
+    moved = 0
     for _ in range(3):
         orbits = _unpruned_extensions(A, orbits, perms)
         K = set(rng.sample(orbits, (len(orbits) + 1) // 2))
         credits = {}
         for P in K:
             stab = [perm for perm in perms if tuple(_image(perm, P)) == P]
-            firsts = [g for g in range(1, A.order) if min(perm[g] for perm in stab) == g]
-            assert [g for g, _ in davenport._firsts(P, table, plain)] == firsts
-            for g, credit in davenport._firsts(P, table, plain):
+            # the ties of a raw image of P, as the scan meets P: the least
+            # image is P, and no tie is the identity unless the raw is P
+            raw = tuple(_image(rng.choice(perms), P))
+            least, ties = _canonical_items(raw, table)
+            assert least == P
+            moved += raw != P
+            firsts = davenport._firsts(ties, len(perms))
+            assert [g for g, _ in firsts] == [
+                g for g in range(1, A.order) if min(perm[g] for perm in stab) == g]
+            for g, credit in firsts:
                 fixing = [perm for perm in stab if perm[g] == g]
                 assert credit == len(perms) // len(fixing)
                 cand = _least_image(_items_add_one(P, g), perms)
@@ -624,7 +658,8 @@ def test_credits_count_the_kept_parents(A, refused, monkeypatch):
             stab_c = [perm for perm in perms if tuple(_image(perm, cand)) == cand]
             kept = sum(_least_image(p, perms) in K for p in _parents(cand))
             assert credit * len(stab_c) == kept * len(perms), cand
-            assert _canonical_items(cand, table)[1] == len(stab_c)
+            assert len(_canonical_items(cand, table)[1]) == len(stab_c)
+    assert moved or refused
 
 
 def test_canonical_items_under_the_identity_alone_are_the_items(monkeypatch):
@@ -642,7 +677,7 @@ def test_canonical_items_under_the_identity_alone_are_the_items(monkeypatch):
         for _ in range(20):
             items = _random_runs(A, rng)
             least, ties = _canonical_items(items, table)
-            assert least is items and ties == 1
+            assert least is items and ties == table.maps
 
 
 def test_levels_run_to_the_first_empty_level():

@@ -96,3 +96,15 @@ def test_shared_constants_are_defined_once(constant):
                     for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))
         ]
     assert len(found) == 1, found
+
+
+def test_every_source_parses_as_python_3_10():
+    # pyproject.toml sets requires-python = ">=3.10"; newer syntax such as
+    # `except*` or a `type` statement would break that floor
+    root = PACKAGE.parent.parent
+    sources = [path for folder in (PACKAGE, root / "tests", root / "perfbench")
+               for path in sorted(folder.rglob("*.py"))]
+    assert len(sources) > len(list(PACKAGE.glob("*.py")))
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))

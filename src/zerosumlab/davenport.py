@@ -24,14 +24,17 @@ over A∖{0}.  The scans work on int runs (element indices, see
 ``sequences``) and decode only the reported witness.
 
 Canonical forms are least images under Aut(A), found from an orbit table
-(``_canonical_maps``): leader[x] is the least element of x's orbit and
-to_leader[x] the automorphisms that send x there.  Three arguments keep
-the scans exact while skipping work:
+(``_canonical_maps``): cols[x] is the image of x under every automorphism,
+leader[x] the least of them (the least element of x's orbit) and
+to_leader[x] the positions of the automorphisms that send x there.  Three
+arguments keep the scans exact while skipping work:
 
 * The least image of a multiset starts with the run (t*, m0), t* the least
   leader over its support and m0 the least multiplicity among the support
   elements led by t*.  Every map reaching the least image sends one of
-  those tied elements to t*, so only their to_leader lists are scanned.
+  those tied elements to t*, so only the maps at their to_leader positions
+  are scanned; with many of them, their columns give every image in one
+  pass (``_canonical_items``).
   The maps T that send C to its least image L (the ``ties`` of
   ``_canonical_items``) form the coset Stab(L)·t for any t in T (m is in
   T iff m·t⁻¹ fixes L), so |T| = |Stab(L)| and, for every h,

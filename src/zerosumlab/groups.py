@@ -400,26 +400,40 @@ class Automorphism:
 
     ``images[i]`` is the image of the i-th canonical generator; viewed as
     a matrix, column i holds images[i].  ``perm[t]`` is the index of the
-    image of the element with index t; only this constructor builds it.
+    image of the element with index t; only ``_fill``, which both
+    constructors call, builds it.
     """
 
     __slots__ = ("group", "images", "perm")
 
     def __init__(self, group: AbelianGroup, images):
-        self.group = group
-        self.images = tuple(group.check(g) for g in images)
-        if len(self.images) != group.rank:
+        images = tuple(group.check(g) for g in images)
+        if len(images) != group.rank:
             raise ValidationError(
-                f"{group.spec()} has {group.rank} generators, got {len(self.images)} images"
+                f"{group.spec()} has {group.rank} generators, got {len(images)} images"
             )
+        self._fill(group, images, [group.index(img) for img in images])
+
+    @classmethod
+    def _from_indices(cls, group: AbelianGroup, indices) -> "Automorphism":
+        """The automorphism whose generator images have the element indices
+        ``indices``, one in range for each generator; they are not checked
+        through ``group.check``, only as images (order and bijection)."""
+        aut = cls.__new__(cls)
+        aut._fill(group, tuple(map(group.elements().__getitem__, indices)), indices)
+        return aut
+
+    def _fill(self, group, images, indices):
+        self.group = group
+        self.images = images
         # image of x = image of x − e_j + images[j], j the last non-zero
         # coordinate of x; those with x_j = c sit at stride n_j·w from c·w
         sums = group.sums()
         perm = [0] * group.order
         w = group.order
-        for n, img in zip(group.factors, self.images):
+        for n, img, i in zip(group.factors, images, indices):
             w //= n
-            row = sums[group.index(img)]
+            row = sums[i]
             for c in range(1, n):
                 perm[c * w :: n * w] = [row[t] for t in perm[(c - 1) * w :: n * w]]
             if row[perm[(n - 1) * w]] != 0:
@@ -427,7 +441,7 @@ class Automorphism:
                     f"image {img} of a generator of order {n} has order not dividing {n}"
                 )
         if len(set(perm)) != group.order:
-            raise ValidationError(f"generator images {self.images} do not give a bijection")
+            raise ValidationError(f"generator images {images} do not give a bijection")
         self.perm = tuple(perm)
 
     @classmethod
@@ -474,7 +488,8 @@ def automorphism_group(A: AbelianGroup):
     Raises CapacityError when |A| > AUTOMORPHISM_ENUMERATION_LIMIT, and
     once the permutations found would hold more than
     AUTOMORPHISM_INDEX_ENTRIES entries (|automorphisms found|·|A|); the
-    Automorphism objects are built only once the whole listing fits.
+    Automorphism objects are built from the index images only once the
+    whole listing fits.
 
     >>> len(automorphism_group(AbelianGroup((3,))))
     2
@@ -517,7 +532,7 @@ def automorphism_group(A: AbelianGroup):
                 extend(i + 1, images + [g], bigger)
 
     extend(0, [], {0})
-    return [Automorphism(A, [elems[g] for g in images]) for images in found]
+    return [Automorphism._from_indices(A, images) for images in found]
 
 
 class Embedding:

@@ -283,6 +283,15 @@ def invariant_basis(rep: MonomialRep, d: int) -> GradedSpan:
     return span
 
 
+def _require_noether_degrees(group_order, degree_cap):
+    """The β_1 scan reaches degree |G|: refuse a group order over the cap."""
+    if group_order > degree_cap:
+        raise CapacityError(
+            f"beta_1 scan needs degrees up to |G| = {group_order}, over the cap {degree_cap}",
+            limit=degree_cap,
+        )
+
+
 def beta_k(rep: MonomialRep, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> dict:
     """β_k of the invariant ring: max degree d with R_d ⊄ (R_+^{k+1})_d.
 
@@ -295,12 +304,7 @@ def beta_k(rep: MonomialRep, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> di
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if rep.group_order > degree_cap:
-        raise CapacityError(
-            f"beta_1 scan needs degrees up to |G| = {rep.group_order}, "
-            f"over the cap {degree_cap}",
-            limit=degree_cap,
-        )
+    _require_noether_degrees(rep.group_order, degree_cap)
     failing, witness = escaping_degrees(rep, 2, range(1, rep.group_order + 1))
     if not failing:
         raise VerificationError(
@@ -385,6 +389,7 @@ def verify_beta_equals_davenport(A: AbelianGroup, k: int, budget_seconds=None) -
     """
     if not isinstance(A, AbelianGroup):
         raise DomainError("the cross-check is defined for abelian groups only")
+    _require_noether_degrees(A.order, DEFAULT_DEGREE_CAP)  # before reg(A)'s closure
     beta_report = beta_k(regular_representation(A), k)
     dav = _bound("davenport_k")(A, k, budget_seconds=budget_seconds)
     return {
@@ -564,16 +569,24 @@ def verify_sigma_az2(n: int, e: int) -> dict:
     }
 
 
-def parse_repspec(text: str) -> MonomialRep:
-    """``reg(<groupspec>)`` or ``ind(SD(p,d,e))``."""
+def _repspec_group(text: str):
+    """The acting group of ``reg(<groupspec>)`` or ``ind(SD(p,d,e))`` (the
+    closure of the representation has its order) and the function that
+    builds the representation from it."""
     if text.startswith("reg(") and text.endswith(")"):
         group = parse_groupspec(text[4:-1])
         if not isinstance(group, AbelianGroup):
             raise DomainError("reg(...) expects an abelian group spec")
-        return regular_representation(group)
+        return group, regular_representation
     if text.startswith("ind(") and text.endswith(")"):
         group = parse_groupspec(text[4:-1])
         if not isinstance(group, SemidirectGroup):
             raise DomainError("ind(...) expects an SD(p,d,e) spec")
-        return induced_module(group)
+        return group, induced_module
     raise ParseError(f"repspec must be reg(...) or ind(...), got {text!r}", 0)
+
+
+def parse_repspec(text: str) -> MonomialRep:
+    """``reg(<groupspec>)`` or ``ind(SD(p,d,e))``."""
+    group, build = _repspec_group(text)
+    return build(group)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 
 from .errors import (
@@ -473,29 +474,33 @@ class _OrbitTable:
     """Permutations of element indices, the identity among them, indexed
     by where they send each point.
 
-    ``maps`` holds the permutation tuples (``Automorphism.perm``),
-    ``leader[x]`` is the least image of x and ``to_leader[x]`` lists the
-    maps that send x there; only the given points are indexed.
+    ``maps`` holds the permutation tuples (``Automorphism.perm``).  For
+    each indexed point x, ``cols[x]`` is the image of x under every map,
+    in map order (the perm tuples' own ints), ``leader[x]`` the least of
+    them and ``to_leader[x]`` the positions in ``maps`` of the maps that
+    send x there; only the given points are indexed.  ``keys`` holds, for
+    each (s, mult) that ``_canonical_items`` has met, the lookup
+    y ↦ y·s + mult over all points y.
     """
 
-    __slots__ = ("maps", "leader", "to_leader")
+    __slots__ = ("maps", "cols", "leader", "to_leader", "keys")
 
     def __init__(self, maps, points):
         self.maps = maps
-        self.leader = {}
-        self.to_leader = {}
+        self.keys = {}
+        self.cols, self.leader, self.to_leader = {}, {}, {}
         for x in points:
-            images = [m[x] for m in maps]
-            least = min(images)
-            self.leader[x] = least
-            self.to_leader[x] = [m for m, y in zip(maps, images) if y == least]
+            col = self.cols[x] = tuple(map(operator.itemgetter(x), maps))
+            least = self.leader[x] = min(col)
+            self.to_leader[x] = [i for i, y in enumerate(col) if y == least]
 
 
-def _candidate_maps(items, table):
-    """The maps of ``table`` whose image of the non-empty int runs
-    ``items`` starts with the least possible first run (t*, m0): those
-    that send a support element with leader t* and multiplicity m0 to t*
-    (see ``davenport``).  Being injective, no two such elements share one.
+def _candidate_positions(items, table):
+    """The positions in ``table.maps`` of the maps whose image of the
+    non-empty int runs ``items`` starts with the least possible first run
+    (t*, m0): those that send a support element with leader t* and
+    multiplicity m0 to t* (see ``davenport``).  Being injective, no two
+    such elements share one.
     """
     leader = table.leader
     first = min([(leader[elem], mult) for elem, mult in items])
@@ -506,25 +511,55 @@ def _candidate_maps(items, table):
     return out
 
 
+# from this many candidates on, one pass over their columns beats sorting
+# each image in a Python loop
+_COLUMN_PASS_MAPS = 8
+
+
 def _canonical_items(items, table):
     """(least image, ties) of the int runs ``items`` under the maps of
     ``table`` (an ``_OrbitTable``, which holds the identity).
 
     ``ties`` lists the maps that send ``items`` to its least image.  They
     form a coset Stab(least)·t, and every one of them is a candidate of
-    ``_candidate_maps``; only those candidates are scanned (see
+    ``_candidate_positions``; only those candidates are scanned (see
     ``davenport``, whose ``_firsts`` reads the stabiliser's orbits off the
     coset).  This uses no group structure, only the map set.  The maps are
     injective, so mapped runs never need merging.
+
+    With many candidates, each run (y, mult) of an image becomes the int
+    y·s + mult, s the largest multiplicity + 1: ints compare as the pairs
+    do, so the key lists sort and compare as the images.  They are read
+    off the candidates' columns through ``table.keys``, with no Python
+    loop over the maps.
     """
-    if not items or len(table.maps) == 1:  # every map fixes them
-        return items, table.maps
-    maps = _candidate_maps(items, table)
-    images = [sorted([(m[elem], mult) for elem, mult in items]) for m in maps]
-    least = min(images)
+    maps = table.maps
+    if not items or len(maps) == 1:  # every map fixes them
+        return items, maps
+    pos = _candidate_positions(items, table)
+    if len(pos) == 1:
+        m = maps[pos[0]]
+        return tuple(sorted([(m[elem], mult) for elem, mult in items])), [m]
+    if len(pos) < _COLUMN_PASS_MAPS:
+        images = [sorted([(m[elem], mult) for elem, mult in items])
+                  for m in map(maps.__getitem__, pos)]
+        least = min(images)
+        image = tuple(least)
+    else:
+        s = max([mult for _, mult in items]) + 1
+        gather, cols, keys = operator.itemgetter(*pos), table.cols, table.keys
+        runs = []
+        for elem, mult in items:
+            key = keys.get((s, mult))
+            if key is None:  # y ↦ y·s + mult on the points y
+                key = keys[s, mult] = list(range(mult, s * len(maps[0]), s)).__getitem__
+            runs.append(map(key, gather(cols[elem])))
+        images = list(map(sorted, zip(*runs)))
+        least = min(images)
+        image = tuple(map(divmod, least, itertools.repeat(s)))
     if images.count(least) == 1:  # the usual case, found without a Python loop
-        return tuple(least), [maps[images.index(least)]]
-    return tuple(least), [m for m, image in zip(maps, images) if image == least]
+        return image, [maps[pos[images.index(least)]]]
+    return image, [maps[j] for j, other in zip(pos, images) if other == least]
 
 
 def canonical_form(S: Sequence, auts) -> Sequence:

@@ -309,14 +309,43 @@ HUGE = "Z99999999999999999999"
     # the closure of reg(A) would hold |A| elements
     ["beta", "reg(Z999999999999)"],
     ["crosscheck", "Z999999999999", "--budget-seconds", "1"],
+    # within the closure cap, but the beta_1 scan would pass the degree cap
+    ["beta", "reg(Z4096)"],
+    ["crosscheck", "Z4096", "--budget-seconds", "1"],
 ], ids=["davenport", "eta", "dk-table", "linearity", "davenport-3e6", "beta-reg",
-        "crosscheck"])
+        "crosscheck", "beta-reg-4096", "crosscheck-4096"])
 def test_a_huge_group_is_refused_with_exit_3(argv):
     proc = _zsl(*argv, timeout=10)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("capacity: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["beta", "reg(Z4096)"], ["beta", "reg(Z65)"],
+                                  ["crosscheck", "Z4096", "--budget-seconds", "1"]])
+def test_reg_past_the_degree_cap_is_refused_before_its_closure(capsys, monkeypatch, argv):
+    import zerosumlab.invariants as invariants
+
+    def closure(self):
+        raise AssertionError("the closure of a refused representation was built")
+
+    monkeypatch.setattr(invariants.MonomialRep, "_closure", closure)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("capacity: beta_1 scan needs degrees up to |G| = ")
+    assert err.count("\n") == 1
+
+
+def test_reg_at_the_degree_cap_still_runs(monkeypatch):
+    # reg(Z64) is the largest regular representation under the cap: its
+    # closure is built and beta_k is called on it
+    import zerosumlab.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "beta_k", lambda rep, k: seen.append(rep.group_order) or {})
+    assert main(["beta", "reg(Z64)"]) == 0
+    assert seen == [64]
 
 
 def test_failed_verification_exits_1(capsys, monkeypatch):

@@ -11,10 +11,11 @@ from zerosumlab import davenport, sequences
 from zerosumlab.groups import automorphism_group, factorize
 from zerosumlab.sequences import (
     Sequence,
-    _candidate_maps,
+    _candidate_positions,
     _canonical_items,
     _items_add_one,
     _to_elements,
+    canonical_form,
 )
 from zerosumlab import (
     AbelianGroup,
@@ -504,33 +505,57 @@ def test_canonical_items_is_the_least_image_and_its_stabiliser(A, monkeypatch):
         if not items:
             continue
         # the scanned maps are exactly those that reach the least first run
-        assert sorted(_candidate_maps(items, table)) == [
+        assert sorted(table.maps[j] for j in _candidate_positions(items, table)) == [
             perm for perm, image in zip(perms, images) if image[0] == least[0]
         ], items
     assert sorted(_canonical_items((), table)[1]) == perms
 
 
+@pytest.mark.parametrize("A", [Z2xZ2, AbelianGroup((3, 3))], ids=AbelianGroup.spec)
+def test_canonical_forms_are_exact_for_any_multiplicity(A, monkeypatch):
+    # mixed multiplicities up to 2^40 and more, on candidate sets on both
+    # sides of the column-pass crossover, against every map by brute force
+    auts = automorphism_group(A)
+    perms = sorted(set(_permutations(A, auts)))
+    table = _orbit_table(A, auts, monkeypatch)
+    rng = random.Random(A.order)
+    mults = [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**40 + 3, 3**50]
+    sizes = set()
+    for _ in range(150):
+        support = rng.sample(range(A.order), rng.randint(1, min(A.order, 6)))
+        items = tuple(sorted((x, rng.choice(mults)) for x in support))
+        least = _least_image(items, perms)
+        found, ties = _canonical_items(items, table)
+        assert found == least, items
+        assert sorted(ties) == [perm for perm in perms if tuple(_image(perm, items)) == least]
+        sizes.add(len(_candidate_positions(items, table)) >= sequences._COLUMN_PASS_MAPS)
+        S = Sequence(A, _to_elements(A, items))
+        assert canonical_form(S, auts).items == _to_elements(A, least), items
+    # Aut(Z2×Z2) has 6 maps; Aut(Z3×Z3) reaches the column pass and falls short of it
+    assert sizes == ({False} if A.order == 4 else {False, True})
+
+
 def test_each_canonicalisation_scans_the_candidate_maps_once(monkeypatch):
     # the firsts of a kept item come from the ties its candidate already
-    # found, so no second scan of the candidate maps looks for its stabiliser
+    # found, so no second gather of the candidate maps looks for its stabiliser
     A = AbelianGroup((2, 2, 4))
     table_calls = []
-    scans = []
+    gathers = []
 
     def counted(items, table):
         table_calls.append(len(table.maps) > 1)
         return _canonical_items(items, table)
 
-    def candidate_maps(items, table):
-        scans.append(items)
-        return _candidate_maps(items, table)
+    def candidate_positions(items, table):
+        gathers.append(items)
+        return _candidate_positions(items, table)
 
     monkeypatch.setattr(davenport, "_canonical_items", counted)
-    monkeypatch.setattr(sequences, "_candidate_maps", candidate_maps)
+    monkeypatch.setattr(sequences, "_candidate_positions", candidate_positions)
     # the first 8 of the 14 levels of the D_1..3 scan: 5,206 of its 40,931 candidates
     levels = list(itertools.islice(davenport._levels(A, 3, None, None, None), 8))
     assert levels[-1][2] == 5206  # candidates examined
-    assert all(table_calls) and len(scans) == len(table_calls) > levels[-1][2]
+    assert all(table_calls) and len(gathers) == len(table_calls) > levels[-1][2]
 
 
 def _unpruned_extensions(A, frontier, perms):

@@ -149,6 +149,18 @@ def test_automorphism_constructor_rejects_non_automorphisms():
     with pytest.raises(ValidationError):
         Automorphism(A, [(1, 0)])
     assert Automorphism(A, [(1, 0), (1, 1)])((1, 1)) == (0, 1)
+    # the index-image constructor keeps the order and bijection checks
+    with pytest.raises(ValidationError, match="order not dividing"):
+        Automorphism._from_indices(A, [A.index((0, 1)), A.index((1, 1))])
+    with pytest.raises(ValidationError, match="bijection"):
+        Automorphism._from_indices(AbelianGroup((4,)), [2])
+
+
+@pytest.mark.parametrize("A", [AbelianGroup((2, 4)), AbelianGroup((3, 3))], ids=AbelianGroup.spec)
+def test_automorphisms_from_index_images_equal_those_from_images(A):
+    for aut in automorphism_group(A):
+        again = Automorphism(A, aut.images)
+        assert again == aut and again.perm == aut.perm and again.images == aut.images
 
 
 def _hillar_rhea(A):
@@ -194,12 +206,19 @@ def test_automorphism_count_is_the_closed_form(A):
 def test_a_refused_listing_builds_no_automorphism(monkeypatch):
     built = []
     original = Automorphism.__init__
+    from_indices = Automorphism._from_indices
 
     def counted(self, *args, **kwargs):
         built.append(1)
         original(self, *args, **kwargs)
 
+    def counted_from_indices(cls, *args):
+        built.append(1)
+        return from_indices(*args)
+
+    # both constructors: from generator images and from their indices
     monkeypatch.setattr(Automorphism, "__init__", counted)
+    monkeypatch.setattr(Automorphism, "_from_indices", classmethod(counted_from_indices))
     with pytest.raises(CapacityError):
         automorphism_group(AbelianGroup((2, 2, 2, 2, 2)))
     assert built == []
@@ -331,9 +350,11 @@ def test_canonical_maps_are_the_automorphisms_on_indices(A, monkeypatch):
     for perm, imgs in zip(table.maps[1:], others):
         assert [A.element(i) for i in perm] == imgs
     for x in range(A.order):
+        assert table.cols[x] == tuple([perm[x] for perm in table.maps])
         least = min(perm[x] for perm in table.maps)
         assert table.leader[x] == least
-        assert table.to_leader[x] == [perm for perm in table.maps if perm[x] == least]
+        assert [table.maps[i] for i in table.to_leader[x]] == [
+            perm for perm in table.maps if perm[x] == least]
 
 
 def test_direct_product_with_embeddings():

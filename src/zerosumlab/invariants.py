@@ -6,14 +6,18 @@ declared group order.  A group element sends a monomial to ζ_m^j times
 another monomial, so the degree-d monomials fall into orbits.  An orbit
 is admissible when every element that sends one of its monomials to a
 multiple of itself sends it to itself; the transfer (sum over all group
-translates) of a monomial in any other orbit is 0.  The degree-d invariants have one basis row per admissible
-orbit, read off the orbit with int arithmetic alone (``invariant_basis``;
-Sturmfels, *Algorithms in Invariant Theory* §2).  ``transfer`` stays as
-public API and as the oracle the tests check that basis against.  β_k is the
-largest degree where the invariants are not contained in the (k+1)-st
-power of the positive-degree ideal (the scan in ``polynomials``, shared
-with presented algebras), with the scan ranges certified by the Noether
-bound (β ≤ |G| in characteristic 0) and the trivial bound β_k ≤ k·β.
+translates) of a monomial in any other orbit is 0.  The degree-d
+invariants have one basis row per admissible orbit, read off the orbit
+with int arithmetic alone (``invariant_basis``; Sturmfels, *Algorithms in
+Invariant Theory* §2).  Each orbit is walked along the generators, not
+over the whole closure: it is admissible iff the powers of ζ_m met along
+the walk agree on every generator edge (``_orbit_rows``).  ``transfer``
+stays as public API and as the oracle the tests check that basis against.
+β_k is the largest degree where the invariants are not contained in the
+(k+1)-st power of the positive-degree ideal (the scan in ``polynomials``,
+shared with presented algebras), with the scan ranges certified by the
+Noether bound (β ≤ |G| in characteristic 0) and the trivial bound
+β_k ≤ k·β.
 """
 
 from __future__ import annotations
@@ -215,39 +219,57 @@ def _degree_monomials(nvars, d):
 def _orbit_rows(rep: MonomialRep, d: int):
     """(lead, row) for every admissible orbit of degree-d monomials.
 
-    The images of u are walked with int arithmetic only: (σ, s) sends
-    x^u to ζ_m^{⟨s, u⟩}·x^{σ(u)}.  The orbit is admissible iff no image
-    is reached with two different powers; otherwise the stabiliser acts
-    on x^u by a non-trivial character and transfer(x^u) = 0.  An
+    The orbit of u is walked along the generators alone, with int
+    arithmetic only: (σ, s) sends ζ_m^p·x^v to ζ_m^{p + ⟨s, v⟩}·x^{σ(v)}.
+    Each image v keeps the power p_v of the path that first reached it.
+    Every group element is a word in the generators, so the walk meets
+    every (image, power) pair that some element sends x^u to, and it meets
+    no other.  The orbit is admissible iff every generator edge v → w
+    agrees with the labels, p_w = p_v + ⟨s, v⟩ mod m: then, by induction
+    on the word length, each element sends x^u to ζ_m^{p_v}·x^v, so the
+    stabiliser acts on x^u trivially.  An edge that disagrees gives two
+    elements that send x^u to different multiples of one x^v, so the
+    stabiliser acts by a non-trivial character and transfer(x^u) = 0.  An
     admissible orbit reaches each image v with one power p_v, |Stab|
     times, so transfer(x^u) divided by its leading coefficient is
     Σ_v ζ_m^{p_v − p_lead}·x^v, lead the grlex-largest image.
     """
     m = rep.conductor
+    n = rep.nvars
+    gens = rep.generators
     zetas = [CyclotomicNumber.zeta(m, p) for p in range(m)]
     seen = set()
     out = []
-    for u in _degree_monomials(rep.nvars, d):
+    for u in _degree_monomials(n, d):
         if u in seen:
             continue
-        support = [(i, e) for i, e in enumerate(u) if e]
-        powers = {}
+        powers = {u: 0}
+        stack = [u]
         admissible = True
-        for sigma, s in rep.elements:
-            image = [0] * rep.nvars
-            power = 0
-            for i, e in support:
-                image[sigma[i]] += e
-                power += s[i] * e
-            power %= m
-            if powers.setdefault(tuple(image), power) != power:
-                admissible = False
+        while stack:
+            v = stack.pop()
+            support = [(i, e) for i, e in enumerate(v) if e]
+            p_v = powers[v]
+            for sigma, s in gens:
+                image = [0] * n
+                power = p_v
+                for i, e in support:
+                    image[sigma[i]] += e
+                    power += s[i] * e
+                power %= m
+                w = tuple(image)
+                p_w = powers.get(w)
+                if p_w is None:
+                    powers[w] = power
+                    stack.append(w)
+                elif p_w != power:
+                    admissible = False
         seen.update(powers)
         if admissible:
             lead = max(powers, key=grlex_key)
             shift = powers[lead]
             terms = {v: zetas[(p - shift) % m] for v, p in powers.items()}
-            out.append((lead, MultiPoly(rep.nvars, terms, m)))
+            out.append((lead, MultiPoly(n, terms, m)))
     return out
 
 
@@ -274,8 +296,7 @@ def invariant_basis(rep: MonomialRep, d: int) -> GradedSpan:
         support.update(row.terms)
     if len(support) != sum(len(row.terms) for _, row in rows):
         raise VerificationError(f"overlapping orbit supports in degree {d}")
-    span = GradedSpan(rep.nvars)
-    span._by_pivot = dict(rows)
+    span = GradedSpan(rep.nvars, rows)
     for _, row in rows:
         if not rep.is_invariant(row):
             raise VerificationError(f"non-invariant basis row {row}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import StructuralError
 from .cyclotomic import CyclotomicNumber
@@ -324,14 +325,18 @@ class GradedSpan:
     Rows are monic on their grlex-leading monomial (the pivot), and no row
     has a term at another row's pivot: the unique reduced basis of the
     span.  ``rows`` and ``pivots()`` read the map in descending grlex
-    order of the pivots.
+    order of the pivots.  ``_multi`` indexes the rows of more than one
+    term by their pivots (a superset: a row that lost terms may stay in
+    it); only those rows can hold another row's pivot.  ``rows`` given to
+    the constructor are (pivot, row) pairs already in that reduced form.
     """
 
-    __slots__ = ("nvars", "_by_pivot")
+    __slots__ = ("nvars", "_by_pivot", "_multi")
 
-    def __init__(self, nvars: int):
+    def __init__(self, nvars: int, rows=()):
         self.nvars = nvars
-        self._by_pivot: dict[tuple[int, ...], MultiPoly] = {}
+        self._by_pivot: dict[tuple[int, ...], MultiPoly] = dict(rows)
+        self._multi = {pivot for pivot, row in self._by_pivot.items() if len(row.terms) > 1}
 
     @property
     def dim(self) -> int:
@@ -362,7 +367,11 @@ class GradedSpan:
         return self.reduce(f).is_zero()
 
     def insert(self, f: MultiPoly) -> bool:
-        """Add f to the span; True iff the dimension grew."""
+        """Add f to the span; True iff the dimension grew.
+
+        The new pivot is cleared from the multi-term rows alone: a one-term
+        row holds only its own pivot, and f, reduced, has no term there.
+        """
         f = self.reduce(f)
         if f.is_zero():
             return False
@@ -372,17 +381,18 @@ class GradedSpan:
         # f is reduced, so clearing its pivot from a row leaves that row
         # reduced and its pivot as it was.
         by_pivot = self._by_pivot
-        for row_pivot, row in by_pivot.items():
+        for row_pivot in self._multi:
+            row = by_pivot[row_pivot]
             if pivot in row.terms:
                 by_pivot[row_pivot] = _eliminate(row, [(pivot, f)])
         by_pivot[pivot] = f
+        if len(f.terms) > 1:
+            self._multi.add(pivot)
         return True
 
     def copy(self) -> "GradedSpan":
         """A span with the same rows that ``insert`` can grow independently."""
-        out = GradedSpan(self.nvars)
-        out._by_pivot = dict(self._by_pivot)
-        return out
+        return GradedSpan(self.nvars, self._by_pivot)
 
     def extend(self, polys) -> int:
         added = 0
@@ -412,6 +422,14 @@ def _generators(algebra, e: int) -> list[MultiPoly]:
     return gens
 
 
+def _monomial_exponent(f: MultiPoly):
+    """The exponent of f's one term, or None if f has several."""
+    if len(f.terms) == 1:
+        (exp,) = f.terms
+        return exp
+    return None
+
+
 def power_span(algebra, j: int, d: int) -> GradedSpan:
     """(A_+^j)_d via P_{1,d} = A_d and P_{j+1,d} = Σ_e G_e · P_{j,d−e}.
 
@@ -421,7 +439,11 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
     Nakayama the rows of the G_e generate A (Derksen–Kemper,
     *Computational Invariant Theory*), so multiplying by them alone spans
     the same slice as multiplying by all of A_e.  Degrees are positive, so
-    only e ≤ d − j + 1 contribute.  ``algebra`` is an invariant ring or a
+    only e ≤ d − j + 1 contribute.  The product of two one-term rows
+    c·x^p and c'·x^q is built once per exponent p + q: a later pair with
+    the same exponent gives a scalar multiple of a product already
+    inserted, and ``normal_form`` is linear, so it cannot grow the span.
+    ``algebra`` is an invariant ring or a
     presented quotient: it provides ``nvars``, ``degree_span(d)``,
     ``power_span(j, d)``, ``normal_form(f)`` and the dicts
     ``_power_cache`` and ``_generator_cache``.
@@ -434,13 +456,21 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
         span = algebra.degree_span(d) if d >= 1 else GradedSpan(algebra.nvars)
     else:
         span = GradedSpan(algebra.nvars)
+        built = set()  # the exponents of the one-term products built so far
         for e in range(1, d - j + 2):
             left = _generators(algebra, e)
             if not left:
                 continue
             right = algebra.power_span(j - 1, d - e).rows
+            right_exps = [_monomial_exponent(b) for b in right]
             for a in left:
-                for b in right:
+                p = _monomial_exponent(a)
+                for b, q in zip(right, right_exps):
+                    if p is not None and q is not None:
+                        exp = tuple(map(add, p, q))
+                        if exp in built:
+                            continue
+                        built.add(exp)
                     span.insert(algebra.normal_form(a * b))
     algebra._power_cache[key] = span
     return span

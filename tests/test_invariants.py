@@ -240,19 +240,56 @@ def test_orbit_basis_matches_the_transfer_span(rep):
         assert [str(r) for r in basis.rows] == [str(r) for r in oracle.rows], d
 
 
+def _regenerated(rep, generators):
+    """A fresh rep of the same closure, given by another list of generators."""
+    return MonomialRep(rep.nvars, rep.conductor, generators, expected_order=rep.group_order,
+                       name=rep.name)
+
+
+def _generator_lists(rep):
+    """The generators as given, reversed, and with redundant ones added."""
+    gens = list(rep.generators)
+    identity = (tuple(range(rep.nvars)), (0,) * rep.nvars)
+    product = rep._compose(gens[0], gens[-1])
+    return {
+        "as given": gens,
+        "reversed": gens[::-1],
+        "duplicate": gens + gens[:1],
+        "identity": [identity] + gens,
+        "product": [product] + gens,
+        "all redundant": [product, identity] + gens[::-1] + gens,
+    }
+
+
 def test_orbit_basis_does_not_depend_on_the_walk_order(monkeypatch):
     # walked backwards, an orbit is met at a monomial below its lead, which
-    # the rest of the orbit can reach with a non-zero power of ζ
-    reps = (_twisted_swap(), _cycle_z4(), induced_module(SemidirectGroup(7, 2, 6)))
+    # the rest of the orbit can reach with a non-zero power of ζ; walked
+    # along other generators, each image is first reached by another path
+    reps = (_twisted_swap(), _cycle_z4(), induced_module(SemidirectGroup(7, 2, 6)),
+            az2_module(12, 4))
     oracles = {(rep.name, d): _transfer_span(rep, d) for rep in reps for d in range(1, 9)}
     walk = invariants._degree_monomials
-    monkeypatch.setattr(invariants, "_degree_monomials",
-                        lambda nvars, d: reversed(list(walk(nvars, d))))
-    for rep in reps:
-        for d in range(1, 9):
-            basis, oracle = invariant_basis(rep, d), oracles[rep.name, d]
-            assert basis.pivots() == oracle.pivots(), (rep.name, d)
-            assert [str(r) for r in basis.rows] == [str(r) for r in oracle.rows], (rep.name, d)
+    for backwards in (False, True):
+        if backwards:
+            monkeypatch.setattr(invariants, "_degree_monomials",
+                                lambda nvars, d: reversed(list(walk(nvars, d))))
+        for rep in reps:
+            for label, gens in _generator_lists(rep).items():
+                variant = _regenerated(rep, gens)
+                assert variant.elements == rep.elements
+                for d in range(1, 9):
+                    basis, oracle = invariant_basis(variant, d), oracles[rep.name, d]
+                    where = (rep.name, label, backwards, d)
+                    assert basis.pivots() == oracle.pivots(), where
+                    assert [str(r) for r in basis.rows] == [str(r) for r in oracle.rows], where
+
+
+def test_orbit_walk_reads_the_generators_only():
+    for rep in (_twisted_swap(), _natural_s3(), induced_module(SemidirectGroup(5, 4, 2))):
+        oracles = [_transfer_span(rep, d) for d in range(7)]
+        rep.elements = ()  # the closure is not walked
+        for d, oracle in enumerate(oracles):
+            assert invariant_basis(rep, d).rows == oracle.rows, (rep.name, d)
 
 
 def test_permutation_reps_have_orbits_of_several_monomials():

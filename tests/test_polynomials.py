@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -10,12 +12,14 @@ from zerosumlab import (
     AbelianGroup,
     CyclotomicNumber,
     GradedSpan,
+    MonomialRep,
     MultiPoly,
     PresentedGradedAlgebra,
     SemidirectGroup,
     StructuralError,
     beta_k,
     induced_module,
+    invariant_basis,
     regular_representation,
 )
 from zerosumlab.polynomials import _generators, grlex_key
@@ -328,6 +332,88 @@ def test_span_copy_grows_independently():
     assert not span.contains(Y**2)
 
 
+def _dense_rref(polys):
+    """The reduced echelon rows of polys by Gauss–Jordan elimination on dense vectors.
+
+    Columns are the monomials met, in descending grlex order, so each
+    row's pivot is its leading monomial; rows come out as exponent →
+    coefficient dicts in descending pivot order.  No span code is used.
+    """
+    columns = sorted({exp for f in polys for exp in f.terms}, key=grlex_key, reverse=True)
+    m = math.lcm(1, *(f.conductor for f in polys))
+    zero = CyclotomicNumber.zero(m)
+    matrix = [[f.terms[exp].lift(m) if exp in f.terms else zero for exp in columns]
+              for f in polys]
+    rank = 0
+    for col in range(len(columns)):
+        hit = next((i for i in range(rank, len(matrix)) if not matrix[i][col].is_zero()), None)
+        if hit is None:
+            continue
+        matrix[rank], matrix[hit] = matrix[hit], matrix[rank]
+        scale = matrix[rank][col].inverse()
+        matrix[rank] = [x * scale for x in matrix[rank]]
+        for i, row in enumerate(matrix):
+            c = row[col]
+            if i != rank and not c.is_zero():
+                matrix[i] = [x - c * y for x, y in zip(row, matrix[rank])]
+        rank += 1
+    return [{exp: x for exp, x in zip(columns, row) if not x.is_zero()}
+            for row in matrix[:rank]]
+
+
+def _random_mixed(rng: random.Random, m: int) -> MultiPoly:
+    """A cubic in four variables: one term half the time, two to five otherwise."""
+    monomials = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 3]
+    size = 1 if rng.random() < 0.5 else rng.randint(2, 5)
+    return MultiPoly(4, {
+        exp: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) * zeta(m, rng.randrange(m))
+        for exp in rng.sample(monomials, size)
+    }, m)
+
+
+def _hit_a_multi_term_row(span, rng):
+    """A monomial at a non-pivot term of some row of span, if a row has one."""
+    pivots = set(span.pivots())
+    targets = sorted({exp for row in span.rows for exp in row.terms} - pivots)
+    return MultiPoly.monomial(span.nvars, rng.choice(targets), 1) if targets else None
+
+
+def _grow_and_check(span, inserted, fs):
+    for f in fs:
+        if f is None:
+            continue
+        span.insert(f)
+        inserted.append(f)
+        assert [row.terms for row in span.rows] == _dense_rref(inserted)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 4], ids=["Q", "Q(zeta_4)"])
+def test_span_rows_match_dense_elimination(m, seed):
+    rng = random.Random(7000 + 10 * m + seed)
+    span, inserted = GradedSpan(4), []
+    _grow_and_check(span, inserted, [_random_mixed(rng, m) for _ in range(8)])
+    assert any(len(row.terms) > 1 for row in span.rows)
+    _grow_and_check(span, inserted, [_hit_a_multi_term_row(span, rng)])
+    # the copy must clear new pivots from the rows it was handed, too
+    twin, twin_inserted = span.copy(), list(inserted)
+    _grow_and_check(twin, twin_inserted, [_hit_a_multi_term_row(twin, rng)])
+    _grow_and_check(twin, twin_inserted, [_random_mixed(rng, m) for _ in range(6)])
+    _grow_and_check(span, inserted, [_random_mixed(rng, m) for _ in range(6)])
+    _grow_and_check(span, inserted, [_hit_a_multi_term_row(span, rng)])
+
+
+def test_a_span_built_from_orbit_rows_clears_new_pivots():
+    # Z4 permuting four variables: degree-2 rows such as x1^2 + x2^2 + x3^2 + x4^2
+    rep = MonomialRep(4, 1, [((1, 2, 3, 0), (0, 0, 0, 0))], expected_order=4)
+    span = invariant_basis(rep, 2)
+    inserted = list(span.rows)
+    rng = random.Random(11)
+    _grow_and_check(span, inserted, [MultiPoly.monomial(4, (0, 2, 0, 0), 1)])
+    for _ in range(3):
+        _grow_and_check(span, inserted, [_hit_a_multi_term_row(span, rng)])
+
+
 # --- ideal powers shared by invariant rings and presented algebras ----------------
 
 _EXAMPLE_RING = ([("a", 1), ("b", 3)], ["b^3-a^9", "a*b^2-a^7"])
@@ -367,6 +453,33 @@ def test_power_span_matches_all_products(make, max_degree):
     for j in (1, 2, 3):
         for d in range(max_degree + 1):
             assert algebra.power_span(j, d).rows == _brute_power_span(algebra, j, d).rows, (j, d)
+
+
+def test_power_span_builds_one_product_per_distinct_one_term_exponent(monkeypatch):
+    rep = regular_representation(AbelianGroup((6,)))
+    products = 0
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        if isinstance(other, MultiPoly):
+            products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    assert beta_k(rep, 2)["beta"] == 12
+    built = products
+    # every invariant of reg(Z6) is a monomial, so every row has one term
+    distinct = 0
+    for j, d in rep._power_cache:
+        exps = set()
+        for e in range(1, d - j + 2) if j > 1 else ():
+            for a in _generators(rep, e):
+                for b in rep.power_span(j - 1, d - e).rows:
+                    (p,), (q,) = a.terms, b.terms
+                    exps.add(tuple(map(add, p, q)))
+        distinct += len(exps)
+    assert built == distinct == 5038  # 23,868 when every pair was multiplied
 
 
 def _span_of(nvars, polys):

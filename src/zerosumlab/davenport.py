@@ -1,9 +1,10 @@
 """Exact D_k(A), d_k(A), η(A), σ values and eventual-linearity profiles.
 
 D_k and η come out of one frontier scan (``_levels``), which walks lengths
-upward keeping at each length the canonical multisets over A∖{0} whose
-value stays below a limit.  The value is the recurrence of the oracle
-``k_max_naive``, with the zero-sum term capped by length:
+upward keeping at each length the multisets over A∖{0} (one per
+Aut(A)-orbit, or all of them; see below) whose value stays below a limit.
+The value is the recurrence of the oracle ``k_max_naive``, with the
+zero-sum term capped by length:
 
     v(∅) = 0,  v(C) = [σ(C) = 0 and |C| ≤ cap] + max over x ∈ C of v(C − x).
 
@@ -23,11 +24,29 @@ sequence shows zeros never lengthen extremal sequences, so the search runs
 over A∖{0}.  The scans work on int runs (element indices, see
 ``sequences``) and decode only the reported witness.
 
+The scan takes one of two paths.  The identity path
+(``_identity_levels``) keeps every multiset, with no symmetry reduction:
+each C is built once, as P + g from its parent P = C − max(C), with
+g ≥ max(P), and every other parent C − x = (P − x) + g is looked up in
+the previous level.  This is McKay's canonical construction path under
+the trivial group.  The symmetric path (``_symmetric_levels``) keeps one
+multiset per Aut(A)-orbit, its least image, and is described below.
+``_levels`` takes the identity path when the Aut(A) listing is refused or
+holds at most ``_IDENTITY_MAX_MAPS`` maps: for so few maps, finding least
+images costs more than the |Aut(A)|-fold fewer candidates save.  Both
+paths report the same D_k, η, witnesses and lengths; only the node counts
+differ.  v is constant on orbits, so the identity path's survivors are
+the whole orbits of the symmetric path's, and a level is empty on one
+path iff it is on the other.  The reported witness is the least survivor
+of a level with v < k.  On the identity path that survivor is the least
+image of its own orbit, so it is the least such canonical survivor, the
+one the symmetric path reports.
+
 Canonical forms are least images under Aut(A), found from an orbit table
-(``_canonical_maps``): cols[x] is the image of x under every automorphism,
-leader[x] the least of them (the least element of x's orbit) and
-to_leader[x] the positions of the automorphisms that send x there.  Three
-arguments keep the scans exact while skipping work:
+(``_OrbitTable`` of ``_canonical_maps``): cols[x] is the image of x under
+every automorphism, leader[x] the least of them (the least element of x's
+orbit) and to_leader[x] the positions of the automorphisms that send x
+there.  Three arguments keep the symmetric path exact while skipping work:
 
 * The least image of a multiset starts with the run (t*, m0), t* the least
   leader over its support and m0 the least multiplicity among the support
@@ -83,6 +102,9 @@ from .sequences import (
 )
 
 GUARANTEED_ORDER = 16  # larger groups require an explicit time budget
+# groups with at most this many automorphisms are scanned with no symmetry
+# reduction: canonicalising costs them more than it saves
+_IDENTITY_MAX_MAPS = 24
 
 
 class DavenportReport:
@@ -139,16 +161,14 @@ class LinearityProfile:
         }
 
 
-def _canonical_maps(A: AbelianGroup) -> _OrbitTable:
-    """The orbit table of Aut(A) as permutations of element indices; only
-    the identity, with no leader index, when the listing is refused
-    (CapacityError)."""
-    identity = tuple(range(A.order))
+def _canonical_maps(A: AbelianGroup):
+    """Aut(A) as permutations of element indices, the identity first and
+    none repeated; None when the listing is refused (CapacityError)."""
     try:
         perms = [aut.perm for aut in automorphism_group(A)]
     except CapacityError:
-        return _OrbitTable([identity], ())  # _canonical_items reads no index
-    return _OrbitTable(list(dict.fromkeys([identity, *perms])), range(A.order))
+        return None
+    return list(dict.fromkeys([tuple(range(A.order)), *perms]))
 
 
 def _check_budget(budget_seconds):
@@ -158,7 +178,7 @@ def _check_budget(budget_seconds):
 
 def _require_capacity(A: AbelianGroup, budget_seconds):
     _check_budget(budget_seconds)
-    if A.order > AUTOMORPHISM_INDEX_ENTRIES:  # the identity alone holds |A| entries
+    if A.order > AUTOMORPHISM_INDEX_ENTRIES:  # as many as an Aut(A) listing may hold
         raise CapacityError(f"scans index at most {AUTOMORPHISM_INDEX_ENTRIES} elements "
                             f"(attempted |A| = {A.order})", limit=AUTOMORPHISM_INDEX_ENTRIES)
     if A.order > GUARANTEED_ORDER and budget_seconds is None:
@@ -180,42 +200,128 @@ def _firsts(ties, order):
                    for h, orbit in enumerate(zip(*ties)) if h and min(orbit) == t[h]])
 
 
+def _sigma(items, sums):
+    """σ of the int runs ``items``, as an element index."""
+    total = 0
+    for elem, mult in items:
+        row = sums[elem]
+        for _ in range(mult):
+            total = row[total]
+    return total
+
+
+def _budget_clock(A: AbelianGroup, budget_seconds, partial):
+    """The scans' budget check, called every 256 nodes with the length
+    being built: past ``budget_seconds`` from now it raises CapacityError
+    carrying ``partial``."""
+    t0 = time.monotonic()
+
+    def check(length):
+        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
+            raise CapacityError(
+                f"time budget of {budget_seconds}s exhausted at "
+                f"length {length} for {A.spec()}",
+                limit=budget_seconds,
+                partial=partial,
+            )
+
+    return check
+
+
 def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
     """The frontier scan behind D_k and η: yields (length, survivors, nodes)
     for lengths 1, 2, … up to and including the first empty level.
 
-    ``survivors`` maps each canonical multiset of that length with every
-    parent kept and v < ``limit`` to its v, the value of the module
-    docstring with the zero-sum term counted up to length ``cap`` (None:
-    no cap).  ``nodes`` counts the distinct candidates examined so far.
-    The clock is read every 256 candidates; past ``budget_seconds`` the
-    scan raises CapacityError carrying ``partial``.
+    ``survivors`` maps each multiset of that length with every parent kept
+    and v < ``limit`` to its v, the value of the module docstring with the
+    zero-sum term counted up to length ``cap`` (None: no cap).  They are
+    the canonical ones on the symmetric path and all of them on the
+    identity path, which runs when the Aut(A) listing is refused or holds
+    at most ``_IDENTITY_MAX_MAPS`` maps.  ``nodes`` counts the candidates
+    examined so far.  The clock is read every 256 candidates; past
+    ``budget_seconds`` the scan raises CapacityError carrying ``partial``.
+    """
+    _require_capacity(A, budget_seconds)
+    check = _budget_clock(A, budget_seconds, partial)
+    maps = _canonical_maps(A)
+    if maps is None or len(maps) <= _IDENTITY_MAX_MAPS:
+        yield from _identity_levels(A, limit, cap, check)
+    else:
+        yield from _symmetric_levels(A, _OrbitTable(maps, range(A.order)), limit, cap, check)
+
+
+def _identity_levels(A: AbelianGroup, limit, cap, check):
+    """``_levels`` with no symmetry: each multiset C is built once, as
+    P + g from P = C − max(C), for every kept P and g ≥ max(P); it is
+    kept iff every other parent C − x is a survivor of the previous level
+    and v(C) < ``limit``.  ``nodes`` counts the candidates so built."""
+    sums = A.sums()
+    survivors = {(): 0}
+    length = nodes = 0
+    while survivors:
+        length += 1
+        counts_zero = cap is None or length <= cap
+        frontier, survivors = survivors, {}
+        kept = frontier.get
+        for items, value in frontier.items():
+            row = sums[_sigma(items, sums)]
+            # P less one copy of each run's element: the other parents of
+            # P + g are these plus g
+            drops = [items[:i] + items[i + 1:] if m == 1 else
+                     items[:i] + ((x, m - 1),) + items[i + 1:]
+                     for i, (x, m) in enumerate(items)]
+            top, mult = items[-1] if items else (0, 0)
+            # g = max(P) grows the last run, which each P − x with x < max(P)
+            # ends with
+            trimmed = [drop[:-1] for drop in drops[:-1]]
+            for g in range(top or 1, A.order):
+                nodes += 1
+                if nodes % 256 == 0:
+                    check(length)
+                zero = counts_zero and row[g] == 0
+                if value + zero >= limit:
+                    continue
+                if g == top:
+                    tail = ((g, mult + 1),)
+                    cand, heads = items[:-1] + tail, trimmed
+                else:
+                    tail = ((g, 1),)
+                    cand, heads = items + tail, drops
+                best = value
+                for head in heads:
+                    other = kept(head + tail)
+                    if other is None:
+                        break
+                    if other > best:
+                        best = other
+                else:
+                    if best + zero < limit:
+                        survivors[cand] = best + zero
+        yield length, survivors, nodes
+
+
+def _symmetric_levels(A: AbelianGroup, table, limit, cap, check):
+    """``_levels`` up to Aut(A), whose maps ``table`` indexes: the canonical
+    survivors, with every distinct canonical candidate counted in ``nodes``.
 
     Each candidate holds one int, missing·(limit + 1) + best: ``missing``
     is the credit it still lacks and ``best`` the largest v(P) + [σ = 0]
     over the pairs met so far, which is v(C) once nothing is missing.
     ``cosets`` holds the ties of each kept item that has more than one.
     """
-    _require_capacity(A, budget_seconds)
-    t0 = time.monotonic()
-    table = _canonical_maps(A)
     order = len(table.maps)
     sums = A.sums()
     base = limit + 1
     plain = [(g, order) for g in range(1, A.order)]  # the firsts of a trivial Stab
     survivors = {(): 0}
-    cosets = {(): table.maps} if order > 1 else {}  # every map fixes the empty item
+    cosets = {(): table.maps}  # every map fixes the empty item
     length = nodes = 0
     while survivors:
         length += 1
         counts_zero = cap is None or length <= cap
         frontier, cands, cand_cosets = survivors, {}, {}
         for items, value in frontier.items():
-            total = 0  # σ(P)
-            for elem, mult in items:
-                row = sums[elem]
-                for _ in range(mult):
-                    total = row[total]
+            total = _sigma(items, sums)
             coset = cosets.get(items)
             for g, credit in plain if coset is None else _firsts(coset, order):
                 cand, ties = _canonical_items(_items_add_one(items, g), table)
@@ -223,14 +329,8 @@ def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
                 packed = cands.get(cand)
                 if packed is None:
                     nodes += 1
-                    if budget_seconds is not None and nodes % 256 == 0:
-                        if time.monotonic() - t0 > budget_seconds:
-                            raise CapacityError(
-                                f"time budget of {budget_seconds}s exhausted at "
-                                f"length {length} for {A.spec()}",
-                                limit=budget_seconds,
-                                partial=partial,
-                            )
+                    if nodes % 256 == 0:
+                        check(length)
                     if len(ties) > 1:
                         cand_cosets[cand] = ties
                     # |ties| = |Stab(C)|: C is owed |supp C|·|Aut| / |Stab(C)|
@@ -248,8 +348,10 @@ def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
 def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
     """D_1 … D_{k_upto} in one shared frontier scan.
 
-    ``search_stats["nodes"]`` counts the distinct canonical candidates
-    examined, summed over all levels.
+    ``search_stats["nodes"]`` counts the candidates examined, summed over
+    all levels: on the symmetric path the distinct canonical candidates,
+    on the identity path every P + g built from a kept P with g ≥ max(P)
+    (see the module docstring).
 
     >>> [r.value_Dk for r in davenport_table(AbelianGroup((3,)), 2)]
     [3, 6]

@@ -11,6 +11,7 @@ from zerosumlab import davenport, sequences
 from zerosumlab.groups import automorphism_group, factorize
 from zerosumlab.sequences import (
     Sequence,
+    _OrbitTable,
     _candidate_positions,
     _canonical_items,
     _items_add_one,
@@ -142,19 +143,20 @@ def _table(A, k_upto, budget_seconds=None):
     return reports
 
 
-# Reports of the tuple-based scans, written out; "seconds" is dropped.
+# Reports of the tuple-based scans, written out; "seconds" is dropped.  Z6,
+# Z11, Z17 and Z2×Z4 take the identity path, the others the symmetric one.
 @pytest.mark.parametrize(
     "compute, expected",
     [
         (lambda: _table(Z6, 3), [
-            _row("Z6", 1, 6, 5, "[1,1,1,1,1]", 1352, 18),
-            _row("Z6", 2, 12, 11, "[1,1,1,1,1,1,1,1,1,1,1]", 1352, 18),
-            _row("Z6", 3, 18, 17, "[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]", 1352, 18),
+            _row("Z6", 1, 6, 5, "[1,1,1,1,1]", 2098, 18),
+            _row("Z6", 2, 12, 11, "[1,1,1,1,1,1,1,1,1,1,1]", 2098, 18),
+            _row("Z6", 3, 18, 17, "[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]", 2098, 18),
         ]),
         (lambda: _table(Z2xZ4, 2), [
-            _row("Z2xZ4", 1, 5, 4, "[(0,1),(1,0),(1,1),(1,1)]", 542, 9),
+            _row("Z2xZ4", 1, 5, 4, "[(0,1),(1,0),(1,1),(1,1)]", 2157, 9),
             _row("Z2xZ4", 2, 9, 8,
-                 "[(0,1),(1,0),(1,1),(1,1),(1,1),(1,1),(1,1),(1,1)]", 542, 9),
+                 "[(0,1),(1,0),(1,1),(1,1),(1,1),(1,1),(1,1),(1,1)]", 2157, 9),
         ]),
         (lambda: _table(Z3xZ3, 2), [
             _row("Z3xZ3", 1, 5, 4, "[(0,1),(1,0),(1,2),(1,2)]", 223, 8),
@@ -171,11 +173,11 @@ def _table(A, k_upto, budget_seconds=None):
         (lambda: eta(Z2cubed), 8),
         (lambda: eta(Z3xZ3), 7),
         # D = D_1 alone: the scan that keeps the zero-sum-free candidates
-        (lambda: _table(Z6, 1), [_row("Z6", 1, 6, 5, "[1,1,1,1,1]", 70, 6)]),
+        (lambda: _table(Z6, 1), [_row("Z6", 1, 6, 5, "[1,1,1,1,1]", 97, 6)]),
         (lambda: _table(AbelianGroup((11,)), 1),
-         [_row("Z11", 1, 11, 10, "[" + ",".join(["1"] * 10) + "]", 626, 11)]),
+         [_row("Z11", 1, 11, 10, "[" + ",".join(["1"] * 10) + "]", 3364, 11)]),
         (lambda: _table(Z2xZ4, 1),
-         [_row("Z2xZ4", 1, 5, 4, "[(0,1),(1,0),(1,1),(1,1)]", 77, 5)]),
+         [_row("Z2xZ4", 1, 5, 4, "[(0,1),(1,0),(1,1),(1,1)]", 242, 5)]),
         (lambda: _table(Z3xZ3, 1),
          [_row("Z3xZ3", 1, 5, 4, "[(0,1),(1,0),(1,2),(1,2)]", 31, 5)]),
         (lambda: _table(AbelianGroup((2, 2, 4)), 1),
@@ -183,7 +185,7 @@ def _table(A, k_upto, budget_seconds=None):
         (lambda: _table(AbelianGroup((2, 2, 2, 2)), 1),
          [_row("Z2xZ2xZ2xZ2", 1, 5, 4, "[(0,0,0,1),(0,0,1,0),(0,1,0,0),(1,0,0,0)]", 14, 5)]),
         (lambda: _table(AbelianGroup((17,)), 1, budget_seconds=60),
-         [_row("Z17", 1, 17, 16, "[" + ",".join(["1"] * 16) + "]", 8793, 17)]),
+         [_row("Z17", 1, 17, 16, "[" + ",".join(["1"] * 16) + "]", 61488, 17)]),
     ],
     ids=["Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "eta-Z2xZ2xZ2", "eta-Z3xZ3", "D1-Z6", "D1-Z11",
          "D1-Z2xZ4", "D1-Z3xZ3", "D1-Z2xZ2xZ4", "D1-Z2xZ2xZ2xZ2", "D1-Z17"],
@@ -300,6 +302,16 @@ def test_eta_checks_its_budget_inside_a_level():
     start = time.monotonic()
     with pytest.raises(CapacityError):
         eta(AbelianGroup((4, 8)), budget_seconds=1.0)
+    assert time.monotonic() - start < 1.5
+
+
+def test_the_identity_path_checks_its_budget_inside_a_level():
+    # Aut(Z2^5) is too large to list, so D(Z2^5) takes the identity path;
+    # on a 2-vCPU VM its last level runs from about 0.8 s to 1.7 s, so a
+    # clock read only between lengths overshoots a 1 s budget by 0.7 s
+    start = time.monotonic()
+    with pytest.raises(CapacityError):
+        davenport_table(AbelianGroup((2, 2, 2, 2, 2)), 1, budget_seconds=1.0)
     assert time.monotonic() - start < 1.5
 
 
@@ -469,7 +481,7 @@ def _least_image(items, perms):
 
 def _orbit_table(A, auts, monkeypatch):
     monkeypatch.setattr(davenport, "automorphism_group", lambda group: auts)
-    return davenport._canonical_maps(A)
+    return _OrbitTable(davenport._canonical_maps(A), range(A.order))
 
 
 def _random_runs(A, rng):
@@ -558,6 +570,21 @@ def test_each_canonicalisation_scans_the_candidate_maps_once(monkeypatch):
     assert all(table_calls) and len(gathers) == len(table_calls) > levels[-1][2]
 
 
+@pytest.mark.parametrize("A", GROUPS_UP_TO_16, ids=AbelianGroup.spec)
+def test_the_two_paths_report_the_same(A, monkeypatch):
+    # each path forced in turn; D_1..3 where a run takes under 1 s on a
+    # 2-vCPU VM, D_1..2 on the larger groups; only the node counts differ
+    k = 3 if A.order <= 9 else 2
+    reports = []
+    for most in (0, math.inf):  # the symmetric path, then the identity path
+        monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", most)
+        rows = _table(A, k)
+        for row in rows:
+            del row["search_stats"]["nodes"]
+        reports.append((rows, eta(A)))
+    assert reports[0] == reports[1]
+
+
 def _unpruned_extensions(A, frontier, perms):
     """Every one-element extension of every frontier item, brute-force
     canonicalised, each distinct result once in order of first appearance."""
@@ -573,6 +600,15 @@ def _parents(items):
     return [tuple((e, m - (e == x)) for e, m in items if m > (e == x)) for x, _ in items]
 
 
+def _value(A, items, cap):
+    """k_max_naive of the int runs ``items``, or with a cap, whether they
+    hold a non-empty zero-sum block of length at most ``cap``."""
+    if cap is None:
+        return k_max_naive(Sequence(A, _to_elements(A, items)))
+    return int(any(sum(m for _, m in block) <= cap
+                   for block in sequences._zero_sum_subitems(A, items)))
+
+
 def _check_levels(A, perms, limit, cap, depth):
     """Each of the first ``depth`` levels of ``_levels`` against a
     brute-force scan: the candidates are every extension of the previous
@@ -586,16 +622,39 @@ def _check_levels(A, perms, limit, cap, depth):
         expected = {}
         for cand in candidates:
             if all(_least_image(p, perms) in previous for p in _parents(cand)):
-                S = Sequence(A, _to_elements(A, cand))
-                if cap is None:
-                    value = k_max_naive(S)
-                else:
-                    value = int(any(sum(m for _, m in block) <= cap for block in
-                                    sequences._zero_sum_subitems(A, cand)))
+                value = _value(A, cand, cap)
                 if value < limit:
                     expected[cand] = value
         assert seen - nodes == len(candidates), level
         assert list(survivors.items()) == list(expected.items()), level
+        previous, nodes = survivors, seen
+    return previous
+
+
+def _multisets(A, length):
+    """Every multiset of ``length`` elements of A∖{0}, as int runs."""
+    for combo in itertools.combinations_with_replacement(range(1, A.order), length):
+        yield tuple((x, combo.count(x)) for x in sorted(set(combo)))
+
+
+def _check_identity_levels(A, limit, cap, depth):
+    """The first ``depth`` levels of the identity path against brute force:
+    the survivors of length n are every multiset C with value below
+    ``limit`` (v never falls, so all parents of such a C survive too), and
+    level n examines each C whose C − max(C) survived length n − 1."""
+    previous, nodes = {(): 0}, 0
+    for level, survivors, seen in itertools.islice(
+            davenport._levels(A, limit, cap, None, None), depth):
+        expected, grown = {}, 0
+        for cand in _multisets(A, level):
+            top, mult = cand[-1]
+            rest = cand[:-1] + ((top, mult - 1),) if mult > 1 else cand[:-1]
+            grown += rest in previous
+            value = _value(A, cand, cap)
+            if value < limit:
+                expected[cand] = value
+        assert survivors == expected, level
+        assert seen - nodes == grown, level
         previous, nodes = survivors, seen
     return previous
 
@@ -622,19 +681,27 @@ def test_extensions_match_the_unpruned_scan(A, monkeypatch):
 
 
 def test_extensions_without_automorphisms_yield_every_extension(monkeypatch):
+    # a refused Aut listing takes the identity path, which keeps every multiset
     def unavailable(group):
         raise CapacityError("no automorphisms", limit=0)
 
     monkeypatch.setattr(davenport, "automorphism_group", unavailable)
-    table = davenport._canonical_maps(Z2xZ4)
-    identity = tuple(range(Z2xZ4.order))
-    assert table.maps == [identity]
+    assert davenport._canonical_maps(Z2xZ4) is None
     # a limit past the length keeps every multiset
-    frontier = _check_levels(Z2xZ4, [identity], 4, None, 3)
+    frontier = _check_identity_levels(Z2xZ4, 4, None, 3)
     # multisets of size 3 over the 7 non-zero elements
     assert len(frontier) == math.comb(7 + 2, 3)
     for limit, cap in ((1, None), (2, None), (1, Z2xZ4.exponent)):
-        _check_levels(Z2xZ4, [identity], limit, cap, 4)
+        _check_identity_levels(Z2xZ4, limit, cap, 4)
+
+
+@pytest.mark.parametrize("A", [Z2xZ2, Z6], ids=AbelianGroup.spec)
+def test_identity_levels_match_brute_force(A, monkeypatch):
+    # Z2×Z4 is checked on this path above, through a refused Aut listing
+    monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", math.inf)
+    for limit in (1, 2, 3):
+        _check_identity_levels(A, limit, None, 5)
+    _check_identity_levels(A, 1, A.exponent, 5)
 
 
 @pytest.mark.parametrize("A, refused", [(Z2cubed, False), (Z3xZ3, False),
@@ -644,13 +711,9 @@ def test_credits_count_the_kept_parents(A, refused, monkeypatch):
     # for any set K of canonical items, the credits that the firsts of K give
     # a multiset C add up to (|Aut| / |Stab(C)|)·#{x ∈ supp C : can(C − x) ∈ K};
     # stabilisers, orbits and least images here are brute force
-    if refused:
-        def unavailable(group):
-            raise CapacityError("no automorphisms", limit=0)
-
-        monkeypatch.setattr(davenport, "automorphism_group", unavailable)
+    if refused:  # an orbit table of the identity alone
         perms = [tuple(range(A.order))]
-        table = davenport._canonical_maps(A)
+        table = _OrbitTable(perms, ())
     else:
         auts = automorphism_group(A)
         perms = sorted(set(_permutations(A, auts)))
@@ -687,17 +750,12 @@ def test_credits_count_the_kept_parents(A, refused, monkeypatch):
     assert moved or refused
 
 
-def test_canonical_items_under_the_identity_alone_are_the_items(monkeypatch):
-    # Aut(Z2) is trivial, and a refused Aut listing leaves only the identity
-    trivial = davenport._canonical_maps(Z2)
-
-    def unavailable(group):
-        raise CapacityError("no automorphisms", limit=0)
-
-    monkeypatch.setattr(davenport, "automorphism_group", unavailable)
-    refused = davenport._canonical_maps(Z2xZ4)
+def test_canonical_items_under_the_identity_alone_are_the_items():
+    # Aut(Z2) is trivial, and a table of the identity alone indexes nothing
+    trivial = _OrbitTable(davenport._canonical_maps(Z2), range(Z2.order))
+    alone = _OrbitTable([tuple(range(Z2xZ4.order))], ())
     rng = random.Random(1211)
-    for A, table in ((Z2, trivial), (Z2xZ4, refused)):
+    for A, table in ((Z2, trivial), (Z2xZ4, alone)):
         assert len(table.maps) == 1
         for _ in range(20):
             items = _random_runs(A, rng)
@@ -705,10 +763,11 @@ def test_canonical_items_under_the_identity_alone_are_the_items(monkeypatch):
             assert least is items and ties == table.maps
 
 
-def test_levels_run_to_the_first_empty_level():
+def test_levels_run_to_the_first_empty_level(monkeypatch):
     # Aut(Z2×Z2) = GL(2,2) leaves one orbit of length 1 and two of length 2;
     # below limit 2 the value is k_max: a^3·b and a^2·b·c are the length-4
     # multisets with one block only, and D_2(Z2×Z2) = 5
+    monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", 0)
     assert list(davenport._levels(Z2xZ2, 2, None, None, None)) == [
         (1, {((1, 1),): 0}, 1),
         (2, {((1, 2),): 1, ((1, 1), (2, 1)): 0}, 3),
@@ -716,7 +775,24 @@ def test_levels_run_to_the_first_empty_level():
         (4, {((1, 1), (2, 3)): 1, ((1, 1), (2, 1), (3, 2)): 1}, 10),
         (5, {}, 14),
     ]
-    # the trivial group has no non-zero element: η(Z1) = 1
+    # |Aut(Z2×Z2)| = 6 takes the identity path by default: it keeps whole
+    # orbits, and builds each multiset from the one kept C − max(C)
+    monkeypatch.undo()
+    assert list(davenport._levels(Z2xZ2, 2, None, None, None)) == [
+        (1, {((1, 1),): 0, ((2, 1),): 0, ((3, 1),): 0}, 3),
+        (2, {((1, 2),): 1, ((1, 1), (2, 1)): 0, ((1, 1), (3, 1)): 0, ((2, 2),): 1,
+             ((2, 1), (3, 1)): 0, ((3, 2),): 1}, 9),
+        (3, {((1, 3),): 1, ((1, 2), (2, 1)): 1, ((1, 2), (3, 1)): 1, ((1, 1), (2, 2)): 1,
+             ((1, 1), (2, 1), (3, 1)): 1, ((1, 1), (3, 2)): 1, ((2, 3),): 1,
+             ((2, 2), (3, 1)): 1, ((2, 1), (3, 2)): 1, ((3, 3),): 1}, 19),
+        (4, {((1, 3), (2, 1)): 1, ((1, 3), (3, 1)): 1, ((1, 2), (2, 1), (3, 1)): 1,
+             ((1, 1), (2, 3)): 1, ((1, 1), (2, 2), (3, 1)): 1, ((1, 1), (2, 1), (3, 2)): 1,
+             ((1, 1), (3, 3)): 1, ((2, 3), (3, 1)): 1, ((2, 1), (3, 3)): 1}, 34),
+        (5, {}, 45),
+    ]
+    # the trivial group has no non-zero element: η(Z1) = 1, on either path
+    assert list(davenport._levels(TRIVIAL, 1, 1, None, None)) == [(1, {}, 0)]
+    monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", 0)
     assert list(davenport._levels(TRIVIAL, 1, 1, None, None)) == [(1, {}, 0)]
 
 

@@ -27,6 +27,7 @@ from zerosumlab.groups import (
     subgroup_embeddable,
     translate,
 )
+from zerosumlab.sequences import _OrbitTable
 
 
 def test_invariant_factor_normalization():
@@ -339,7 +340,7 @@ def test_canonical_maps_are_the_automorphisms_on_indices(A, monkeypatch):
     auts = automorphism_group(A)
     # one enumeration of Aut(A) for both sides; Aut(Z2^4) has 20,160 elements
     monkeypatch.setattr(davenport, "automorphism_group", lambda group: auts)
-    table = _canonical_maps(A)
+    table = _OrbitTable(_canonical_maps(A), range(A.order))
     identity = tuple(range(A.order))
     # the identity first, then Aut(A) in enumeration order without repeats
     assert table.maps[0] == identity

@@ -4,9 +4,12 @@ A value is a rational coefficient vector representing a residue modulo
 the m-th cyclotomic polynomial Φ_m, which is computed by the defining
 iterated division of x^m − 1 by the Φ_d for proper divisors d | m.  No
 floating point anywhere: coefficients are ints, or Fractions once a
-division needs them.  Reduction mod Φ_m folds each power x^j onto the
-integer residue of x^(j mod m), valid because Φ_m divides x^m − 1; the
-inverse is the product of the other conjugates over the norm.
+division needs them, and the conductor m is an int ≥ 1.  Reduction mod
+Φ_m folds each power x^j onto the integer residue of x^(j mod m), valid
+because Φ_m divides x^m − 1; the inverse is the product of the other
+conjugates over the norm.  The m roots ζ_m^p are built once per conductor
+and shared (numbers are immutable), and a product with a factor equal to
+1 returns the other factor without multiplying.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ class CyclotomicNumber:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs):
+        if type(m) is not int or m < 1:
+            raise _conductor_error(m)
         if not _EXACT.issuperset(map(type, coeffs)):
             raise StructuralError(f"coefficients must be ints or Fractions, got {coeffs!r}")
         self.m = m
@@ -102,8 +107,9 @@ class CyclotomicNumber:
         >>> CyclotomicNumber.zeta(4) * CyclotomicNumber.zeta(4) == -1
         True
         """
-        power %= m
-        return cls(m, [0] * power + [1])
+        if type(m) is not int or m < 1:
+            raise _conductor_error(m)
+        return _roots(m)[power % m]
 
     @classmethod
     def zero(cls, m: int = 1) -> "CyclotomicNumber":
@@ -174,6 +180,11 @@ class CyclotomicNumber:
         other = self._same(other)
         if other is None:
             return NotImplemented
+        one = _residue_table(self.m)[0]  # the coefficients of ζ_m^0
+        if other.coeffs == one:
+            return self
+        if self.coeffs == one:
+            return other
         return CyclotomicNumber(self.m, _poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -258,6 +269,19 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber({self.m}, {[str(c) for c in self.coeffs]})"
+
+
+def _conductor_error(m):
+    """The error for a conductor that is not an int ≥ 1, raised before any table is keyed by it."""
+    if type(m) is not int:  # bool excluded: True would share the tables of 1
+        return StructuralError(f"conductor must be an int, got {m!r}")
+    return DomainError(f"conductor must be >= 1, got {m}")
+
+
+@lru_cache(maxsize=None)
+def _roots(m: int) -> tuple[CyclotomicNumber, ...]:
+    """ζ_m^p for p = 0..m−1; row p of the residue table is its coefficient vector."""
+    return tuple(CyclotomicNumber(m, row) for row in _residue_table(m))
 
 
 def _poly_mul(a, b):

@@ -11,8 +11,13 @@ invariants have one basis row per admissible orbit, read off the orbit
 with int arithmetic alone (``invariant_basis``; Sturmfels, *Algorithms in
 Invariant Theory* §2).  Each orbit is walked along the generators, not
 over the whole closure: it is admissible iff the powers of ζ_m met along
-the walk agree on every generator edge (``_orbit_rows``).  ``transfer``
-stays as public API and as the oracle the tests check that basis against.
+the walk agree on every generator edge (``_orbit_rows``).  A walk starts
+only at a monomial that every diagonal generator (σ = id) fixes: one that
+such a generator scales by a non-trivial ζ_m^j lies in no admissible
+orbit, while every member of an admissible orbit is fixed, so each
+admissible orbit is still first met where a walk from every monomial
+meets it (``_walk_starts``).  ``transfer`` stays as public API and as the
+oracle the tests check that basis against.
 β_k is the largest degree where the invariants are not contained in the
 (k+1)-st power of the positive-degree ideal (the scan in ``polynomials``,
 shared with presented algebras), with the scan ranges certified by the
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import mul
 
 from .errors import (
     CapacityError,
@@ -34,7 +40,7 @@ from .errors import (
     VerificationError,
 )
 from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _roots
 from .polynomials import GradedSpan, MultiPoly, escaping_degrees, grlex_key
 from .polynomials import power_span as _power_span
 
@@ -129,11 +135,17 @@ class MonomialRep:
     # -- the action on polynomials ------------------------------------------------
 
     def act(self, element, f: MultiPoly) -> MultiPoly:
-        """Image of f under x_i ↦ ζ^{s_i}·x_{σ(i)}."""
+        """Image of f under x_i ↦ ζ^{s_i}·x_{σ(i)}.
+
+        σ permutes the variables, so distinct terms of f have distinct
+        images and no two images are merged; an element whose σ is no
+        permutation and sends two terms to one monomial is refused.
+        """
         sigma, s = element
         if f.nvars != self.nvars:
             raise StructuralError("polynomial arity does not match the representation")
         m = math.lcm(f.conductor, self.conductor)
+        roots = _roots(self.conductor)
         out = {}
         for exp, coeff in f.terms.items():
             new_exp = [0] * self.nvars
@@ -142,12 +154,10 @@ class MonomialRep:
                 if e:
                     new_exp[sigma[i]] += e
                     scalar += s[i] * e
-            key = tuple(new_exp)
-            c = coeff.lift(m) * CyclotomicNumber.zeta(self.conductor, scalar).lift(m)
-            if key in out:
-                c = out[key] + c
-            out[key] = c
-        return MultiPoly(self.nvars, out, m)
+            out[tuple(new_exp)] = coeff.lift(m) * roots[scalar % self.conductor].lift(m)
+        if len(out) != len(f.terms):
+            raise StructuralError(f"{element} sends two terms of f to one monomial")
+        return MultiPoly._of(self.nvars, out, m)
 
     def is_invariant(self, f: MultiPoly) -> bool:
         return all(self.act(g, f) == f for g in self.generators)
@@ -216,6 +226,19 @@ def _degree_monomials(nvars, d):
         yield tuple(exp)
 
 
+def _walk_starts(rep: MonomialRep, d: int):
+    """The degree-d monomials u with ⟨s, u⟩ ≡ 0 (mod m) for every generator (id, s)."""
+    m = rep.conductor
+    identity = tuple(range(rep.nvars))
+    diagonal = [s for sigma, s in rep.generators if sigma == identity]
+    for u in _degree_monomials(rep.nvars, d):
+        for s in diagonal:
+            if sum(map(mul, s, u)) % m:
+                break
+        else:
+            yield u
+
+
 def _orbit_rows(rep: MonomialRep, d: int):
     """(lead, row) for every admissible orbit of degree-d monomials.
 
@@ -232,15 +255,20 @@ def _orbit_rows(rep: MonomialRep, d: int):
     stabiliser acts by a non-trivial character and transfer(x^u) = 0.  An
     admissible orbit reaches each image v with one power p_v, |Stab|
     times, so transfer(x^u) divided by its leading coefficient is
-    Σ_v ζ_m^{p_v − p_lead}·x^v, lead the grlex-largest image.
+    Σ_v ζ_m^{p_v − p_lead}·x^v, lead the grlex-largest image.  Walks
+    start only at the monomials ``_walk_starts`` keeps.  A generator
+    (id, s) sends x^u to ζ_m^{⟨s, u⟩}·x^u, so a u it scales lies in no
+    admissible orbit; every member of an admissible orbit is kept, so each
+    admissible orbit is met first at the same member, with the same lead
+    and row, as in a walk from every monomial.
     """
     m = rep.conductor
     n = rep.nvars
     gens = rep.generators
-    zetas = [CyclotomicNumber.zeta(m, p) for p in range(m)]
+    roots = _roots(m)
     seen = set()
     out = []
-    for u in _degree_monomials(n, d):
+    for u in _walk_starts(rep, d):
         if u in seen:
             continue
         powers = {u: 0}
@@ -268,8 +296,8 @@ def _orbit_rows(rep: MonomialRep, d: int):
         if admissible:
             lead = max(powers, key=grlex_key)
             shift = powers[lead]
-            terms = {v: zetas[(p - shift) % m] for v, p in powers.items()}
-            out.append((lead, MultiPoly(n, terms, m)))
+            terms = {v: roots[(p - shift) % m] for v, p in powers.items()}
+            out.append((lead, MultiPoly._of(n, terms, m)))
     return out
 
 

@@ -172,7 +172,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             c1 = c1.lift(m)
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 c = c1 * c2.lift(m)
                 out[exp] = out[exp] + c if exp in out else c
         return MultiPoly._of(self.nvars, out, m)

@@ -12,7 +12,7 @@ from zerosumlab import (
     cyclotomic_polynomial,
     euler_phi,
 )
-from zerosumlab.cyclotomic import _poly_divmod, _reduce_mod
+from zerosumlab.cyclotomic import _poly_divmod, _reduce_mod, _residue_table, _roots
 
 zeta = CyclotomicNumber.zeta
 
@@ -85,6 +85,58 @@ def test_rejects_bad_conductor():
         cyclotomic_polynomial(0)
     with pytest.raises(DomainError):
         CyclotomicNumber(-3, [1])
+
+
+def _table_sizes():
+    return _roots.cache_info().currsize, _residue_table.cache_info().currsize
+
+
+@pytest.mark.parametrize("bad", [2.0, "3", True, Fraction(2), None],
+                         ids=["float", "str", "bool", "fraction", "none"])
+def test_conductor_must_be_an_exact_int(bad):
+    sizes = _table_sizes()
+    with pytest.raises(StructuralError):
+        CyclotomicNumber(bad, [1, 2])
+    with pytest.raises(StructuralError):
+        zeta(bad)
+    with pytest.raises(StructuralError):
+        zeta(bad, 0)
+    assert _table_sizes() == sizes  # refused before any table is keyed by it
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_conductor_below_one_is_refused_before_any_table(bad):
+    sizes = _table_sizes()
+    with pytest.raises(DomainError):
+        CyclotomicNumber(bad, [1])
+    with pytest.raises(DomainError):
+        zeta(bad)
+    assert _table_sizes() == sizes
+
+
+def test_zeta_reads_the_root_table():
+    for m in range(1, 17):
+        for p in range(-m, 2 * m + 1):
+            root = zeta(m, p)
+            assert root == CyclotomicNumber(m, [0] * (p % m) + [1]), (m, p)
+            assert root.m == m and root is _roots(m)[p % m], (m, p)
+
+
+def test_a_product_with_one_is_the_other_factor():
+    rng = random.Random(0x0AE)
+    for m in (1, 2, 3, 4, 6, 12):
+        ones = [CyclotomicNumber.one(m), zeta(m, 0), CyclotomicNumber(m, [Fraction(1)]), 1,
+                Fraction(1)]
+        for exact_type in (int, Fraction):
+            a = _random_number(rng, m, exact_type)
+            for one in ones:
+                assert a * one == a and one * a == a, (m, a, one)
+                assert a * one is a and one * a is a, (m, a, one)  # no multiplication
+        foreign = CyclotomicNumber.one(2 * m + 1)
+        with pytest.raises(StructuralError):
+            zeta(m) * foreign
+        with pytest.raises(StructuralError):
+            foreign * zeta(m)
 
 
 # --- field arithmetic ---------------------------------------------------------

@@ -105,6 +105,13 @@ def test_action_scales_and_permutes():
     assert rep.act(b, x1) == MultiPoly.variable(1, 2)
 
 
+def test_action_refuses_an_element_that_merges_terms():
+    rep = induced_module(SD322)
+    x1, x2 = (MultiPoly.variable(i, 2) for i in range(2))
+    with pytest.raises(StructuralError):
+        rep.act(((0, 0), (0, 0)), x1 + x2)
+
+
 def test_action_lifts_foreign_coefficients():
     rep = induced_module(SD322)
     f = MultiPoly(2, {(1, 0): zeta(4)})
@@ -238,6 +245,24 @@ def test_orbit_basis_matches_the_transfer_span(rep):
         oracle = _transfer_span(rep, d)
         assert basis.pivots() == oracle.pivots(), d
         assert [str(r) for r in basis.rows] == [str(r) for r in oracle.rows], d
+
+
+def test_walks_start_only_at_monomials_the_diagonal_generators_fix():
+    rep = regular_representation(Z6)
+    starts = list(invariants._walk_starts(rep, 6))
+    assert len(list(invariants._degree_monomials(6, 6))) == 462
+    assert len(starts) == 80
+    (scalars,) = [s for _, s in rep.generators]
+    assert all(sum(s * e for s, e in zip(scalars, u)) % 6 == 0 for u in starts)
+    assert [lead for lead, _ in invariants._orbit_rows(rep, 6)] == starts
+
+
+@pytest.mark.parametrize("rep", _ORACLE_REPS, ids=lambda rep: rep.name)
+def test_every_member_of_an_admissible_orbit_can_start_a_walk(rep):
+    for d in range(min(rep.group_order, 6) + 1):
+        starts = set(invariants._walk_starts(rep, d))
+        for row in invariant_basis(rep, d).rows:
+            assert starts.issuperset(row.terms), (d, row)
 
 
 def _regenerated(rep, generators):

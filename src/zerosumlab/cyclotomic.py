@@ -122,10 +122,10 @@ class CyclotomicNumber:
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -144,10 +144,11 @@ class CyclotomicNumber:
         return CyclotomicNumber(M, out)
 
     def _same(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, self.m)
-        if not isinstance(other, CyclotomicNumber):
-            return None
+        if type(other) is not CyclotomicNumber:  # the common case skips the ABC check
+            if isinstance(other, (int, Fraction)):
+                other = CyclotomicNumber.from_rational(other, self.m)
+            elif not isinstance(other, CyclotomicNumber):
+                return None
         if other.m != self.m:
             raise StructuralError(
                 f"conductor mismatch: {self.m} vs {other.m}; lift explicitly"

@@ -10,11 +10,8 @@ The combinatorial engines work on element *indices* instead: the position
 of an element in ``elements()``, i.e. its coordinates read in mixed radix
 with the first coordinate most significant.  Zero is index 0 and index
 order is tuple order.  ``index``/``element`` convert, ``add_index`` adds,
-and ``sums()`` memoises additions row by row as they are first asked for.
-Sets of indices are also kept as int bitmasks (bit t for index t):
-``translations()`` gives, for each g, the index of −g and the shift-and-mask
-moves with which ``translate`` adds g to every index of a mask at once,
-built, like ``sums()``, only for the elements asked for.
+and ``sums()`` memoises additions row by row as they are first asked for,
+so its size follows the sums a caller touches, never |A|².
 This module also owns the automorphisms on indices: ``Automorphism``
 builds its permutation ``perm`` once, and ``automorphism_group`` lists
 Aut(A) on indices; the scans and canonical forms only read ``perm``.
@@ -132,8 +129,7 @@ def invariant_factors(factors) -> tuple[int, ...]:
 class AbelianGroup:
     """A finite abelian group Z_{n_1} ⊕ … ⊕ Z_{n_r} with n_i | n_{i+1}."""
 
-    __slots__ = ("factors", "order", "exponent", "rank", "_elements", "_sums",
-                 "_translations")
+    __slots__ = ("factors", "order", "exponent", "rank", "_elements", "_sums")
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -156,7 +152,6 @@ class AbelianGroup:
         self.rank = len(factors)
         self._elements = None
         self._sums = None
-        self._translations = None
 
     @classmethod
     def from_factors(cls, factors) -> "AbelianGroup":
@@ -275,18 +270,6 @@ class AbelianGroup:
             self._sums = _SumTable(self)
         return self._sums
 
-    def translations(self) -> "_TranslationTable":
-        """Translation of index bitmasks: ``translations()[g]`` is
-        ``(index of −g, moves)``, and ``translate(mask, moves)`` is the
-        mask whose bit x + g is set for each set bit x of ``mask``.
-
-        Entries and their masks are built on first lookup and kept, like
-        ``sums()``.
-        """
-        if self._translations is None:
-            self._translations = _TranslationTable(self)
-        return self._translations
-
     # -- identity ----------------------------------------------------------
 
     def spec(self) -> str:
@@ -331,67 +314,6 @@ class _SumTable(dict):
     def __missing__(self, x):
         row = self[x] = _SumRow(self.group, x)
         return row
-
-
-class _TranslationTable(dict):
-    """g ↦ (index of −g, moves), created on first lookup.
-
-    Adding g adds its coordinates one at a time; each non-zero coordinate
-    c of factor n and weight w (the index step of that coordinate) gives
-    one move (low, c·w, (n − c)·w).  ``low`` holds the indices whose
-    coordinate is below n − c: they shift up by c·w, the rest wrap round
-    and shift down by (n − c)·w.  Each |A|-bit ``low`` is shared by all
-    moves with the same coordinate and c.
-    """
-
-    __slots__ = ("group", "_low")
-
-    def __init__(self, group: AbelianGroup):
-        super().__init__()
-        self.group = group
-        self._low: dict[tuple[int, int], int] = {}
-
-    def _low_mask(self, j, c, n, w):
-        low = self._low.get((j, c))
-        if low is None:
-            # one period of n·w indices has its first (n − c)·w bits set;
-            # double it up to |A| bits
-            order = self.group.order
-            low, size = (1 << (n - c) * w) - 1, n * w
-            while size < order:
-                low |= low << size
-                size *= 2
-            if size > order:
-                low &= (1 << order) - 1
-            self._low[j, c] = low
-        return low
-
-    def __missing__(self, g):
-        group = self.group
-        x = group.element(g)
-        moves = []
-        w = group.order
-        for j, (c, n) in enumerate(zip(x, group.factors)):
-            w //= n
-            if c:
-                moves.append((self._low_mask(j, c, n, w), c * w, (n - c) * w))
-        entry = self[g] = (group.index(group.neg(x)), tuple(moves))
-        return entry
-
-
-def translate(mask: int, moves) -> int:
-    """``mask`` translated by the element whose ``moves`` are given (see
-    ``AbelianGroup.translations``).
-
-    >>> A = AbelianGroup((2, 4))
-    >>> neg, moves = A.translations()[A.index((1, 3))]
-    >>> neg, bin(translate(0b11, moves))  # {0, 1} + 7 = {7, 4}
-    (5, '0b10010000')
-    """
-    for low, left, right in moves:
-        up = mask & low
-        mask = up << left | (mask ^ up) >> right
-    return mask
 
 
 class Automorphism:

@@ -11,28 +11,23 @@ order is tuple order, so sorting, minima and canonical forms agree, and
 zero is index 0.  Conversion happens only at the public entry points.
 
 k_max(S) is the largest number of pairwise-disjoint non-empty zero-sum
-sub-multisets extractable from S.  The engine recursion uses three exact
-reductions: entries equal to 0 each contribute exactly one block (any
-block containing 0 splits); every zero-sum block factors into minimal
-zero-sum blocks, so packings of minimal blocks suffice; and fixing the
-least support element x, an optimal packing either uses no copy of x
-(drop one copy) or uses x inside some minimal block containing it.
+sub-multisets extractable from S.  One kernel computes it, the
+sub-multiset table.  Each 0 of S is one block on its own (any block
+containing 0 splits), so the zeros are split off first.  Over every T
+⊆ the rest, by code (``_subitem_sums``), k(T) = [T ≠ ∅, σ(T) = 0] + max
+over x ∈ T of k(T − x), k(∅) = 0.  A packing of T − x packs T, plus the
+rest of T if σ(T) = 0, which is zero-sum and holds x.  If σ(T) ≠ 0, an
+optimal packing of T misses some x, so it packs T − x; if σ(T) = 0 it
+covers T (a zero-sum rest is one more block), so dropping the block that
+holds x leaves k − 1 in T − x.
 
-A zero-sum block B that holds x is minimal iff B less one copy of x is
-zero-sum free (Olson 1969; Geroldinger–Halter-Koch 2006, §5.1): of any
-proper zero-sum T ⊂ B, T or B − T has fewer copies of x than B.  So
-``_pivot_blocks`` grows only zero-sum-free parts and never enumerates the
-other zero sums.  And k_max(S) ≤ k_max(S − x) + 1, since dropping the
-block that holds one copy of x from a packing of S leaves a packing of
-S − x; so the recursion stops at the first minimal block B with
-1 + k_max(S − B) > k_max(S − x).
-
-The oracle ``k_max_naive`` uses none of this.  Over every T ⊆ S it takes
-k(T) = [T ≠ ∅, σ(T) = 0] + max over x ∈ T of k(T − x), k(∅) = 0.  A
-packing of T − x packs T, plus the rest of T if σ(T) = 0, which is
-zero-sum and holds x.  If σ(T) ≠ 0, an optimal packing of T misses some
-x, so it packs T − x; if σ(T) = 0 it covers T (a zero-sum rest is one
-more block), so dropping the block that holds x leaves k − 1 in T − x.
+``_kmax_codes`` fills the table bottom-up, with no recursion; a table of
+more than ``TABLE_CELLS`` sub-multisets is refused before it is built.
+Every caller reads off it: ``k_max`` (through ``_KMAX_MEMO``, a memo of
+whole answers, and its on-disk spill) and ``k_max_naive`` (no memo) its
+last cell, ``k_max_with_witness`` a walk down from S, and
+``minimal_zero_sum_subsequences`` the zero-sum T with k(T) = 1.  The suite's second method
+is the block recursion over ``_zero_sum_subitems``.
 """
 
 from __future__ import annotations
@@ -40,17 +35,19 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 
 from .errors import (
+    CapacityError,
     DomainError,
     ParseError,
     StructuralError,
     ValidationError,
     VerificationError,
 )
-from .groups import AbelianGroup, _is_int, translate
+from .groups import AbelianGroup, _is_int
 
 _CACHE_FILE = "zsl_kmax_cache.json"
 _SAVE_SLICE = 512
@@ -181,12 +178,6 @@ def _items_subtract(items, sub):
     return tuple(out)
 
 
-def _drop_first(items):
-    """``items`` less one copy of its least element."""
-    elem, mult = items[0]
-    return ((elem, mult - 1),) + items[1:] if mult > 1 else items[1:]
-
-
 def _to_indices(group, items):
     """Int runs of tuple runs (order is kept: index order is tuple order)."""
     index = group.index
@@ -238,14 +229,22 @@ def subtract(S: Sequence, T: Sequence) -> Sequence:
     return Sequence(S.group, _items_subtract(S.items, T.items))
 
 
-# -- zero-sum sub-multiset enumeration ---------------------------------------
+# -- the sub-multiset table ----------------------------------------------------
+
+# most sub-multisets, Π(m_i + 1) over the runs, that one table may hold
+TABLE_CELLS = 1 << 22
 
 
 def _subitem_sums(group, items):
     """σ(T) as an index for each sub-multiset T of the int runs ``items``,
     by code: T's copies of each run are its digits, in base mult + 1, the
-    first run most significant.
+    first run most significant.  Past ``TABLE_CELLS`` codes it raises
+    CapacityError before it builds anything.
     """
+    cells = math.prod([mult + 1 for _, mult in items])
+    if cells > TABLE_CELLS:
+        raise CapacityError(f"{cells} sub-multisets exceed the table limit of {TABLE_CELLS}",
+                            limit=TABLE_CELLS)
     sums = group.sums()
     out = [0]
     for elem, mult in items:
@@ -258,13 +257,63 @@ def _subitem_sums(group, items):
     return out
 
 
+def _decode(items, digits, code):
+    """The int runs of the sub-multiset of ``items`` with this code."""
+    return tuple([(elem, c) for (elem, _), (stride, base) in zip(items, digits)
+                  if (c := code // stride % base)])
+
+
+def _kmax_codes(group, items):
+    """(k, sums, digits) over the sub-multisets T of the int runs ``items``:
+    ``k[code]`` is k_max(T), ``sums`` is ``_subitem_sums`` and ``digits``
+    holds the (stride, base) of each run's digit, in run order.  k is
+    filled bottom-up by the recurrence of the module docstring; T − x is
+    T's code less the stride of x's run.
+    """
+    sums = _subitem_sums(group, items)
+    digits = []
+    stride = len(sums)
+    for _, mult in items:
+        stride //= mult + 1
+        digits.append((stride, mult + 1))
+    k = [0] * len(sums)
+    for code in range(1, len(sums)):
+        best = 0
+        for stride, base in digits:
+            if code // stride % base:  # T holds a copy of this run
+                v = k[code - stride]
+                if v > best:
+                    best = v
+        k[code] = best + (sums[code] == 0)
+    return k, sums, digits
+
+
+def _kmax_of_runs(group, items) -> int:
+    """k_max of the int runs ``items``: zero sorts first, and each 0 is one
+    block on its own, so the table holds only the other runs."""
+    zeros = items[0][1] if items and items[0][0] == 0 else 0
+    return zeros + _kmax_codes(group, items[1:] if zeros else items)[0][-1]
+
+
 def _zero_sum_subitems(group, items):
     """All non-empty zero-sum sub-multisets of the int runs ``items``, in
-    code order.  Only the tests' definitional references enumerate them.
+    code order.  Only the definitional references enumerate them.
     """
     codes = itertools.product(*[range(mult + 1) for _, mult in items])
     return [tuple([(elem, c) for (elem, _), c in zip(items, counts) if c])
             for counts, t in zip(codes, _subitem_sums(group, items)) if t == 0 and any(counts)]
+
+
+def _minimal_blocks_with_pivot(group, items):
+    """Minimal zero-sum sub-multisets of the int runs ``items`` that use the
+    first run's element (the pivot), sorted.  A non-empty zero-sum T is
+    minimal iff k_max(T) = 1.
+    """
+    if items[0][0] == 0:
+        return [((0, 1),)]
+    k, sums, digits = _kmax_codes(group, items)
+    return sorted(_decode(items, digits, code) for code in range(digits[0][0], len(k))
+                  if k[code] == 1 and sums[code] == 0)
 
 
 def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
@@ -283,81 +332,19 @@ def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
     return [Sequence(g, _to_elements(g, sub)) for sub in found]
 
 
-# -- the k_max engine ---------------------------------------------------------
-
-
-def _pivot_blocks(group, items):
-    """(block, remainder) for each minimal zero-sum sub-multiset of the int
-    runs ``items`` that uses the first run's element x (the pivot, which
-    must not be 0).
-
-    A block B that holds x is minimal iff P = B less one copy of x is
-    zero-sum free (see the module docstring).  So a DFS grows P one copy at
-    a time, in run order, and carries the non-empty subset sums of P as a
-    bitmask: a new copy of g turns it into r | (r + g) | {g}.  A branch
-    ends once 0 is a subset sum; once −x is one while P's total is not −x
-    (every larger P then holds a proper part summing to −x, and so a
-    zero-sum rest); or once P's total is −x, where B = P + x is yielded.
-    """
-    sums = group.sums()
-    table = group.translations()
-    target = table[items[0][0]][0]
-    target_bit = 1 << target
-    n = len(items)
-    runs = [(mult, 1 << elem, table[elem][1], sums[elem]) for elem, mult in items]
-    counts = [1] + [0] * (n - 1)  # copies of each run in B = P + x
-
-    def grow(i, mask, total):
-        # add one copy of run i or of a later run to P
-        for j in range(i, n):
-            mult, bit, moves, row = runs[j]
-            if counts[j] == mult:
-                continue
-            grown = mask | translate(mask, moves) | bit
-            if grown & 1:
-                continue
-            total_j = row[total]
-            counts[j] += 1
-            if total_j == target:
-                yield (tuple([(e, c) for (e, _), c in zip(items, counts) if c]),
-                       tuple([(e, m - c) for (e, m), c in zip(items, counts) if m > c]))
-            elif not grown & target_bit:
-                yield from grow(j, grown, total_j)
-            counts[j] -= 1
-
-    return grow(0, 0, 0)
-
-
-def _minimal_blocks_with_pivot(group, items):
-    """Minimal zero-sum sub-multisets of the int runs ``items`` that use the
-    first run's element (the pivot), sorted."""
-    if items[0][0] == 0:
-        return [((0, 1),)]
-    return sorted(block for block, _ in _pivot_blocks(group, items))
+# -- k_max ---------------------------------------------------------------------
 
 
 def _kmax_items(group, items) -> int:
-    """k_max of the int runs ``items``, through the shared memo."""
+    """k_max of the int runs ``items``, through the shared memo of whole
+    answers."""
     if not items:
         return 0
     key = (group.factors, items)
-    cached = _KMAX_MEMO.get(key)
-    if cached is not None:
-        return cached
-    if items[0][0] == 0:
-        # zero sorts first; each 0 is its own block and any block containing 0 splits
-        val = items[0][1] + _kmax_items(group, items[1:])
-    else:
-        # drop one copy of the least support element, or use it in a minimal
-        # block; the latter gains at most 1, so the first block that gains
-        # decides
-        val = _kmax_items(group, _drop_first(items))
-        for _, rest in _pivot_blocks(group, items):
-            if 1 + _kmax_items(group, rest) > val:
-                val += 1
-                break
-    _KMAX_MEMO[key] = val
-    return val
+    value = _KMAX_MEMO.get(key)
+    if value is None:
+        value = _KMAX_MEMO[key] = _kmax_of_runs(group, items)
+    return value
 
 
 class BlockPacking:
@@ -400,35 +387,32 @@ def k_max(S: Sequence) -> int:
 def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
     """k_max together with an attaining packing (deterministic choice).
 
-    The recursion prefers the lexicographically least usable block at each
-    step; the final packing lists blocks in encoding order.
+    Each 0 is a block.  On the table of the other runs the walk goes down
+    from S: at a zero-sum T it drops one copy of T's first run, and k
+    falls by one; elsewhere it drops the first run whose removal keeps k.
+    So k falls exactly at the zero-sum sets Z_1 ⊃ … ⊃ Z_k met on the way,
+    and Z_1 − Z_2, …, Z_{k−1} − Z_k, Z_k are the blocks; S − Z_1 is the
+    remainder.  The packing is checked against ``_kmax_items``.
     """
     g = S.group
-    blocks = []
-    shed = []  # copies no optimal packing of the current rest uses
-    runs = items = _to_indices(g, S.items)
-    while items:
-        best = _kmax_items(g, items)
-        if best == 0:
-            break
-        if items[0][0] == 0:
-            blocks.append(((0, 1),))
-            items = _drop_first(items)
-            continue
-        for block, rest in sorted(_pivot_blocks(g, items)):
-            if 1 + _kmax_items(g, rest) == best:
-                blocks.append(block)
-                items = rest
+    runs = _to_indices(g, S.items)
+    zeros = runs[0][1] if runs and runs[0][0] == 0 else 0
+    items = runs[1:] if zeros else runs
+    k, sums, digits = _kmax_codes(g, items)
+    cuts = []  # codes of the zero-sum sets on the walk
+    code = len(k) - 1
+    while k[code]:
+        if sums[code] == 0:
+            cuts.append(code)
+        for stride, base in digits:
+            if code // stride % base and (sums[code] == 0 or k[code - stride] == k[code]):
+                code -= stride
                 break
-        else:
-            # the least element is unused by every optimal packing; it
-            # joins the uncovered remainder
-            shed.append(items[0][0])
-            items = _drop_first(items)
-    for elem in shed:
-        items = _items_add_one(items, elem)
+    blocks = [((0, 1),)] * zeros + [_decode(items, digits, a - b)
+                                     for a, b in zip(cuts, cuts[1:] + [0])]
+    rest = _decode(items, digits, len(k) - 1 - (cuts[0] if cuts else 0))
     packing = BlockPacking([Sequence(g, _to_elements(g, b)) for b in blocks],
-                           Sequence(g, _to_elements(g, items)))
+                           Sequence(g, _to_elements(g, rest)))
     if len(packing.blocks) != _kmax_items(g, runs) or not packing.verify_covers(S):
         raise VerificationError(
             f"witness packing disagrees with k_max for {S.literal()}", evidence=packing
@@ -437,30 +421,11 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
 
 
 def k_max_naive(S: Sequence) -> int:
-    """Independent oracle: k(T) = [T ≠ ∅, σ(T) = 0] + max over x ∈ T of
-    k(T − x) (module docstring), bottom-up over the codes of all T ⊆ S
-    (``_subitem_sums``); T − x is T's code less the stride of x's run.
-    No recursion, no memo: it shares only the int runs and the sums table
-    with the engine.
+    """k_max read off the sub-multiset table (``_kmax_codes``) with no
+    memo: the same kernel as ``k_max``, which answers through the memo
+    and its on-disk spill.
     """
-    g = S.group
-    items = _to_indices(g, S.items)
-    sums = _subitem_sums(g, items)
-    digits = []  # (stride, base) of each run, last run first
-    stride = 1
-    for _, mult in reversed(items):
-        digits.append((stride, mult + 1))
-        stride *= mult + 1
-    k = [0] * len(sums)
-    for code in range(1, len(sums)):
-        best = 0
-        for stride, base in digits:
-            if code // stride % base:  # T holds a copy of this run
-                v = k[code - stride]
-                if v > best:
-                    best = v
-        k[code] = best + (sums[code] == 0)
-    return k[-1]
+    return _kmax_of_runs(S.group, _to_indices(S.group, S.items))
 
 
 # -- canonical forms under automorphisms -------------------------------------

@@ -539,8 +539,8 @@ def _one_json_dump(memo):
 def test_a_save_streams_the_bytes_of_one_json_dump(tmp_path, monkeypatch):
     memo = {}
     monkeypatch.setattr(sequences, "_KMAX_MEMO", memo)
-    # every multiset of length 4 over Z2×Z2 and of length 8 over Z6
-    for factors, length in (((2, 2), 4), ((6,), 8)):
+    # every multiset of length 4 over Z2×Z2 and of length 9 over Z6
+    for factors, length in (((2, 2), 4), ((6,), 9)):
         A = AbelianGroup(factors)
         for entries in itertools.combinations_with_replacement(A.elements(), length):
             k_max(Sequence.from_elements(A, entries))

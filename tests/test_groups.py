@@ -25,7 +25,6 @@ from zerosumlab.groups import (
     factorize,
     parse_groupspec,
     subgroup_embeddable,
-    translate,
 )
 from zerosumlab.sequences import _OrbitTable
 
@@ -301,26 +300,6 @@ def test_sum_table_holds_only_the_sums_asked_for():
     assert sums[5][9] == sums[9][5]
     assert A.sums() is sums
     assert sorted(len(row) for row in sums.values()) == [1, 1]
-
-
-@pytest.mark.parametrize("A", KERNEL_GROUPS, ids=AbelianGroup.spec)
-def test_translations_move_every_mask_by_g(A):
-    rng = random.Random(A.order)
-    sums = A.sums()
-    table = A.translations()
-    full = (1 << A.order) - 1
-    masks = [0, full] + [1 << t for t in range(A.order)]
-    masks += [rng.getrandbits(A.order) for _ in range(8)]
-    for g in range(A.order):
-        neg, moves = table[g]
-        assert sums[g][neg] == 0
-        for mask in masks:
-            expected = 0
-            for t in range(A.order):
-                if mask >> t & 1:
-                    expected |= 1 << sums[g][t]
-            assert translate(mask, moves) == expected, (g, bin(mask))
-    assert A.translations() is table
 
 
 def _element_images(A, aut):

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
-import math
 import os
 import random
 import subprocess
@@ -17,16 +17,13 @@ import zerosumlab
 
 from zerosumlab.errors import DomainError, ParseError, StructuralError, VerificationError
 from zerosumlab.groups import AbelianGroup, automorphism_group, parse_groupspec
-from zerosumlab import davenport, sequences
-from zerosumlab.davenport import davenport_table, eta
-from zerosumlab.suite import _ORACLE_POOL
+from zerosumlab import sequences
+from zerosumlab.suite import _ORACLE_POOL, _k_max_by_definition
 from zerosumlab.sequences import (
     _KMAX_MEMO,
     BlockPacking,
     Sequence,
-    _items_subtract,
     _minimal_blocks_with_pivot,
-    _pivot_blocks,
     _to_elements,
     _to_indices,
     apply_to_sequence,
@@ -221,70 +218,6 @@ def test_minimal_blocks_with_pivot_match_the_definition():
     assert pivots == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_pivot_blocks_match_the_definition():
-    rng = random.Random(1208)
-    groups = [parse_groupspec(spec)
-              for spec in ("Z6", "Z12", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ2xZ4")]
-    seen = set()
-    for _ in range(120):
-        A = rng.choice(groups)
-        nonzero = A.elements()[1:]
-        while True:
-            support = rng.sample(nonzero, rng.randint(1, 5))
-            mults = [rng.randint(1, A.exponent) for _ in support]
-            if rng.random() < 0.3:
-                mults[rng.randrange(len(mults))] = A.exponent
-            # few enough sub-multisets for the definition
-            if math.prod(m + 1 for m in mults) <= 3000:
-                break
-        s = Sequence(A, zip(support, mults))
-        items = _to_indices(A, s.items)
-        pairs = list(_pivot_blocks(A, items))
-        seen.add((s.items[0][1] > 1, A.exponent in mults))
-        blocks = sorted(block for block, _ in pairs)
-        expected = [b for b in _minimal_zero_sums_by_definition(s) if b[0][0] == s.items[0][0]]
-        assert [_to_elements(A, b) for b in blocks] == expected, s.literal()
-        assert len(set(blocks)) == len(pairs), s.literal()
-        for block, rest in pairs:
-            assert rest == _items_subtract(items, block), (s.literal(), block)
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
-
-
-def test_the_engine_never_runs_the_oracle_enumeration(monkeypatch):
-    """Only ``k_max_naive`` takes the sum of every sub-multiset (with
-    ``_subitem_sums``, which ``_zero_sum_subitems`` calls too); the
-    engine, the D_k scan and the η scan find blocks without it."""
-    in_oracle = []
-    subitem_sums = sequences._subitem_sums
-
-    def guarded_sums(*args, **kwargs):
-        if not in_oracle:
-            raise AssertionError("the engine took the sum of every sub-multiset")
-        return subitem_sums(*args, **kwargs)
-
-    def oracle(S):
-        in_oracle.append(S)
-        try:
-            return k_max_naive(S)
-        finally:
-            in_oracle.pop()
-
-    monkeypatch.setattr(sequences, "_subitem_sums", guarded_sums)
-    # davenport_table re-checks its witnesses with the oracle
-    monkeypatch.setattr(davenport, "k_max_naive", oracle)
-    monkeypatch.setattr(sequences, "_KMAX_MEMO", {})  # a cold memo reaches the engine
-    rng = random.Random(1207)
-    for A in (AbelianGroup((6,)), AbelianGroup((2, 4)), AbelianGroup((3, 3))):
-        elems = A.elements()
-        for _ in range(20):
-            s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
-            assert k_max(s) == k_max_with_witness(s)[0] == oracle(s), s.literal()
-            found = [b.items for b in minimal_zero_sum_subsequences(s)]
-            assert found == _minimal_zero_sums_by_definition(s), s.literal()
-    assert [r.value_Dk for r in davenport_table(AbelianGroup((2, 4)), 2)] == [5, 9]
-    assert eta(AbelianGroup((3, 3))) == 7
-
-
 def test_k_max_known_values():
     assert k_max(Sequence.empty(Z2)) == 0
     assert k_max(seq(Z2, 1)) == 0
@@ -345,22 +278,6 @@ def test_engine_matches_naive_oracle():
         assert k_max(s) == k_max_naive(s), s.literal()
 
 
-def _k_max_by_definition(S):
-    """k_max as the largest 1 + k_max(S − B) over the non-empty zero-sum
-    sub-multisets B of S (0 if there is none), with a per-call table."""
-    A = S.group
-    seen = {}
-
-    def rec(items):
-        if items not in seen:
-            seen[items] = max([1 + rec(_items_subtract(items, block))
-                               for block in sequences._zero_sum_subitems(A, items)],
-                              default=0)
-        return seen[items]
-
-    return rec(_to_indices(A, S.items))
-
-
 def _oracle_pool_corpus():
     rng = random.Random(1211)
     pool = [parse_groupspec(spec) for spec in _ORACLE_POOL]
@@ -402,6 +319,15 @@ def test_oracle_engine_and_definition_agree(inputs):
         value = _k_max_by_definition(s)
         assert k_max_naive(s) == k_max(s) == value, s.literal()
         assert expected in (None, value), s.literal()
+        count, packing = k_max_with_witness(s)
+        assert count == len(packing.blocks) == value, s.literal()
+        # plain sums and counts, with no group table
+        covered = collections.Counter(packing.remainder)
+        for block in packing.blocks:
+            assert len(block) and all(sum(x[j] for x in block) % n == 0
+                                      for j, n in enumerate(s.group.factors)), s.literal()
+            covered.update(block)
+        assert covered == collections.Counter(s), s.literal()
         values.add(value)
     assert len(values) >= 4
 
@@ -513,3 +439,45 @@ def test_engine_on_groups_of_order_2_to_the_20():
     for spec, name, seconds, peak in calls:
         assert seconds < 1.0, (spec, name, seconds)
         assert peak < 16 << 20, (spec, name, peak)
+
+
+def test_long_runs_need_no_recursion():
+    # 1^1500·3^2 over Z7: 214 blocks 1^7, and 1·3^2
+    S = Sequence(AbelianGroup((7,)), [((1,), 1500), ((3,), 2)])
+    assert k_max(S) == k_max_naive(S) == 215
+    count, packing = k_max_with_witness(S)
+    assert count == len(packing.blocks) == 215
+    assert packing.verify_covers(S)
+    assert all(sequence_sum(block) == (0,) for block in packing.blocks)
+    assert packing.remainder.items == (((1,), 1),)
+
+
+_CAPACITY_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from zerosumlab.errors import CapacityError
+from zerosumlab.groups import parse_groupspec
+from zerosumlab.sequences import (TABLE_CELLS, Sequence, k_max, k_max_naive,
+                                  k_max_with_witness, minimal_zero_sum_subsequences)
+
+A = parse_groupspec("Z2xZ2xZ2xZ2xZ2")
+# 23 distinct non-zero elements and three zeros: 2^23 sub-multisets past the zeros
+S = Sequence(A, [(A.zero, 3)] + [(x, 1) for x in A.elements()[1:24]])
+assert TABLE_CELLS == 1 << 22
+for f in (k_max, k_max_naive, k_max_with_witness, minimal_zero_sum_subsequences):
+    start = time.perf_counter()
+    try:
+        f(S)
+    except CapacityError as exc:
+        assert exc.limit == TABLE_CELLS, exc
+    else:
+        sys.exit(f"{f.__name__} built a table of 2^23 sub-multisets")
+    assert time.perf_counter() - start < 0.5, f.__name__
+"""
+
+
+def test_a_table_past_the_cap_is_refused_before_it_is_built():
+    env = dict(os.environ, PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _CAPACITY_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr + proc.stdout

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from zerosumlab import AbelianGroup, DomainError, invariants, suite, verify_all
+from zerosumlab import AbelianGroup, DomainError, invariants, sequence_sum, suite, verify_all
 from zerosumlab.suite import CHECKS
 
 CHECK_NAMES = [name for name, _ in CHECKS]
@@ -127,6 +127,20 @@ def test_golden_fault_in_table_check():
     )
     table_check = next(c for c in result["checks"] if c["name"] == "generalized-dk")
     assert table_check["status"] == "fail"
+
+
+def test_engine_vs_oracle_fails_on_a_k_max_one_too_high_on_zero_sums(monkeypatch):
+    k_max = suite.k_max
+
+    def high(S):
+        return k_max(S) + (len(S) > 0 and sequence_sum(S) == S.group.zero)
+
+    monkeypatch.setattr(suite, "k_max", high)
+    result = verify_all(groups=["Z3"])
+    failed = [c for c in result["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["engine-vs-oracle"]
+    mismatches = failed[0]["details"]["mismatches"]
+    assert mismatches and all(m["engine"] == m["oracle"] + 1 for m in mismatches)
 
 
 def test_unknown_override_name_is_rejected():

@@ -172,7 +172,7 @@ class CyclotomicNumber:
         other = self._same(other)
         if other is None:
             return NotImplemented
-        return CyclotomicNumber(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -75,12 +75,7 @@ def smallest_prime_divisor(n: int) -> int:
     """
     if n < 2:
         raise DomainError(f"smallest_prime_divisor needs n >= 2, got {n}")
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
+    return factorize(n)[0][0]
 
 
 def multiplicative_order(a: int, p: int) -> int:
@@ -94,12 +89,38 @@ def multiplicative_order(a: int, p: int) -> int:
     return k
 
 
-def invariant_factors(factors) -> tuple[int, ...]:
-    """Normalize an arbitrary list of cyclic orders to invariant factors.
+def _prime_power_slots(factors):
+    """The invariant factors of ⊕ Z_n over the orders n in ``factors``, and
+    where each order's prime powers go.
 
-    Each input order splits into prime powers; for each prime the powers
-    are sorted descending and the i-th largest of every prime multiply
-    into the i-th largest invariant factor.
+    Each order splits into prime powers.  For each prime the powers are
+    sorted descending, equal ones kept in input order (the sort is
+    stable), and the t-th of them multiplies into invariant factor
+    rank − 1 − t, so the largest joins the last factor.  ``slots[i]``
+    lists the (position, prime power) pairs of the i-th order.
+    """
+    by_prime: dict[int, list[tuple[int, int]]] = {}
+    slots: list[list[tuple[int, int]]] = []
+    for idx, n in enumerate(factors):
+        if n < 1:
+            raise DomainError(f"cyclic order must be >= 1, got {n}")
+        for p, e in factorize(n):
+            by_prime.setdefault(p, []).append((p**e, idx))
+        slots.append([])
+    rank = max((len(v) for v in by_prime.values()), default=0)
+    out = [1] * rank
+    for powers in by_prime.values():
+        powers.sort(key=lambda qi: qi[0], reverse=True)
+        for t, (q, idx) in enumerate(powers):
+            j = rank - 1 - t
+            out[j] *= q
+            slots[idx].append((j, q))
+    return tuple(out), slots
+
+
+def invariant_factors(factors) -> tuple[int, ...]:
+    """Normalize an arbitrary list of cyclic orders to invariant factors,
+    slotting their prime powers as ``_prime_power_slots`` does.
 
     >>> invariant_factors([2, 6, 4])
     (2, 2, 12)
@@ -108,22 +129,7 @@ def invariant_factors(factors) -> tuple[int, ...]:
     >>> invariant_factors([1, 1])
     ()
     """
-    powers_by_prime: dict[int, list[int]] = {}
-    for n in factors:
-        if n < 1:
-            raise DomainError(f"cyclic order must be >= 1, got {n}")
-        for p, e in factorize(n):
-            powers_by_prime.setdefault(p, []).append(p**e)
-    if not powers_by_prime:
-        return ()
-    rank = max(len(v) for v in powers_by_prime.values())
-    out = [1] * rank
-    for powers in powers_by_prime.values():
-        powers.sort(reverse=True)
-        # largest prime power joins the last (largest) invariant factor
-        for t, q in enumerate(powers):
-            out[rank - 1 - t] *= q
-    return tuple(out)
+    return _prime_power_slots(factors)[0]
 
 
 class AbelianGroup:
@@ -481,10 +487,9 @@ class Embedding:
 def direct_product(A: AbelianGroup, B: AbelianGroup):
     """A ⊕ B in invariant-factor form, with embeddings of both factors.
 
-    Every cyclic factor of A and B splits into prime powers; for each
-    prime, powers sorted descending slot into the invariant factors from
-    the largest down.  The generator of an input factor maps to the sum,
-    over its prime powers q slotted into invariant factor m_j, of the
+    The cyclic factors of A, then of B, are slotted by
+    ``_prime_power_slots``.  The generator of an input factor maps to the
+    sum, over its prime powers q slotted into invariant factor m_j, of the
     order-q element (m_j // q) in coordinate j.
 
     >>> C, eA, eB = direct_product(AbelianGroup((2,)), AbelianGroup((3,)))
@@ -493,27 +498,13 @@ def direct_product(A: AbelianGroup, B: AbelianGroup):
     >>> eA((1,)), eB((1,))
     ((3,), (2,))
     """
-    inputs = list(A.factors) + list(B.factors)
-    slots_by_prime: dict[int, list[tuple[int, int]]] = {}
-    for idx, n in enumerate(inputs):
-        for p, e in factorize(n):
-            slots_by_prime.setdefault(p, []).append((p**e, idx))
-    rank = max((len(v) for v in slots_by_prime.values()), default=0)
-    new_factors = [1] * rank
-    # assignment[idx] collects (slot position, prime power) for input factor idx
-    assignment: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(inputs))}
-    for powers in slots_by_prime.values():
-        powers.sort(key=lambda qi: qi[0], reverse=True)
-        for t, (q, idx) in enumerate(powers):
-            j = rank - 1 - t
-            new_factors[j] *= q
-            assignment[idx].append((j, q))
-    C = AbelianGroup(tuple(new_factors))
+    factors, slots = _prime_power_slots(A.factors + B.factors)
+    C = AbelianGroup(factors)
     gen_images = []
-    for idx in range(len(inputs)):
-        coords = [0] * rank
-        for j, q in assignment[idx]:
-            coords[j] = (coords[j] + C.factors[j] // q) % C.factors[j]
+    for slot in slots:
+        coords = [0] * C.rank
+        for j, q in slot:
+            coords[j] = (coords[j] + factors[j] // q) % factors[j]
         gen_images.append(tuple(coords))
     embed_A = Embedding(A, C, gen_images[: A.rank])
     embed_B = Embedding(B, C, gen_images[A.rank :])

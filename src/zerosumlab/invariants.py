@@ -16,8 +16,9 @@ only at a monomial that every diagonal generator (σ = id) fixes: one that
 such a generator scales by a non-trivial ζ_m^j lies in no admissible
 orbit, while every member of an admissible orbit is fixed, so each
 admissible orbit is still first met where a walk from every monomial
-meets it (``_walk_starts``).  ``transfer`` stays as public API and as the
-oracle the tests check that basis against.
+meets it (``_walk_starts``).  ``transfer`` is that sum by its
+definition, one ``act`` per group element, kept as public API and as the
+oracle the tests check the basis against.
 β_k is the largest degree where the invariants are not contained in the
 (k+1)-st power of the positive-degree ideal (the scan in ``polynomials``,
 shared with presented algebras), with the scan ranges certified by the
@@ -40,30 +41,12 @@ from .errors import (
     VerificationError,
 )
 from .groups import AbelianGroup, SemidirectGroup, parse_groupspec
-from .cyclotomic import CyclotomicNumber, _roots
+from .cyclotomic import _roots
 from .polynomials import GradedSpan, MultiPoly, escaping_degrees, grlex_key
 from .polynomials import power_span as _power_span
 
 DEFAULT_DEGREE_CAP = 64
 _CLOSURE_CAP = 4096
-
-# Bound on this module at first use, so that beta_k alone never loads the
-# k_max engine; the functions below call whatever is bound to them.
-_FROM_DAVENPORT = ("davenport_k", "sigma_diagonal")
-
-
-def __getattr__(name):
-    if name not in _FROM_DAVENPORT:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import davenport
-
-    value = globals()[name] = getattr(davenport, name)
-    return value
-
-
-def _bound(name):
-    """The function bound to ``name`` on this module now."""
-    return globals().get(name) or __getattr__(name)
 
 
 class MonomialRep:
@@ -177,12 +160,7 @@ class MonomialRep:
 
 
 def transfer(rep: MonomialRep, f: MultiPoly) -> MultiPoly:
-    """Σ over all group elements of the image of f; always invariant.
-
-    Each term c·x^e of f sends x^e to ζ_m^{⟨s, e⟩}·x^{σ(e)} under
-    (σ, s), as in ``act``.  The powers of ζ_m are counted in an integer
-    histogram of length m per (term, image monomial); each histogram
-    becomes one cyclotomic number, which is multiplied by c once.
+    """Σ_g g·f, the sum of the images of f under every group element; always invariant.
 
     >>> rep = regular_representation(AbelianGroup((2,)))
     >>> str(transfer(rep, MultiPoly.variable(1, 2)))
@@ -190,32 +168,10 @@ def transfer(rep: MonomialRep, f: MultiPoly) -> MultiPoly:
     >>> str(transfer(rep, MultiPoly.variable(0, 2)))
     '2*x1'
     """
-    if f.nvars != rep.nvars:
-        raise StructuralError("polynomial arity does not match the representation")
-    m = rep.conductor
-    M = math.lcm(f.conductor, m)
-    out = {}
-    for exp, coeff in f.terms.items():
-        support = [(i, e) for i, e in enumerate(exp) if e]
-        hists = {}
-        for sigma, s in rep.elements:
-            image = [0] * rep.nvars
-            power = 0
-            for i, e in support:
-                image[sigma[i]] += e
-                power += s[i] * e
-            image = tuple(image)
-            hist = hists.get(image)
-            if hist is None:
-                hist = hists[image] = [0] * m
-            hist[power % m] += 1
-        coeff = coeff.lift(M)
-        for image, hist in hists.items():
-            c = CyclotomicNumber(m, hist).lift(M) * coeff
-            if image in out:
-                c = out[image] + c
-            out[image] = c
-    return MultiPoly(rep.nvars, out, M)
+    total = MultiPoly.zero(rep.nvars, math.lcm(f.conductor, rep.conductor))
+    for g in rep.elements:
+        total = total + rep.act(g, f)
+    return total
 
 
 def _degree_monomials(nvars, d):
@@ -440,7 +396,9 @@ def verify_beta_equals_davenport(A: AbelianGroup, k: int, budget_seconds=None) -
         raise DomainError("the cross-check is defined for abelian groups only")
     _require_noether_degrees(A.order, DEFAULT_DEGREE_CAP)  # before reg(A)'s closure
     beta_report = beta_k(regular_representation(A), k)
-    dav = _bound("davenport_k")(A, k, budget_seconds=budget_seconds)
+    from .davenport import davenport_k
+
+    dav = davenport_k(A, k, budget_seconds=budget_seconds)
     return {
         "group": A.spec(),
         "k": k,
@@ -517,6 +475,8 @@ def verify_sigma_zpzd(G: SemidirectGroup) -> dict:
     Z_p, computed by ``sigma_diagonal``.  The check passes iff the two
     bounds meet.
     """
+    from .davenport import sigma_diagonal
+
     fks = construct_fk(G)
     d = G.d
     restrictions = []
@@ -552,7 +512,7 @@ def verify_sigma_zpzd(G: SemidirectGroup) -> dict:
                 }
             )
     upper = max(f.degree() for f in fks)
-    lower = _bound("sigma_diagonal")(AbelianGroup((G.p,)), [(1,)])
+    lower = sigma_diagonal(AbelianGroup((G.p,)), [(1,)])
     return {
         "group": G.spec(),
         "p": G.p,

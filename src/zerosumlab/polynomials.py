@@ -141,17 +141,9 @@ class MultiPoly:
         return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()}, self.conductor)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = MultiPoly.constant(self.nvars, other)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (int, Fraction, CyclotomicNumber, MultiPoly)):
             return NotImplemented
-        self._check_arity(other)
-        m = math.lcm(self.conductor, other.conductor)
-        out = {exp: c.lift(m) for exp, c in self.terms.items()}
-        for exp, c in other.terms.items():
-            c = c.lift(m)
-            out[exp] = out[exp] - c if exp in out else -c
-        return MultiPoly._of(self.nvars, out, m)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -392,7 +392,8 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
     falls by one; elsewhere it drops the first run whose removal keeps k.
     So k falls exactly at the zero-sum sets Z_1 ⊃ … ⊃ Z_k met on the way,
     and Z_1 − Z_2, …, Z_{k−1} − Z_k, Z_k are the blocks; S − Z_1 is the
-    remainder.  The packing is checked against ``_kmax_items``.
+    remainder.  The packing is checked against the memo's entry for S,
+    which the walk's own count fills when it is missing.
     """
     g = S.group
     runs = _to_indices(g, S.items)
@@ -413,7 +414,8 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
     rest = _decode(items, digits, len(k) - 1 - (cuts[0] if cuts else 0))
     packing = BlockPacking([Sequence(g, _to_elements(g, b)) for b in blocks],
                            Sequence(g, _to_elements(g, rest)))
-    if len(packing.blocks) != _kmax_items(g, runs) or not packing.verify_covers(S):
+    expected = _KMAX_MEMO.setdefault((g.factors, runs), zeros + k[-1]) if runs else 0
+    if len(packing.blocks) != expected or not packing.verify_covers(S):
         raise VerificationError(
             f"witness packing disagrees with k_max for {S.literal()}", evidence=packing
         )

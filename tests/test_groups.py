@@ -362,6 +362,23 @@ def test_direct_product_embeddings_are_injective_homomorphisms():
             assert eG(G.add(x, y)) == C.add(eG(x), eG(y))
 
 
+@pytest.mark.parametrize(
+    "a, b, images_a, images_b",
+    [
+        ((2,), (2, 4), ((0, 1, 0),), ((1, 0, 0), (0, 0, 1))),
+        ((2, 2), (4,), ((0, 1, 0), (1, 0, 0)), ((0, 0, 1),)),
+        ((4,), (2, 4), ((0, 0, 1),), ((1, 0, 0), (0, 1, 0))),
+        ((3,), (3, 9), ((0, 1, 0),), ((1, 0, 0), (0, 0, 1))),
+    ],
+    ids=["Z2+Z2xZ4", "Z2xZ2+Z4", "Z4+Z2xZ4", "Z3+Z3xZ9"],
+)
+def test_direct_product_keeps_equal_prime_powers_in_input_order(a, b, images_a, images_b):
+    # equal prime powers slot in input order, so no generator image moves
+    C, eA, eB = direct_product(AbelianGroup(a), AbelianGroup(b))
+    assert eA.images == images_a
+    assert eB.images == images_b
+
+
 def test_subgroup_embeddable():
     Z2, Z4, Z6 = AbelianGroup((2,)), AbelianGroup((4,)), AbelianGroup((6,))
     V = AbelianGroup((2, 2))

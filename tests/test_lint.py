@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import collections
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -108,3 +110,56 @@ def test_every_source_parses_as_python_3_10():
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+def _private_top_level_names(tree):
+    """(name, line) of each top-level function, class or assignment named with one ``_``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [name for t in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target]) for name in ast.walk(t)
+                       if isinstance(name, ast.Name)]
+        else:
+            continue
+        for target in targets:
+            name = getattr(target, "name", None) or target.id
+            if name.startswith("_") and not name.startswith("__"):
+                found.append((name, target.lineno))
+    return found
+
+
+def _uses(path):
+    """(file, line) of each identifier token, and of each string literal that
+    is exactly one identifier (a name wrapped or looked up by string)."""
+    uses = collections.defaultdict(set)
+    with path.open(encoding="utf-8") as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type == tokenize.NAME:
+                uses[tok.string].add((path, tok.start[0]))
+            elif tok.type == tokenize.STRING:
+                text = tok.string.strip("'\"")
+                if text.isidentifier():
+                    uses[text].add((path, tok.start[0]))
+    return uses
+
+
+def test_every_private_helper_is_used_elsewhere():
+    # a private name that only its own definition mentions is dead code; a
+    # use in another file counts unless that file defines the name itself
+    root = PACKAGE.parent.parent
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    defined, uses = {}, collections.defaultdict(set)
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined[path] = _private_top_level_names(tree)
+        for name, where in _uses(path).items():
+            uses[name] |= where
+    names_of = {path: {name for name, _ in found} for path, found in defined.items()}
+    orphans = [f"{path.name}:{line} {name}"
+               for path in sorted(PACKAGE.glob("*.py")) for name, line in defined[path]
+               if not any(use != (path, line) and (use[0] == path or name not in names_of[use[0]])
+                          for use in uses[name])]
+    assert not orphans, f"private names used nowhere else: {orphans}"

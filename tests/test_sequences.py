@@ -263,6 +263,26 @@ def test_witness_check_rejects_a_poisoned_memo():
         _KMAX_MEMO.clear()
 
 
+def test_the_witness_builds_one_table_on_a_cold_memo(monkeypatch):
+    # 12 distinct non-zero elements of Z2^4: the walk's table also gives
+    # the count the packing is checked against, and fills the memo
+    A = AbelianGroup((2, 2, 2, 2))
+    s = Sequence.from_elements(A, A.elements()[1:13])
+    calls = []
+    build = sequences._kmax_codes
+
+    def counted(group, items):
+        calls.append(items)
+        return build(group, items)
+
+    monkeypatch.setattr(sequences, "_kmax_codes", counted)
+    monkeypatch.setattr(sequences, "_KMAX_MEMO", {})
+    k, packing = k_max_with_witness(s)
+    assert len(calls) == 1
+    assert k == len(packing.blocks) == k_max_naive(s)
+    assert sequences._KMAX_MEMO == {(A.factors, _to_indices(A, s.items)): k}
+
+
 def test_block_packing_rejects_non_zero_sum_blocks():
     with pytest.raises(DomainError):
         BlockPacking([seq(Z4, 1)], Sequence.empty(Z4))

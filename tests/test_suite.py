@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from zerosumlab import AbelianGroup, DomainError, invariants, sequence_sum, suite, verify_all
+from zerosumlab import (AbelianGroup, DomainError, davenport, invariants, sequence_sum, suite,
+                        verify_all)
 from zerosumlab.suite import CHECKS
 
 CHECK_NAMES = [name for name, _ in CHECKS]
@@ -60,7 +61,7 @@ def test_runs_are_deterministic(full_run):
     "owner, name, fake, spec, checks",
     [
         # a Z_p lower bound of 1 disagrees with the largest f_k degree p
-        (invariants, "sigma_diagonal", lambda A, chars: 1, "SD(3,2,2)",
+        (davenport, "sigma_diagonal", lambda A, chars: 1, "SD(3,2,2)",
          {"sigma-zpzd", "sigma-over-q"}),
         # σ = |A| breaks σ ≤ |A|/q
         (suite, "sigma_diagonal", lambda A, chars: A.order, "Z2xZ2", {"sigma-over-q"}),

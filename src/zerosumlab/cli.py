@@ -155,12 +155,9 @@ def _cmd_product_bound(args):
 
 
 def _cmd_beta(args):
-    from .invariants import DEFAULT_DEGREE_CAP, _repspec_group, _require_noether_degrees
+    from .invariants import parse_repspec
 
-    group, build = _repspec_group(args.rep)
-    # refused before the closure of the representation is built
-    _require_noether_degrees(group.order, DEFAULT_DEGREE_CAP)
-    return _bound("beta_k")(build(group), args.k)
+    return _bound("beta_k")(parse_repspec(args.rep), args.k)
 
 
 def _cmd_crosscheck(args):

@@ -211,12 +211,6 @@ class AbelianGroup:
             ]
         return self._elements
 
-    def generators(self) -> list[tuple[int, ...]]:
-        return [
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        ]
-
     # -- element indices ---------------------------------------------------
 
     def index(self, x) -> int:
@@ -371,10 +365,6 @@ class Automorphism:
         if len(set(perm)) != group.order:
             raise ValidationError(f"generator images {images} do not give a bijection")
         self.perm = tuple(perm)
-
-    @classmethod
-    def identity(cls, group: AbelianGroup) -> "Automorphism":
-        return cls(group, group.generators())
 
     def __call__(self, x) -> tuple[int, ...]:
         g = self.group
@@ -590,13 +580,6 @@ class SemidirectGroup:
         u = (-t) % self.d
         b = (-a) * pow(self.e, u, self.p) % self.p
         return (b, u)
-
-    def element_order(self, x) -> int:
-        k, y = 1, x
-        while y != self.identity:
-            y = self.multiply(y, x)
-            k += 1
-        return k
 
     def spec(self) -> str:
         return f"SD({self.p},{self.d},{self.e})"

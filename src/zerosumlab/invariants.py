@@ -45,7 +45,7 @@ from .cyclotomic import _roots
 from .polynomials import GradedSpan, MultiPoly, escaping_degrees, grlex_key
 from .polynomials import power_span as _power_span
 
-DEFAULT_DEGREE_CAP = 64
+DEGREE_CAP = 64
 _CLOSURE_CAP = 4096
 
 
@@ -58,7 +58,7 @@ class MonomialRep:
     """
 
     __slots__ = ("name", "nvars", "conductor", "generators", "elements",
-                 "group_order", "_basis_cache", "_power_cache", "_generator_cache")
+                 "group_order", "_basis_cache", "_power_cache", "_complement_cache")
 
     def __init__(self, nvars, conductor, generators, expected_order=None, name=None):
         if type(nvars) is not int or nvars < 0:
@@ -87,7 +87,7 @@ class MonomialRep:
         self.name = name or f"monomial-rep({nvars} vars, order {self.group_order})"
         self._basis_cache = {}
         self._power_cache = {}
-        self._generator_cache = {}
+        self._complement_cache = {}
 
     def _compose(self, g, h):
         """Apply g, then h."""
@@ -288,16 +288,16 @@ def invariant_basis(rep: MonomialRep, d: int) -> GradedSpan:
     return span
 
 
-def _require_noether_degrees(group_order, degree_cap):
+def _require_noether_degrees(group_order):
     """The β_1 scan reaches degree |G|: refuse a group order over the cap."""
-    if group_order > degree_cap:
+    if group_order > DEGREE_CAP:
         raise CapacityError(
-            f"beta_1 scan needs degrees up to |G| = {group_order}, over the cap {degree_cap}",
-            limit=degree_cap,
+            f"beta_1 scan needs degrees up to |G| = {group_order}, over the cap {DEGREE_CAP}",
+            limit=DEGREE_CAP,
         )
 
 
-def beta_k(rep: MonomialRep, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> dict:
+def beta_k(rep: MonomialRep, k: int) -> dict:
     """β_k of the invariant ring: max degree d with R_d ⊄ (R_+^{k+1})_d.
 
     β_1 is scanned over 1..|G| (complete by the Noether bound) and β_k
@@ -309,7 +309,7 @@ def beta_k(rep: MonomialRep, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> di
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    _require_noether_degrees(rep.group_order, degree_cap)
+    _require_noether_degrees(rep.group_order)
     failing, witness = escaping_degrees(rep, 2, range(1, rep.group_order + 1))
     if not failing:
         raise VerificationError(
@@ -326,11 +326,11 @@ def beta_k(rep: MonomialRep, k: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> di
     limit = rep.group_order
     if k > 1:
         limit = k * beta_1
-        if limit > degree_cap:
+        if limit > DEGREE_CAP:
             raise CapacityError(
                 f"beta_{k} scan needs degrees up to k·beta_1 = {limit}, over the cap "
-                f"{degree_cap}",
-                limit=degree_cap,
+                f"{DEGREE_CAP}",
+                limit=DEGREE_CAP,
                 partial=report,
             )
         failing, witness = escaping_degrees(rep, k + 1, range(1, limit + 1))
@@ -394,7 +394,7 @@ def verify_beta_equals_davenport(A: AbelianGroup, k: int, budget_seconds=None) -
     """
     if not isinstance(A, AbelianGroup):
         raise DomainError("the cross-check is defined for abelian groups only")
-    _require_noether_degrees(A.order, DEFAULT_DEGREE_CAP)  # before reg(A)'s closure
+    _require_noether_degrees(A.order)  # before reg(A)'s closure
     beta_report = beta_k(regular_representation(A), k)
     from .davenport import davenport_k
 
@@ -578,24 +578,20 @@ def verify_sigma_az2(n: int, e: int) -> dict:
     }
 
 
-def _repspec_group(text: str):
-    """The acting group of ``reg(<groupspec>)`` or ``ind(SD(p,d,e))`` (the
-    closure of the representation has its order) and the function that
-    builds the representation from it."""
+def parse_repspec(text: str) -> MonomialRep:
+    """``reg(<groupspec>)`` or ``ind(SD(p,d,e))``; a group whose β_1 scan would
+    pass ``DEGREE_CAP`` is refused before the closure of |G| elements is built."""
     if text.startswith("reg(") and text.endswith(")"):
         group = parse_groupspec(text[4:-1])
         if not isinstance(group, AbelianGroup):
             raise DomainError("reg(...) expects an abelian group spec")
-        return group, regular_representation
-    if text.startswith("ind(") and text.endswith(")"):
+        build = regular_representation
+    elif text.startswith("ind(") and text.endswith(")"):
         group = parse_groupspec(text[4:-1])
         if not isinstance(group, SemidirectGroup):
             raise DomainError("ind(...) expects an SD(p,d,e) spec")
-        return group, induced_module
-    raise ParseError(f"repspec must be reg(...) or ind(...), got {text!r}", 0)
-
-
-def parse_repspec(text: str) -> MonomialRep:
-    """``reg(<groupspec>)`` or ``ind(SD(p,d,e))``."""
-    group, build = _repspec_group(text)
+        build = induced_module
+    else:
+        raise ParseError(f"repspec must be reg(...) or ind(...), got {text!r}", 0)
+    _require_noether_degrees(group.order)
     return build(group)

@@ -397,21 +397,21 @@ class GradedSpan:
         return f"GradedSpan(dim={self.dim}, pivots={self.pivots()})"
 
 
-def _generators(algebra, e: int) -> list[MultiPoly]:
-    """G_e: rows of A_e that span A_e together with (A_+^2)_e, none redundant.
+def _complement(algebra, j: int, d: int) -> list[MultiPoly]:
+    """A basis of a complement of (A_+^j)_d in A_d, cached per (j, d).
 
-    Each row of ``degree_span(e)`` is kept iff it is outside the span of
-    (A_+^2)_e and the rows kept before it, so G_e is a basis of a
-    complement of (A_+^2)_e: the degree-e part of a minimal generating set.
-    (A_+^2)_e only needs G_{e'} for e' < e, so the recursion closes.
+    The rows of ``degree_span(d)`` that grow a copy of ``power_span(j, d)``
+    when inserted in order.  For j = 2 they are G_d, the degree-d minimal
+    generators; (A_+^2)_d needs G_e for e < d only, so the recursion closes.
     """
-    cached = algebra._generator_cache.get(e)
+    key = (j, d)
+    cached = algebra._complement_cache.get(key)
     if cached is not None:
         return cached
-    span = algebra.power_span(2, e).copy()
-    gens = [row for row in algebra.degree_span(e).rows if span.insert(row)]
-    algebra._generator_cache[e] = gens
-    return gens
+    span = algebra.power_span(j, d).copy()
+    rows = [row for row in algebra.degree_span(d).rows if span.insert(row)]
+    algebra._complement_cache[key] = rows
+    return rows
 
 
 def _monomial_exponent(f: MultiPoly):
@@ -425,7 +425,7 @@ def _monomial_exponent(f: MultiPoly):
 def power_span(algebra, j: int, d: int) -> GradedSpan:
     """(A_+^j)_d via P_{1,d} = A_d and P_{j+1,d} = Σ_e G_e · P_{j,d−e}.
 
-    G_e are the degree-e minimal generators (``_generators``).  Any
+    G_e are the degree-e minimal generators (``_complement``, j = 2).  Any
     homogeneous generators g_i of A generate A_+ as an ideal, so
     A_+^{j+1} = A_+ · A_+^j = Σ_i g_i·A·A_+^j = Σ_i g_i·A_+^j; by graded
     Nakayama the rows of the G_e generate A (Derksen–Kemper,
@@ -435,10 +435,9 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
     c·x^p and c'·x^q is built once per exponent p + q: a later pair with
     the same exponent gives a scalar multiple of a product already
     inserted, and ``normal_form`` is linear, so it cannot grow the span.
-    ``algebra`` is an invariant ring or a
-    presented quotient: it provides ``nvars``, ``degree_span(d)``,
-    ``power_span(j, d)``, ``normal_form(f)`` and the dicts
-    ``_power_cache`` and ``_generator_cache``.
+    ``algebra`` is an invariant ring or a presented quotient: it provides
+    ``nvars``, ``degree_span(d)``, ``power_span(j, d)``, ``normal_form(f)``
+    and the dicts ``_power_cache`` and ``_complement_cache``.
     """
     key = (j, d)
     cached = algebra._power_cache.get(key)
@@ -450,7 +449,7 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
         span = GradedSpan(algebra.nvars)
         built = set()  # the exponents of the one-term products built so far
         for e in range(1, d - j + 2):
-            left = _generators(algebra, e)
+            left = _complement(algebra, 2, e)
             if not left:
                 continue
             right = algebra.power_span(j - 1, d - e).rows
@@ -469,13 +468,13 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
 
 
 def escaping_degrees(algebra, j: int, degrees):
-    """The d in ``degrees`` with A_d ⊄ (A_+^j)_d, and the first such row of the last d."""
+    """The d in ``degrees`` with A_d ⊄ (A_+^j)_d, i.e. a non-empty ``_complement``,
+    and the first row of that complement at the last such d."""
     failing = []
     witness = None
     for d in degrees:
-        power = algebra.power_span(j, d)
-        row = next((r for r in algebra.degree_span(d).rows if not power.contains(r)), None)
-        if row is not None:
+        rows = _complement(algebra, j, d)
+        if rows:
             failing.append(d)
-            witness = row
+            witness = rows[0]
     return failing, witness

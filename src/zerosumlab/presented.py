@@ -4,8 +4,9 @@ The algebra is Q[g_1, …, g_n]/(relations) with a positive weight per
 generator; every relation must be homogeneous for that weighting, so the
 quotient is graded.  A degree slice is handled as the normal-form image
 of the polynomial slice modulo the matching slice of the relation ideal,
-which makes quotient linear algebra exact row reduction; ideal powers and the
-β scan are those of ``polynomials``, shared with invariant rings.
+which makes quotient linear algebra exact row reduction: a slice is spanned
+by its standard monomials, those that are no pivot of the ideal slice.  Ideal
+powers and the β scan are those of ``polynomials``, shared with invariant rings.
 
 Every presentation has a degree bound: with w_max the largest generator
 weight, a monomial of degree d > k·w_max has at least k+1 factors, so
@@ -29,7 +30,7 @@ from .errors import (
 from .groups import _parse_int
 from .polynomials import GradedSpan, MultiPoly, escaping_degrees, power_span
 
-DEFAULT_DEGREE_CAP = 48
+DEGREE_CAP = 48
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -149,7 +150,7 @@ class PresentedGradedAlgebra:
     [1, 2, 2]
     """
 
-    def __init__(self, generators, relations, degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, generators, relations):
         gens = list(generators)
         if not gens:
             raise ValidationError("at least one generator is required")
@@ -163,16 +164,13 @@ class PresentedGradedAlgebra:
         self.nvars = len(gens)
         self.names = tuple(name for name, _ in gens)
         self.weights = tuple(degree for _, degree in gens)
-        if type(degree_cap) is not int or degree_cap < 1:
-            raise ValidationError(f"degree_cap must be a positive int, got {degree_cap!r}")
-        self.degree_cap = degree_cap
         self._var_index = {name: i for i, (name, _) in enumerate(gens)}
         self.relations = tuple(self._check_relation(r) for r in relations)
         self._mono_cache = {}
         self._ideal_cache = {}
         self._span_cache = {}
         self._power_cache = {}
-        self._generator_cache = {}
+        self._complement_cache = {}
 
     def element(self, text: str) -> MultiPoly:
         """Parse an expression in the generators."""
@@ -205,10 +203,10 @@ class PresentedGradedAlgebra:
         return f
 
     def _require_degree(self, d):
-        if d > self.degree_cap:
+        if d > DEGREE_CAP:
             raise CapacityError(
-                f"degree {d} is over the materialization cap {self.degree_cap}",
-                limit=self.degree_cap,
+                f"degree {d} is over the materialization cap {DEGREE_CAP}",
+                limit=DEGREE_CAP,
             )
 
     def monomials(self, d: int):
@@ -257,29 +255,25 @@ class PresentedGradedAlgebra:
             raise DomainError("normal forms are defined per homogeneous degree")
         return self.ideal_slice(degrees.pop()).reduce(f)
 
-    def degree_basis(self, d: int):
-        """Monomial representatives of a basis of the degree-d slice."""
-        self._require_degree(d)
-        pivots = set(self.ideal_slice(d).pivots())
-        return [
-            MultiPoly.monomial(self.nvars, exp, 1)
-            for exp in self.monomials(d)
-            if exp not in pivots
-        ]
-
     def dimension(self, d: int) -> int:
-        return len(self.degree_basis(d))
+        return self.degree_span(d).dim
 
     def degree_span(self, d: int) -> GradedSpan:
         """The degree-d slice, spanned by its standard monomials.
 
-        A monomial that is no pivot of the ideal slice is its own normal form.
+        A monomial that is no pivot of the ideal slice is its own normal form,
+        and monic one-term rows with distinct pivots are a reduced basis as they stand.
         """
         cached = self._span_cache.get(d)
         if cached is not None:
             return cached
-        span = GradedSpan(self.nvars)
-        span.extend(self.degree_basis(d))
+        self._require_degree(d)
+        pivots = set(self.ideal_slice(d).pivots())
+        span = GradedSpan(self.nvars, [
+            (exp, MultiPoly.monomial(self.nvars, exp, 1))
+            for exp in self.monomials(d)
+            if exp not in pivots
+        ])
         self._span_cache[d] = span
         return span
 
@@ -304,7 +298,7 @@ class PresentedGradedAlgebra:
         No degree above k·w_max can escape, so the value is ``exact`` when
         the cutoff reaches that bound, and ``verified-up-to-cutoff`` when
         the cutoff stops the scan short of it.  Only the scanned degrees are
-        held to ``degree_cap``.
+        held to ``DEGREE_CAP``.
         """
         if k < 1:
             raise DomainError(f"k must be >= 1, got {k}")
@@ -312,11 +306,11 @@ class PresentedGradedAlgebra:
             raise DomainError(f"cutoff must be >= 1, got {cutoff}")
         bound = k * max(self.weights)
         limit = min(cutoff, bound)
-        if limit > self.degree_cap:
+        if limit > DEGREE_CAP:
             raise CapacityError(
                 f"beta_{k} scan needs degrees up to {limit}, over the materialization "
-                f"cap {self.degree_cap}",
-                limit=self.degree_cap,
+                f"cap {DEGREE_CAP}",
+                limit=DEGREE_CAP,
             )
         failing, witness = escaping_degrees(self, k + 1, range(1, limit + 1))
         return {

@@ -122,9 +122,6 @@ class Sequence:
                 return mult
         return 0
 
-    def support(self):
-        return tuple(elem for elem, _ in self.items)
-
     def with_extra(self, x) -> "Sequence":
         return Sequence(self.group, _items_add_one(self.items, self.group.check(x)))
 

@@ -74,6 +74,12 @@ def test_residue_table_reduction_matches_long_division():
                 assert got == rem + [0] * (deg - len(rem)), (m, coeffs)
 
 
+def test_subtraction_from_a_scalar():
+    x = zeta(5, 2) + Fraction(1, 3)
+    assert 1 - x == -(x - 1)
+    assert Fraction(1, 2) - x == -(x - Fraction(1, 2))
+
+
 def test_zeta_powers_multiply_to_one():
     for m in range(1, 41):
         for j in range(m + 1):

@@ -427,6 +427,18 @@ def test_parse_groupspec_round_trip():
         assert parse_groupspec(spec).spec() == spec
 
 
+def test_equal_groups_and_automorphisms_built_two_ways_hash_alike():
+    A, B = parse_groupspec("Z6xZ2"), AbelianGroup((2, 6))
+    assert A == B and hash(A) == hash(B)
+    f = Automorphism(A, [(1, 0), (0, 5)])
+    identity = Automorphism(B, [(1, 0), (0, 1)])
+    assert f.compose(f) == identity and hash(f.compose(f)) == hash(identity)
+    assert len({f.compose(f), identity, f}) == 2
+    G, H = parse_groupspec("SD(3,2,2)"), SemidirectGroup(3, 2, 2)
+    assert G == H and hash(G) == hash(H)
+    assert G != SemidirectGroup(7, 3, 2) and G != AbelianGroup((6,))
+
+
 def test_parse_groupspec_errors_carry_positions():
     with pytest.raises(ParseError) as info:
         parse_groupspec("Zx")

@@ -335,11 +335,13 @@ def test_beta_rejects_bad_k():
         beta_k(regular_representation(Z2), 0)
 
 
-def test_beta_capacity_guards():
+def test_beta_capacity_guards(monkeypatch):
+    monkeypatch.setattr(invariants, "DEGREE_CAP", 4)
     with pytest.raises(CapacityError):
-        beta_k(regular_representation(Z6), 1, degree_cap=4)
+        beta_k(regular_representation(Z6), 1)
+    monkeypatch.setattr(invariants, "DEGREE_CAP", 5)
     with pytest.raises(CapacityError) as info:
-        beta_k(regular_representation(Z2), 3, degree_cap=5)
+        beta_k(regular_representation(Z2), 3)
     assert info.value.partial["beta_1"] == 2
 
 
@@ -437,6 +439,9 @@ def test_sigma_az2_zero_locus_covers_all_supports():
 def test_parse_repspec():
     assert parse_repspec("reg(Z3)").name == "reg(Z3)"
     assert parse_repspec("ind(SD(3,2,2))").nvars == 2
+    assert parse_repspec("reg(Z64)").group_order == 64
+    with pytest.raises(CapacityError):  # the beta_1 scan would pass DEGREE_CAP
+        parse_repspec("reg(Z65)")
 
 
 def test_parse_repspec_wrong_group_kind():

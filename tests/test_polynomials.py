@@ -17,12 +17,13 @@ from zerosumlab import (
     PresentedGradedAlgebra,
     SemidirectGroup,
     StructuralError,
+    az2_module,
     beta_k,
     induced_module,
     invariant_basis,
     regular_representation,
 )
-from zerosumlab.polynomials import _generators, grlex_key
+from zerosumlab.polynomials import _complement, grlex_key
 
 zeta = CyclotomicNumber.zeta
 X = MultiPoly.variable(0, 2)
@@ -48,6 +49,12 @@ def test_zero_coefficients_dropped():
     f = MultiPoly(2, {(1, 0): 1, (0, 1): 0})
     assert len(f.terms) == 1
     assert (X - X).is_zero()
+
+
+def test_subtraction_from_a_scalar():
+    f = X**2 - 3 * X * Y
+    assert 1 - f == -(f - 1)
+    assert CyclotomicNumber.zeta(3) - f == -(f - CyclotomicNumber.zeta(3))
 
 
 def test_arity_checks():
@@ -474,7 +481,7 @@ def test_power_span_builds_one_product_per_distinct_one_term_exponent(monkeypatc
     for j, d in rep._power_cache:
         exps = set()
         for e in range(1, d - j + 2) if j > 1 else ():
-            for a in _generators(rep, e):
+            for a in _complement(rep, 2, e):
                 for b in rep.power_span(j - 1, d - e).rows:
                     (p,), (q,) = a.terms, b.terms
                     exps.add(tuple(map(add, p, q)))
@@ -508,7 +515,7 @@ def test_generators_are_a_minimal_complement_of_the_square(make):
         whole = algebra.degree_span(e)
         # (A_+^2)_e by brute force, so a wrong power_span cannot hide here
         square = _brute_power_span(algebra, 2, e)
-        gens = _generators(algebra, e)
+        gens = _complement(algebra, 2, e)
         assert len(gens) == whole.dim - square.dim, e
         assert _span_of(nvars, square.rows + gens).rows == whole.rows, e
         for i, g in enumerate(gens):
@@ -518,7 +525,7 @@ def test_generators_are_a_minimal_complement_of_the_square(make):
 
 def test_a_redundant_generator_is_not_a_minimal_generator():
     algebra = PresentedGradedAlgebra(*_REDUNDANT_RING)
-    assert [len(_generators(algebra, e)) for e in range(1, 9)] == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert [len(_complement(algebra, 2, e)) for e in range(1, 9)] == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
 # Reports of the parent implementation (two β scans per algebra kind), written out.
@@ -558,10 +565,26 @@ def test_a_redundant_generator_is_not_a_minimal_generator():
          {"generators": [["a", 1], ["b", 3]], "relations": ["-a^3 + b"], "k": 3,
           "cutoff": 12, "scan_limit": 9, "beta": 3, "failing_degrees": [1, 2, 3], "witness": "b",
           "status": "exact"}),
+        # multi-term rows in every complement of (A_+^3)_d
+        (lambda: beta_k(induced_module(SemidirectGroup(5, 4, 2)), 2),
+         {"rep": "ind(SD(5,4,2))", "k": 2, "beta_1": 7, "group_order": 20, "beta": 11,
+          "scan_limit": 14, "failing_degrees": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+          "witness": "x1^9*x2*x3 + x1*x2*x4^9 + x1*x3^9*x4 + x2^9*x3*x4"}),
+        (lambda: beta_k(az2_module(12, 4), 2),
+         {"rep": "az2(12,4)", "k": 2, "beta_1": 4, "group_order": 8, "beta": 8,
+          "scan_limit": 8, "failing_degrees": [2, 4, 6, 8], "witness": "x1^8 + x2^8"}),
+        (lambda: PresentedGradedAlgebra(*_WEIGHTED_RING).tail_generated(1, 12),
+         {"window": [1, 12], "generated": False, "failures": [1, 2, 3]}),
+        (lambda: PresentedGradedAlgebra([("x", 2), ("y", 3)], []).tail_generated(1, 12),
+         {"window": [1, 12], "generated": False, "failures": [2, 3]}),
+        # the standard monomials of each slice, counted
+        (lambda: [PresentedGradedAlgebra(*_EXAMPLE_RING).dimension(d) for d in range(13)],
+         [1, 1, 1, 2, 2, 2, 3, 2, 2, 2, 1, 1, 1]),
     ],
     ids=["reg(Z3)-k2", "reg(Z2xZ2)-k2", "ind(SD(3,2,2))-k1", "ind(SD(3,2,2))-k2",
          "example-ring-k2", "example-ring-tail", "redundant-ring-k1", "redundant-ring-k2",
-         "redundant-ring-k3"],
+         "redundant-ring-k3", "ind(SD(5,4,2))-k2", "az2(12,4)-k2", "weighted-ring-tail",
+         "x2-y3-tail", "example-ring-dimensions"],
 )
 def test_beta_and_tail_reports_are_pinned(compute, expected):
     assert compute() == expected

@@ -10,13 +10,12 @@ from zerosumlab import (
     ValidationError,
     parse_generator_spec,
 )
+from zerosumlab import presented
 from zerosumlab.polynomials import escaping_degrees
 
 
-def example_ring(**kwargs) -> PresentedGradedAlgebra:
-    return PresentedGradedAlgebra(
-        [("a", 1), ("b", 3)], ["b^3-a^9", "a*b^2-a^7"], **kwargs
-    )
+def example_ring() -> PresentedGradedAlgebra:
+    return PresentedGradedAlgebra([("a", 1), ("b", 3)], ["b^3-a^9", "a*b^2-a^7"])
 
 
 # --- generator specs -----------------------------------------------------------
@@ -47,13 +46,6 @@ def test_generator_validation():
     for degree in (True, 1.0):  # weights are ints, not bools or floats
         with pytest.raises(ValidationError):
             PresentedGradedAlgebra([("a", degree)], [])
-
-
-@pytest.mark.parametrize("cap", ["5", 0, -3, True, 2.5])
-def test_degree_cap_must_be_a_positive_int(cap):
-    # like the weights: an int >= 1, or `d > degree_cap` fails far from the cause
-    with pytest.raises(ValidationError):
-        example_ring(degree_cap=cap)
 
 
 def test_relation_must_be_homogeneous():
@@ -206,7 +198,7 @@ def test_a_ring_whose_generators_all_die_has_beta_zero():
     assert report["status"] == "exact"
 
 
-def test_beta_validation():
+def test_beta_validation(monkeypatch):
     R = example_ring()
     with pytest.raises(DomainError):
         R.beta_k(0)
@@ -214,12 +206,14 @@ def test_beta_validation():
         R.beta_k(1, cutoff=0)
     # the scan stops at k·w_max = 6, so only that is held to the cap
     assert R.beta_k(2, cutoff=100)["scan_limit"] == 6
+    monkeypatch.setattr(presented, "DEGREE_CAP", 4)
     with pytest.raises(CapacityError):
-        example_ring(degree_cap=4).beta_k(2)
+        example_ring().beta_k(2)
 
 
-def test_degree_cap_guard():
-    R = example_ring(degree_cap=10)
+def test_degree_cap_guard(monkeypatch):
+    monkeypatch.setattr(presented, "DEGREE_CAP", 10)
+    R = example_ring()
     with pytest.raises(CapacityError):
         R.dimension(11)
 
@@ -239,10 +233,11 @@ def test_tail_window_detects_missing_generator():
     assert report["failures"] == [3]
 
 
-def test_tail_window_past_the_largest_weight_needs_no_scan():
+def test_tail_window_past_the_largest_weight_needs_no_scan(monkeypatch):
     # no minimal generator lives above w_max = 3, so no slice of this
     # window is built, not even those over the degree cap
-    R = example_ring(degree_cap=10)
+    monkeypatch.setattr(presented, "DEGREE_CAP", 10)
+    R = example_ring()
     assert R.tail_generated(4, 1000) == {
         "window": [4, 1000], "generated": True, "failures": []}
 

@@ -99,6 +99,13 @@ def test_from_elements_rejects_each_bad_element(elements, error):
         Sequence.from_elements(Z4, elements)
 
 
+def test_equal_sequences_built_two_ways_hash_alike():
+    s = Sequence(V4, [((1, 0), 1), ((0, 1), 2)])
+    t = Sequence.from_elements(AbelianGroup((2, 2)), [(0, 1), (1, 0), (0, 1)])
+    assert s == t and hash(s) == hash(t)
+    assert s != Sequence.from_elements(V4, [(0, 1), (1, 0)])
+
+
 def test_literal_parse_round_trip():
     s = seq(Z4, 1, 1, 3)
     assert s.literal() == "[1,1,3]"

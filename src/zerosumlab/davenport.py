@@ -21,16 +21,21 @@ than exp(A) copies of each element, so it ends by length
 (|A|−1)·(exp(A)−1) + 1.  Zero entries are handled analytically: each is
 exactly one block, and appending a non-zero entry to a zero-free bad
 sequence shows zeros never lengthen extremal sequences, so the search runs
-over A∖{0}.  The scans work on int runs (element indices, see
-``sequences``) and decode only the reported witness.
+over A∖{0}.  The scans work on element indices (see ``sequences``) and
+decode only the reported witness.  ``_levels`` keys each multiset by the
+sorted tuple of its element indices, (1, 1, 3) for 1^2·3.
 
 The scan takes one of two paths.  The identity path
 (``_identity_levels``) keeps every multiset, with no symmetry reduction:
 each C is built once, as P + g from its parent P = C − max(C), with
 g ≥ max(P), and every other parent C − x = (P − x) + g is looked up in
 the previous level.  This is McKay's canonical construction path under
-the trivial group.  The symmetric path (``_symmetric_levels``) keeps one
-multiset per Aut(A)-orbit, its least image, and is described below.
+the trivial group.  On index tuples P + g is one concatenation and each
+lookup hashes one flat tuple of ints.  The symmetric path
+(``_symmetric_levels``) keeps one multiset per Aut(A)-orbit, its least
+image, and is described below.  It works on int runs, which its
+canonicaliser and credits need, and converts only the survivors it
+keeps, |Aut(A)|-fold fewer, to index tuples as it yields them.
 ``_levels`` takes the identity path when the Aut(A) listing is refused or
 holds at most ``_IDENTITY_MAX_MAPS`` maps: for so few maps, finding least
 images costs more than the |Aut(A)|-fold fewer candidates save.  Both
@@ -38,9 +43,11 @@ paths report the same D_k, η, witnesses and lengths; only the node counts
 differ.  v is constant on orbits, so the identity path's survivors are
 the whole orbits of the symmetric path's, and a level is empty on one
 path iff it is on the other.  The reported witness is the least survivor
-of a level with v < k.  On the identity path that survivor is the least
-image of its own orbit, so it is the least such canonical survivor, the
-one the symmetric path reports.
+of a level with v < k in the order of int runs, which is not the order of
+index tuples: (1, 1, 1, 4) < (1, 4, 5, 5), but 1·4·5^2 < 1^3·4 as runs.
+On the identity path that survivor is the least image of its own orbit,
+so it is the least such canonical survivor, the one the symmetric path
+reports.
 
 Canonical forms are least images under Aut(A), found from an orbit table
 (``_OrbitTable`` of ``_canonical_maps``): cols[x] is the image of x under
@@ -86,7 +93,6 @@ from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
 
 from .errors import CapacityError, DomainError, VerificationError
 from .groups import (AUTOMORPHISM_INDEX_ENTRIES, AbelianGroup, automorphism_group,
@@ -200,6 +206,16 @@ def _firsts(ties, order):
                    for h, orbit in enumerate(zip(*ties)) if h and min(orbit) == t[h]])
 
 
+def _flat(runs):
+    """The sorted index tuple of the int runs ``runs``."""
+    return sum([(x,) * mult for x, mult in runs], ())
+
+
+def _runs(flat):
+    """The int runs of the sorted index tuple ``flat``."""
+    return tuple([(x, flat.count(x)) for x in dict.fromkeys(flat)])
+
+
 def _sigma(items, sums):
     """σ of the int runs ``items``, as an element index."""
     total = 0
@@ -233,8 +249,9 @@ def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
     for lengths 1, 2, … up to and including the first empty level.
 
     ``survivors`` maps each multiset of that length with every parent kept
-    and v < ``limit`` to its v, the value of the module docstring with the
-    zero-sum term counted up to length ``cap`` (None: no cap).  They are
+    and v < ``limit``, as the sorted tuple of its element indices, to its
+    v, the value of the module docstring with the zero-sum term counted up
+    to length ``cap`` (None: no cap).  They are
     the canonical ones on the symmetric path and all of them on the
     identity path, which runs when the Aut(A) listing is refused or holds
     at most ``_IDENTITY_MAX_MAPS`` maps.  ``nodes`` counts the candidates
@@ -254,7 +271,13 @@ def _identity_levels(A: AbelianGroup, limit, cap, check):
     """``_levels`` with no symmetry: each multiset C is built once, as
     P + g from P = C − max(C), for every kept P and g ≥ max(P); it is
     kept iff every other parent C − x is a survivor of the previous level
-    and v(C) < ``limit``.  ``nodes`` counts the candidates so built."""
+    and v(C) < ``limit``.  ``nodes`` counts the candidates so built.
+
+    A multiset is the sorted tuple of its element indices, so P + g is
+    ``P + (g,)``.  Dropping one copy of each distinct x < g from P and
+    appending g gives the other parents, each one flat int tuple to look
+    up.
+    """
     sums = A.sums()
     survivors = {(): 0}
     length = nodes = 0
@@ -264,16 +287,17 @@ def _identity_levels(A: AbelianGroup, limit, cap, check):
         frontier, survivors = survivors, {}
         kept = frontier.get
         for items, value in frontier.items():
-            row = sums[_sigma(items, sums)]
-            # P less one copy of each run's element: the other parents of
-            # P + g are these plus g
-            drops = [items[:i] + items[i + 1:] if m == 1 else
-                     items[:i] + ((x, m - 1),) + items[i + 1:]
-                     for i, (x, m) in enumerate(items)]
-            top, mult = items[-1] if items else (0, 0)
-            # g = max(P) grows the last run, which each P − x with x < max(P)
-            # ends with
-            trimmed = [drop[:-1] for drop in drops[:-1]]
+            total = 0
+            for x in items:
+                total = sums[x][total]
+            row = sums[total]
+            top = items[-1] if items else 0
+            # P less one copy of each element below max(P), and P less one
+            # max(P): with g appended, the other parents of P + g, where
+            # g = max(P) makes the last one P itself
+            inner = [items[:i - 1] + items[i:]
+                     for i in range(1, len(items)) if items[i - 1] != items[i]]
+            every = inner + [items[:-1]] if items else inner
             for g in range(top or 1, A.order):
                 nodes += 1
                 if nodes % 256 == 0:
@@ -281,14 +305,9 @@ def _identity_levels(A: AbelianGroup, limit, cap, check):
                 zero = counts_zero and row[g] == 0
                 if value + zero >= limit:
                     continue
-                if g == top:
-                    tail = ((g, mult + 1),)
-                    cand, heads = items[:-1] + tail, trimmed
-                else:
-                    tail = ((g, 1),)
-                    cand, heads = items + tail, drops
+                tail = (g,)
                 best = value
-                for head in heads:
+                for head in inner if g == top else every:
                     other = kept(head + tail)
                     if other is None:
                         break
@@ -296,7 +315,7 @@ def _identity_levels(A: AbelianGroup, limit, cap, check):
                         best = other
                 else:
                     if best + zero < limit:
-                        survivors[cand] = best + zero
+                        survivors[items + tail] = best + zero
         yield length, survivors, nodes
 
 
@@ -342,7 +361,7 @@ def _symmetric_levels(A: AbelianGroup, table, limit, cap, check):
                     cands[cand] = packed
         survivors = {cand: packed for cand, packed in cands.items() if packed < limit}
         cosets = {cand: ties for cand, ties in cand_cosets.items() if cand in survivors}
-        yield length, survivors, nodes
+        yield length, {_flat(cand): value for cand, value in survivors.items()}, nodes
 
 
 def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
@@ -383,10 +402,10 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
             )
         # no length-`level` sequence avoids k disjoint blocks once k - 1 is
         # below every surviving k_max; the witness is the least bad one of
-        # the previous length
+        # the previous length, in run order
         for k in range(len(resolved_D) + 1, min(survivors.values(), default=k_upto) + 1):
             resolved_D[k] = level
-            witnesses[k] = min(items for items, km in previous.items() if km < k)
+            witnesses[k] = min(_runs(items) for items, km in previous.items() if km < k)
         previous = survivors
 
     seconds = time.monotonic() - t0
@@ -567,7 +586,7 @@ def verify_subgroup_relations(A: AbelianGroup, B: AbelianGroup, ks=(1, 2)) -> di
         raise DomainError(f"{B.spec()} is not realizable as a subgroup of {A.spec()}")
     index = A.order // B.order
     checks = []
-    ratio_ok = Fraction(A.exponent, A.order) <= Fraction(B.exponent, B.order)
+    ratio_ok = A.exponent * B.order <= B.exponent * A.order  # exp(A)/|A| <= exp(B)/|B|
     checks.append(
         {
             "name": "sigma-ratio",

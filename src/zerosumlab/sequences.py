@@ -21,13 +21,17 @@ optimal packing of T misses some x, so it packs T − x; if σ(T) = 0 it
 covers T (a zero-sum rest is one more block), so dropping the block that
 holds x leaves k − 1 in T − x.
 
-``_kmax_codes`` fills the table bottom-up, with no recursion; a table of
-more than ``TABLE_CELLS`` sub-multisets is refused before it is built.
-Every caller reads off it: ``k_max`` (through ``_KMAX_MEMO``, a memo of
-whole answers, and its on-disk spill) and ``k_max_naive`` (no memo) its
-last cell, ``k_max_with_witness`` a walk down from S, and
-``minimal_zero_sum_subsequences`` the zero-sum T with k(T) = 1.  The suite's second method
-is the block recursion over ``_zero_sum_subitems``.
+``_kmax_codes`` holds the table as one int bitset per level: bit T of
+K_j is set iff k(T) ≥ j.  The levels follow exactly from the zero-sum
+codes (see there) by masked shifts of whole bitsets, with no loop over
+cells and no recursion; a table of more than ``TABLE_CELLS``
+sub-multisets is refused before it is built.  Every
+caller reads off it: ``k_max`` (through ``_KMAX_MEMO``, a memo of whole
+answers, and its on-disk spill) and ``k_max_naive`` (no memo) count the
+levels, ``k_max_with_witness`` walks down from S, and
+``minimal_zero_sum_subsequences`` takes the zero-sum T outside K_2, those
+with k(T) = 1.  The suite's second method is the block recursion over
+``_zero_sum_subitems``.
 """
 
 from __future__ import annotations
@@ -235,8 +239,10 @@ TABLE_CELLS = 1 << 22
 def _subitem_sums(group, items):
     """σ(T) as an index for each sub-multiset T of the int runs ``items``,
     by code: T's copies of each run are its digits, in base mult + 1, the
-    first run most significant.  Past ``TABLE_CELLS`` codes it raises
-    CapacityError before it builds anything.
+    first run most significant.  The list is built from the last run back,
+    each run taking the top digit, so that each copy of it appends one
+    mapped copy of the list so far.  Past ``TABLE_CELLS`` codes
+    it raises CapacityError before it builds anything.
     """
     cells = math.prod([mult + 1 for _, mult in items])
     if cells > TABLE_CELLS:
@@ -244,13 +250,15 @@ def _subitem_sums(group, items):
                             limit=TABLE_CELLS)
     sums = group.sums()
     out = [0]
-    for elem, mult in items:
+    for elem, mult in reversed(items):
+        # code c·len(out) + t: c copies of this run on top of code t
         row = sums[elem]
-        multiples = [0]
+        grown = out[:]
+        m = 0
         for _ in range(mult):
-            multiples.append(row[multiples[-1]])
-        shifts = [sums[m] for m in multiples]
-        out = [shift[t] for t in out for shift in shifts]
+            m = row[m]
+            grown += map(sums[m].__getitem__, out)
+        out = grown
     return out
 
 
@@ -260,36 +268,85 @@ def _decode(items, digits, code):
                   if (c := code // stride % base)])
 
 
+def _periodic(low, period, cells):
+    """The ``cells``-bit int whose bit i is set iff i % ``period`` < ``low``,
+    built by doubling the set period."""
+    mask, width = (1 << low) - 1, period
+    while width < cells:
+        mask |= mask << width
+        width *= 2
+    return mask & ((1 << cells) - 1)
+
+
+_ZERO_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _kmax_codes(group, items):
-    """(k, sums, digits) over the sub-multisets T of the int runs ``items``:
-    ``k[code]`` is k_max(T), ``sums`` is ``_subitem_sums`` and ``digits``
-    holds the (stride, base) of each run's digit, in run order.  k is
-    filled bottom-up by the recurrence of the module docstring; T − x is
-    T's code less the stride of x's run.
+    """(zero, levels, digits) over the sub-multisets T of the int runs
+    ``items``, each an int with one bit per code of ``_subitem_sums``: bit
+    ``code`` of ``zero`` is set iff T is non-empty and zero-sum, and
+    ``levels`` iterates over K_1, …, K_k, k = k_max(``items``), where bit
+    ``code`` of K_j is set iff k_max(T) ≥ j.  ``digits`` holds the
+    (stride, base) of each run's digit, in run order.
+
+    T ⊆ U adds nothing to k, so each K_j is closed upward, and holds the
+    top code iff it is not empty.  k(T) ≥ j iff T holds a zero-sum Z with
+    k(Z) ≥ j (the union of j blocks), and a non-empty zero-sum Z has
+    k(Z) = 1 + max over x ∈ Z of k(Z − x).  So with Z the set of non-empty
+    zero-sum codes, K_1 = close(Z) and K_j = close(Z ∩ Up(K_{j−1})): Up(K)
+    holds the T with some T − x in K, and close(K) every T above a member
+    of K.  T + x is T's code plus the stride of x's run, so both are shifts
+    of K masked to the codes whose digit leaves room.  close adds 1, 2,
+    4, … copies of each run in turn, so it takes about log2(mult + 1)
+    shifts per run, not mult.  The periodic masks are built by doubling;
+    dividing by 2^period − 1 is far slower on a bitset of 2^22 bits.
     """
     sums = _subitem_sums(group, items)
+    cells = len(sums)
     digits = []
-    stride = len(sums)
+    steps = []  # per run, (mask, shift) adding 1, 2, 4, … copies of it
+    stride = cells
     for _, mult in items:
         stride //= mult + 1
         digits.append((stride, mult + 1))
-    k = [0] * len(sums)
-    for code in range(1, len(sums)):
-        best = 0
-        for stride, base in digits:
-            if code // stride % base:  # T holds a copy of this run
-                v = k[code - stride]
-                if v > best:
-                    best = v
-        k[code] = best + (sums[code] == 0)
-    return k, sums, digits
+        run = []
+        copies = 1
+        while copies <= mult:  # mask: the codes whose digit is at most mult − copies
+            run.append((_periodic((mult + 1 - copies) * stride, (mult + 1) * stride, cells),
+                        copies * stride))
+            copies *= 2
+        steps.append(run)
+    zero = int(bytes(map(operator.not_, reversed(sums))).translate(_ZERO_BITS), 2) & ~1
+    return zero, _kmax_levels(zero, steps), digits
+
+
+def _kmax_levels(zero, steps):
+    """K_1, K_2, … up to the last non-empty one, from the zero-sum codes
+    ``zero`` and the (mask, shift) ``steps`` of each run (``_kmax_codes``).
+    Only the level in progress is held, so a caller that counts them
+    holds one at a time."""
+    K = zero
+    while True:
+        for run in steps:
+            for mask, shift in run:
+                K |= (K & mask) << shift
+        if not K:
+            return
+        yield K
+        up = 0
+        for run in steps:
+            mask, shift = run[0]  # one more copy
+            up |= (K & mask) << shift
+        K = zero & up
 
 
 def _kmax_of_runs(group, items) -> int:
     """k_max of the int runs ``items``: zero sorts first, and each 0 is one
-    block on its own, so the table holds only the other runs."""
+    block on its own, so the table holds only the other runs.  Past them
+    k_max is the number of levels, as each holds the top code, S itself."""
     zeros = items[0][1] if items and items[0][0] == 0 else 0
-    return zeros + _kmax_codes(group, items[1:] if zeros else items)[0][-1]
+    levels = _kmax_codes(group, items[1:] if zeros else items)[1]
+    return zeros + sum(1 for _ in levels)
 
 
 def _zero_sum_subitems(group, items):
@@ -304,13 +361,21 @@ def _zero_sum_subitems(group, items):
 def _minimal_blocks_with_pivot(group, items):
     """Minimal zero-sum sub-multisets of the int runs ``items`` that use the
     first run's element (the pivot), sorted.  A non-empty zero-sum T is
-    minimal iff k_max(T) = 1.
+    minimal iff k_max(T) = 1: the bits of Z ∖ K_2, at codes whose first
+    digit is at least 1.
     """
     if items[0][0] == 0:
         return [((0, 1),)]
-    k, sums, digits = _kmax_codes(group, items)
-    return sorted(_decode(items, digits, code) for code in range(digits[0][0], len(k))
-                  if k[code] == 1 and sums[code] == 0)
+    zero, levels, digits = _kmax_codes(group, items)
+    next(levels, None)  # K_1, then K_2 below
+    first = digits[0][0]
+    bits = bin((zero & ~next(levels, 0)) >> first)[:1:-1]  # bit i at position i
+    blocks = []
+    at = bits.find("1")
+    while at >= 0:
+        blocks.append(_decode(items, digits, at + first))
+        at = bits.find("1", at + 1)
+    return sorted(blocks)
 
 
 def minimal_zero_sum_subsequences(S: Sequence) -> list[Sequence]:
@@ -386,7 +451,8 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
 
     Each 0 is a block.  On the table of the other runs the walk goes down
     from S: at a zero-sum T it drops one copy of T's first run, and k
-    falls by one; elsewhere it drops the first run whose removal keeps k.
+    falls by one; elsewhere it drops the first run whose removal keeps k,
+    T − x still in K_k (see ``_kmax_codes``).
     So k falls exactly at the zero-sum sets Z_1 ⊃ … ⊃ Z_k met on the way,
     and Z_1 − Z_2, …, Z_{k−1} − Z_k, Z_k are the blocks; S − Z_1 is the
     remainder.  The packing is checked against the memo's entry for S,
@@ -396,22 +462,26 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
     runs = _to_indices(g, S.items)
     zeros = runs[0][1] if runs and runs[0][0] == 0 else 0
     items = runs[1:] if zeros else runs
-    k, sums, digits = _kmax_codes(g, items)
+    zero, levels, digits = _kmax_codes(g, items)
+    levels = list(levels)
     cuts = []  # codes of the zero-sum sets on the walk
-    code = len(k) - 1
-    while k[code]:
-        if sums[code] == 0:
+    top = code = math.prod([base for _, base in digits]) - 1
+    k = len(levels)  # the levels holding code: one fewer past each zero-sum code
+    while k:
+        zero_sum = zero >> code & 1
+        if zero_sum:
             cuts.append(code)
         for stride, base in digits:
-            if code // stride % base and (sums[code] == 0 or k[code - stride] == k[code]):
+            if code // stride % base and (zero_sum or levels[k - 1] >> (code - stride) & 1):
                 code -= stride
                 break
+        k -= zero_sum
     blocks = [((0, 1),)] * zeros + [_decode(items, digits, a - b)
                                      for a, b in zip(cuts, cuts[1:] + [0])]
-    rest = _decode(items, digits, len(k) - 1 - (cuts[0] if cuts else 0))
+    rest = _decode(items, digits, top - (cuts[0] if cuts else 0))
     packing = BlockPacking([Sequence(g, _to_elements(g, b)) for b in blocks],
                            Sequence(g, _to_elements(g, rest)))
-    expected = _KMAX_MEMO.setdefault((g.factors, runs), zeros + k[-1]) if runs else 0
+    expected = _KMAX_MEMO.setdefault((g.factors, runs), zeros + len(levels)) if runs else 0
     if len(packing.blocks) != expected or not packing.verify_covers(S):
         raise VerificationError(
             f"witness packing disagrees with k_max for {S.literal()}", evidence=packing

@@ -290,8 +290,9 @@ def test_budget_exhaustion_exits_3(capsys):
 
 @pytest.mark.parametrize("command", ["davenport", "eta"])
 def test_budget_holds_where_aut_is_too_large_to_list(command):
-    # Aut(Z2^5) has 9,999,360 elements; listing them all would take minutes
-    proc = _zsl(command, "Z2xZ2xZ2xZ2xZ2", "--budget-seconds", "1", timeout=10)
+    # Aut(Z2^6) has 20,158,709,760 elements, too many to list, and both
+    # scans of Z2^6 run far past 1 s (D(Z2^5) alone takes about 1 s)
+    proc = _zsl(command, "Z2xZ2xZ2xZ2xZ2xZ2", "--budget-seconds", "1", timeout=10)
     assert proc.returncode == 3
     assert "capacity:" in proc.stderr
 

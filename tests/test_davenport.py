@@ -306,13 +306,13 @@ def test_eta_checks_its_budget_inside_a_level():
 
 
 def test_the_identity_path_checks_its_budget_inside_a_level():
-    # Aut(Z2^5) is too large to list, so D(Z2^5) takes the identity path;
-    # on a 2-vCPU VM its last level runs from about 0.8 s to 1.7 s, so a
-    # clock read only between lengths overshoots a 1 s budget by 0.7 s
+    # Aut(Z4^3) is too large to list, so D(Z4^3) takes the identity path;
+    # on a 2-vCPU VM its length 5 runs from about 1.1 s to 18 s, so a clock
+    # read only between lengths overshoots a 3 s budget by 15 s
     start = time.monotonic()
     with pytest.raises(CapacityError):
-        davenport_table(AbelianGroup((2, 2, 2, 2, 2)), 1, budget_seconds=1.0)
-    assert time.monotonic() - start < 1.5
+        davenport_table(AbelianGroup((4, 4, 4)), 1, budget_seconds=3.0)
+    assert time.monotonic() - start < 3.5
 
 
 def test_budget_allows_large_group():
@@ -609,6 +609,17 @@ def _value(A, items, cap):
                    for block in sequences._zero_sum_subitems(A, items)))
 
 
+def _flat(runs):
+    """The sorted index tuple of the int runs ``runs``, as ``_levels`` keys
+    its survivors."""
+    return tuple(x for x, m in runs for _ in range(m))
+
+
+def _runs(flat):
+    """The int runs of the sorted index tuple ``flat``."""
+    return tuple((x, flat.count(x)) for x in sorted(set(flat)))
+
+
 def _check_levels(A, perms, limit, cap, depth):
     """Each of the first ``depth`` levels of ``_levels`` against a
     brute-force scan: the candidates are every extension of the previous
@@ -618,13 +629,13 @@ def _check_levels(A, perms, limit, cap, depth):
     nodes = 0
     for level, survivors, seen in itertools.islice(
             davenport._levels(A, limit, cap, None, None), depth):
-        candidates = _unpruned_extensions(A, previous, perms)
+        candidates = _unpruned_extensions(A, map(_runs, previous), perms)
         expected = {}
         for cand in candidates:
-            if all(_least_image(p, perms) in previous for p in _parents(cand)):
+            if all(_flat(_least_image(p, perms)) in previous for p in _parents(cand)):
                 value = _value(A, cand, cap)
                 if value < limit:
-                    expected[cand] = value
+                    expected[_flat(cand)] = value
         assert seen - nodes == len(candidates), level
         assert list(survivors.items()) == list(expected.items()), level
         previous, nodes = survivors, seen
@@ -632,9 +643,8 @@ def _check_levels(A, perms, limit, cap, depth):
 
 
 def _multisets(A, length):
-    """Every multiset of ``length`` elements of A∖{0}, as int runs."""
-    for combo in itertools.combinations_with_replacement(range(1, A.order), length):
-        yield tuple((x, combo.count(x)) for x in sorted(set(combo)))
+    """Every multiset of ``length`` elements of A∖{0}, as sorted index tuples."""
+    return itertools.combinations_with_replacement(range(1, A.order), length)
 
 
 def _check_identity_levels(A, limit, cap, depth):
@@ -647,10 +657,8 @@ def _check_identity_levels(A, limit, cap, depth):
             davenport._levels(A, limit, cap, None, None), depth):
         expected, grown = {}, 0
         for cand in _multisets(A, level):
-            top, mult = cand[-1]
-            rest = cand[:-1] + ((top, mult - 1),) if mult > 1 else cand[:-1]
-            grown += rest in previous
-            value = _value(A, cand, cap)
+            grown += cand[:-1] in previous  # C − max(C)
+            value = _value(A, _runs(cand), cap)
             if value < limit:
                 expected[cand] = value
         assert survivors == expected, level
@@ -769,25 +777,23 @@ def test_levels_run_to_the_first_empty_level(monkeypatch):
     # multisets with one block only, and D_2(Z2×Z2) = 5
     monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", 0)
     assert list(davenport._levels(Z2xZ2, 2, None, None, None)) == [
-        (1, {((1, 1),): 0}, 1),
-        (2, {((1, 2),): 1, ((1, 1), (2, 1)): 0}, 3),
-        (3, {((1, 3),): 1, ((1, 1), (2, 2)): 1, ((1, 1), (2, 1), (3, 1)): 1}, 6),
-        (4, {((1, 1), (2, 3)): 1, ((1, 1), (2, 1), (3, 2)): 1}, 10),
+        (1, {(1,): 0}, 1),
+        (2, {(1, 1): 1, (1, 2): 0}, 3),
+        (3, {(1, 1, 1): 1, (1, 2, 2): 1, (1, 2, 3): 1}, 6),
+        (4, {(1, 2, 2, 2): 1, (1, 2, 3, 3): 1}, 10),
         (5, {}, 14),
     ]
     # |Aut(Z2×Z2)| = 6 takes the identity path by default: it keeps whole
     # orbits, and builds each multiset from the one kept C − max(C)
     monkeypatch.undo()
     assert list(davenport._levels(Z2xZ2, 2, None, None, None)) == [
-        (1, {((1, 1),): 0, ((2, 1),): 0, ((3, 1),): 0}, 3),
-        (2, {((1, 2),): 1, ((1, 1), (2, 1)): 0, ((1, 1), (3, 1)): 0, ((2, 2),): 1,
-             ((2, 1), (3, 1)): 0, ((3, 2),): 1}, 9),
-        (3, {((1, 3),): 1, ((1, 2), (2, 1)): 1, ((1, 2), (3, 1)): 1, ((1, 1), (2, 2)): 1,
-             ((1, 1), (2, 1), (3, 1)): 1, ((1, 1), (3, 2)): 1, ((2, 3),): 1,
-             ((2, 2), (3, 1)): 1, ((2, 1), (3, 2)): 1, ((3, 3),): 1}, 19),
-        (4, {((1, 3), (2, 1)): 1, ((1, 3), (3, 1)): 1, ((1, 2), (2, 1), (3, 1)): 1,
-             ((1, 1), (2, 3)): 1, ((1, 1), (2, 2), (3, 1)): 1, ((1, 1), (2, 1), (3, 2)): 1,
-             ((1, 1), (3, 3)): 1, ((2, 3), (3, 1)): 1, ((2, 1), (3, 3)): 1}, 34),
+        (1, {(1,): 0, (2,): 0, (3,): 0}, 3),
+        (2, {(1, 1): 1, (1, 2): 0, (1, 3): 0, (2, 2): 1, (2, 3): 0, (3, 3): 1}, 9),
+        (3, {(1, 1, 1): 1, (1, 1, 2): 1, (1, 1, 3): 1, (1, 2, 2): 1, (1, 2, 3): 1,
+             (1, 3, 3): 1, (2, 2, 2): 1, (2, 2, 3): 1, (2, 3, 3): 1, (3, 3, 3): 1}, 19),
+        (4, {(1, 1, 1, 2): 1, (1, 1, 1, 3): 1, (1, 1, 2, 3): 1, (1, 2, 2, 2): 1,
+             (1, 2, 2, 3): 1, (1, 2, 3, 3): 1, (1, 3, 3, 3): 1, (2, 2, 2, 3): 1,
+             (2, 3, 3, 3): 1}, 34),
         (5, {}, 45),
     ]
     # the trivial group has no non-zero element: η(Z1) = 1, on either path

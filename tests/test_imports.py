@@ -97,6 +97,17 @@ def test_a_subcommand_loads_only_its_engine(tmp_path, argv, absent):
     assert not loaded & absent, sorted(loaded & absent)
 
 
+def test_davenport_imports_no_fractions(tmp_path):
+    # the D side compares ratios as integer cross products; importing
+    # fractions, and the decimal module it pulls in, costs every call a few ms
+    code = """
+        from zerosumlab.cli import main
+        assert main(["davenport", "Z3"]) == 0
+        assert "fractions" not in sys.modules
+    """
+    assert "davenport" in _loaded(code, tmp_path)
+
+
 # -- the public API ---------------------------------------------------------------
 
 

@@ -290,6 +290,31 @@ def test_the_witness_builds_one_table_on_a_cold_memo(monkeypatch):
     assert sequences._KMAX_MEMO == {(A.factors, _to_indices(A, s.items)): k}
 
 
+def test_every_cell_of_the_table_is_k_max_of_its_sub_multiset():
+    # zeros and repeated entries included: the levels holding a code count
+    # k_max of the sub-multiset it codes, and the zero bits mark the
+    # non-empty zero sums, by plain group arithmetic
+    rng = random.Random(1214)
+    groups = [Z4, V4, AbelianGroup((6,)), AbelianGroup((2, 4))]
+    values = set()
+    for _ in range(60):
+        A = rng.choice(groups)
+        elems = A.elements()
+        entries = [rng.choice(elems) for _ in range(rng.randint(1, 6))]
+        entries += [A.zero] * rng.randint(0, 2) + [entries[0]] * rng.randint(0, 2)
+        runs = _to_indices(A, Sequence.from_elements(A, entries).items)
+        zero, levels, digits = sequences._kmax_codes(A, runs)
+        levels = list(levels)
+        assert [base for _, base in digits] == [m + 1 for _, m in runs]
+        for code, counts in enumerate(itertools.product(*[range(m + 1) for _, m in runs])):
+            sub = Sequence(A, [(A.element(i), c) for (i, _), c in zip(runs, counts) if c])
+            value = _k_max_by_definition(sub)
+            assert sum(K >> code & 1 for K in levels) == value, (runs, counts)
+            assert zero >> code & 1 == (len(sub) > 0 and sequence_sum(sub) == A.zero)
+            values.add(value)
+    assert len(values) >= 4
+
+
 def test_block_packing_rejects_non_zero_sum_blocks():
     with pytest.raises(DomainError):
         BlockPacking([seq(Z4, 1)], Sequence.empty(Z4))
@@ -501,6 +526,34 @@ for f in (k_max, k_max_naive, k_max_with_witness, minimal_zero_sum_subsequences)
         sys.exit(f"{f.__name__} built a table of 2^23 sub-multisets")
     assert time.perf_counter() - start < 0.5, f.__name__
 """
+
+
+_FULL_TABLE_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from zerosumlab.groups import parse_groupspec
+from zerosumlab.sequences import TABLE_CELLS, Sequence, k_max_with_witness
+
+A = parse_groupspec("Z2xZ2xZ2xZ2xZ2")
+# 22 distinct non-zero elements: exactly 2^22 sub-multisets
+entries = A.elements()[1:23]
+S = Sequence(A, [(x, 1) for x in entries])
+assert 2 ** len(entries) == TABLE_CELLS
+count, packing = k_max_with_witness(S)
+assert count == len(packing.blocks) == 6, packing
+# plain sums and counts, with no group table
+used = [x for block in packing.blocks for x in block] + list(packing.remainder)
+assert sorted(used) == sorted(entries), packing
+for block in packing.blocks:
+    assert len(block) and all(sum(x[j] for x in block) % 2 == 0 for j in range(5)), packing
+"""
+
+
+def test_a_table_at_the_cap_is_built_and_answered():
+    env = dict(os.environ, PYTHONPATH=str(Path(zerosumlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _FULL_TABLE_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 def test_a_table_past_the_cap_is_refused_before_it_is_built():

@@ -216,13 +216,11 @@ def _runs(flat):
     return tuple([(x, flat.count(x)) for x in dict.fromkeys(flat)])
 
 
-def _sigma(items, sums):
-    """σ of the int runs ``items``, as an element index."""
+def _sigma(flat, sums):
+    """σ of the sorted index tuple ``flat``, as an element index."""
     total = 0
-    for elem, mult in items:
-        row = sums[elem]
-        for _ in range(mult):
-            total = row[total]
+    for x in flat:
+        total = sums[x][total]
     return total
 
 
@@ -287,10 +285,7 @@ def _identity_levels(A: AbelianGroup, limit, cap, check):
         frontier, survivors = survivors, {}
         kept = frontier.get
         for items, value in frontier.items():
-            total = 0
-            for x in items:
-                total = sums[x][total]
-            row = sums[total]
+            row = sums[_sigma(items, sums)]
             top = items[-1] if items else 0
             # P less one copy of each element below max(P), and P less one
             # max(P): with g appended, the other parents of P + g, where
@@ -327,6 +322,8 @@ def _symmetric_levels(A: AbelianGroup, table, limit, cap, check):
     is the credit it still lacks and ``best`` the largest v(P) + [σ = 0]
     over the pairs met so far, which is v(C) once nothing is missing.
     ``cosets`` holds the ties of each kept item that has more than one.
+    The survivors are yielded keyed by index tuples (``_flat``), the one
+    format of ``_levels``.
     """
     order = len(table.maps)
     sums = A.sums()
@@ -340,7 +337,7 @@ def _symmetric_levels(A: AbelianGroup, table, limit, cap, check):
         counts_zero = cap is None or length <= cap
         frontier, cands, cand_cosets = survivors, {}, {}
         for items, value in frontier.items():
-            total = _sigma(items, sums)
+            total = _sigma(_flat(items), sums)
             coset = cosets.get(items)
             for g, credit in plain if coset is None else _firsts(coset, order):
                 cand, ties = _canonical_items(_items_add_one(items, g), table)
@@ -371,6 +368,12 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
     all levels: on the symmetric path the distinct canonical candidates,
     on the identity path every P + g built from a kept P with g ≥ max(P)
     (see the module docstring).
+
+    The witness is the least survivor with v < k in the order of int runs,
+    so the resolving level's candidates are turned back into runs.  On the
+    symmetric path, which yields its run-keyed survivors as index tuples,
+    that is a round trip; it is there only for this witness and the one key
+    format ``_levels`` yields, and costs about 1 % of a symmetric scan.
 
     >>> [r.value_Dk for r in davenport_table(AbelianGroup((3,)), 2)]
     [3, 6]

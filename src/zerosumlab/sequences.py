@@ -24,8 +24,12 @@ holds x leaves k − 1 in T − x.
 ``_kmax_codes`` holds the table as one int bitset per level: bit T of
 K_j is set iff k(T) ≥ j.  The levels follow exactly from the zero-sum
 codes (see there) by masked shifts of whole bitsets, with no loop over
-cells and no recursion; a table of more than ``TABLE_CELLS``
-sub-multisets is refused before it is built.  Every
+cells and no recursion.  Each level costs a few shifts per run of a
+bitset of all the cells, so the table beats a loop over (cell, run)
+pairs when k_max is small beside the number of runs, and loses to it on
+long sequences of few runs, where the levels are many.  A table of more
+than ``TABLE_CELLS`` sub-multisets, or whose cells times a bound on its
+levels pass ``TABLE_LEVEL_BITS``, is refused before it is built.  Every
 caller reads off it: ``k_max`` (through ``_KMAX_MEMO``, a memo of whole
 answers, and its on-disk spill) and ``k_max_naive`` (no memo) count the
 levels, ``k_max_with_witness`` walks down from S, and
@@ -234,6 +238,10 @@ def subtract(S: Sequence, T: Sequence) -> Sequence:
 
 # most sub-multisets, Π(m_i + 1) over the runs, that one table may hold
 TABLE_CELLS = 1 << 22
+# most bits, cells times a bound on the levels, that the levels of one table
+# may hold: each level is one bit per cell, shifted whole, so this bounds
+# both their memory (128 MB) and the shifts
+TABLE_LEVEL_BITS = 1 << 30
 
 
 def _subitem_sums(group, items):
@@ -281,13 +289,14 @@ def _periodic(low, period, cells):
 _ZERO_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _kmax_codes(group, items):
+def _kmax_codes(group, items, most=None):
     """(zero, levels, digits) over the sub-multisets T of the int runs
     ``items``, each an int with one bit per code of ``_subitem_sums``: bit
     ``code`` of ``zero`` is set iff T is non-empty and zero-sum, and
     ``levels`` iterates over K_1, …, K_k, k = k_max(``items``), where bit
     ``code`` of K_j is set iff k_max(T) ≥ j.  ``digits`` holds the
-    (stride, base) of each run's digit, in run order.
+    (stride, base) of each run's digit, in run order.  A caller that takes
+    at most ``most`` levels says so, and the cap below counts no more.
 
     T ⊆ U adds nothing to k, so each K_j is closed upward, and holds the
     top code iff it is not empty.  k(T) ≥ j iff T holds a zero-sum Z with
@@ -300,9 +309,21 @@ def _kmax_codes(group, items):
     4, … copies of each run in turn, so it takes about log2(mult + 1)
     shifts per run, not mult.  The periodic masks are built by doubling;
     dividing by 2^period − 1 is far slower on a bitset of 2^22 bits.
+
+    The cost grows with the levels as well as the cells.  The callers
+    split the zeros off, and a block of non-zero entries holds two at
+    least, so k ≤ ⌊|items|/2⌋; a table whose cells times that bound pass
+    ``TABLE_LEVEL_BITS`` raises CapacityError before anything is built.
     """
+    cells = math.prod([mult + 1 for _, mult in items])
+    bound = sum([mult for _, mult in items]) // 2
+    if most is not None:
+        bound = min(bound, most)
+    if cells * bound > TABLE_LEVEL_BITS:
+        raise CapacityError(f"{cells} sub-multisets times up to {bound} levels exceed the "
+                            f"table limit of {TABLE_LEVEL_BITS} level bits",
+                            limit=TABLE_LEVEL_BITS)
     sums = _subitem_sums(group, items)
-    cells = len(sums)
     digits = []
     steps = []  # per run, (mask, shift) adding 1, 2, 4, … copies of it
     stride = cells
@@ -366,7 +387,7 @@ def _minimal_blocks_with_pivot(group, items):
     """
     if items[0][0] == 0:
         return [((0, 1),)]
-    zero, levels, digits = _kmax_codes(group, items)
+    zero, levels, digits = _kmax_codes(group, items, most=2)
     next(levels, None)  # K_1, then K_2 below
     first = digits[0][0]
     bits = bin((zero & ~next(levels, 0)) >> first)[:1:-1]  # bit i at position i
@@ -456,7 +477,8 @@ def k_max_with_witness(S: Sequence) -> tuple[int, BlockPacking]:
     So k falls exactly at the zero-sum sets Z_1 ⊃ … ⊃ Z_k met on the way,
     and Z_1 − Z_2, …, Z_{k−1} − Z_k, Z_k are the blocks; S − Z_1 is the
     remainder.  The packing is checked against the memo's entry for S,
-    which the walk's own count fills when it is missing.
+    which the walk's own count fills when it is missing.  The walk holds
+    every level, which ``TABLE_LEVEL_BITS`` bounds.
     """
     g = S.group
     runs = _to_indices(g, S.items)

@@ -509,22 +509,32 @@ import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from zerosumlab.errors import CapacityError
 from zerosumlab.groups import parse_groupspec
-from zerosumlab.sequences import (TABLE_CELLS, Sequence, k_max, k_max_naive,
-                                  k_max_with_witness, minimal_zero_sum_subsequences)
+from zerosumlab.sequences import (TABLE_CELLS, TABLE_LEVEL_BITS, Sequence, k_max,
+                                  k_max_naive, k_max_with_witness,
+                                  minimal_zero_sum_subsequences)
 
 A = parse_groupspec("Z2xZ2xZ2xZ2xZ2")
 # 23 distinct non-zero elements and three zeros: 2^23 sub-multisets past the zeros
 S = Sequence(A, [(A.zero, 3)] + [(x, 1) for x in A.elements()[1:24]])
-assert TABLE_CELLS == 1 << 22
+# 1^2047·3^2047 over Z7: exactly 2^22 sub-multisets, but up to 2047 levels
+L = Sequence(parse_groupspec("Z7"), [((1,), 2047), ((3,), 2047)])
+assert TABLE_CELLS == 1 << 22 and TABLE_LEVEL_BITS == 1 << 30
 for f in (k_max, k_max_naive, k_max_with_witness, minimal_zero_sum_subsequences):
-    start = time.perf_counter()
-    try:
-        f(S)
-    except CapacityError as exc:
-        assert exc.limit == TABLE_CELLS, exc
-    else:
-        sys.exit(f"{f.__name__} built a table of 2^23 sub-multisets")
-    assert time.perf_counter() - start < 0.5, f.__name__
+    refused = [(S, TABLE_CELLS), (L, TABLE_LEVEL_BITS)]
+    if f is minimal_zero_sum_subsequences:
+        del refused[1]  # it reads two levels of L's table, below
+    for T, limit in refused:
+        start = time.perf_counter()
+        try:
+            f(T)
+        except CapacityError as exc:
+            assert exc.limit == limit, exc
+        else:
+            sys.exit(f"{f.__name__} built a table past {limit}")
+        assert time.perf_counter() - start < 0.5, f.__name__
+# the minimal blocks read two levels only: 1·3^2, 1^4·3, 1^7 and 3^7
+assert [B.items for B in minimal_zero_sum_subsequences(L)] == [
+    (((1,), 1), ((3,), 2)), (((1,), 4), ((3,), 1)), (((1,), 7),), (((3,), 7),)]
 """
 
 
@@ -532,20 +542,36 @@ _FULL_TABLE_CHILD = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from zerosumlab.groups import parse_groupspec
-from zerosumlab.sequences import TABLE_CELLS, Sequence, k_max_with_witness
+from zerosumlab.sequences import TABLE_CELLS, TABLE_LEVEL_BITS, Sequence, k_max_with_witness
+
+
+def check(S, value):
+    count, packing = k_max_with_witness(S)
+    assert count == len(packing.blocks) == value, (count, value)
+    # plain sums and counts, with no group table
+    used = [x for block in packing.blocks for x in block] + list(packing.remainder)
+    assert sorted(used) == sorted(S), "the packing does not cover S"
+    for block in packing.blocks:
+        assert len(block) and all(sum(x[j] for x in block) % n == 0
+                                  for j, n in enumerate(S.group.factors)), packing
+
 
 A = parse_groupspec("Z2xZ2xZ2xZ2xZ2")
 # 22 distinct non-zero elements: exactly 2^22 sub-multisets
 entries = A.elements()[1:23]
-S = Sequence(A, [(x, 1) for x in entries])
 assert 2 ** len(entries) == TABLE_CELLS
-count, packing = k_max_with_witness(S)
-assert count == len(packing.blocks) == 6, packing
-# plain sums and counts, with no group table
-used = [x for block in packing.blocks for x in block] + list(packing.remainder)
-assert sorted(used) == sorted(entries), packing
-for block in packing.blocks:
-    assert len(block) and all(sum(x[j] for x in block) % 2 == 0 for j in range(5)), packing
+check(Sequence(A, [(x, 1) for x in entries]), 6)
+# the longest 1^m·3^m over Z7 and 1^m over Z2 within the level cap: the
+# walk holds every level at once
+m = 1023
+assert (m + 1) ** 2 * m <= TABLE_LEVEL_BITS < (m + 2) ** 2 * (m + 1)
+# an optimal packing takes minimal blocks: 1·3^2 and 1^4·3, the rest 1^7 and 3^7
+best = max(a + b + (m - a - 4 * b) // 7 + (m - 2 * a - b) // 7
+           for a in range(m // 2 + 1) for b in range(min(m - 2 * a, (m - a) // 4) + 1))
+check(Sequence(parse_groupspec("Z7"), [((1,), m), ((3,), m)]), best)
+m = 46340
+assert (m + 1) * (m // 2) <= TABLE_LEVEL_BITS < (m + 2) * ((m + 1) // 2)
+check(Sequence(parse_groupspec("Z2"), [((1,), m)]), m // 2)
 """
 
 

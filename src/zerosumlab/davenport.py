@@ -59,8 +59,12 @@ there.  Three arguments keep the symmetric path exact while skipping work:
   leader over its support and m0 the least multiplicity among the support
   elements led by t*.  Every map reaching the least image sends one of
   those tied elements to t*, so only the maps at their to_leader positions
-  are scanned; with many of them, their columns give every image in one
-  pass (``_canonical_items``).
+  are scanned (``_canonical_items``).  Each scores its image by one int in
+  base s, the largest multiplicity + 1, whose digit at a point y is s − c
+  for a run (y, c) and 0 for a missing y.  Two images first differ, as run
+  lists and as digits, at the first point whose counts differ, where a
+  point present beats one absent and the smaller count the larger: the
+  largest score marks the least image, and the maps scoring it the ties.
   The maps T that send C to its least image L (the ``ties`` of
   ``_canonical_items``) form the coset Stab(L)·t for any t in T (m is in
   T iff m·t⁻¹ fixes L), so |T| = |Stab(L)| and, for every h,

@@ -209,11 +209,15 @@ def sequence_sum(S: Sequence):
     return total
 
 
+def _over(g: AbelianGroup, x, what):
+    """``x``, a sequence or an automorphism, refused unless it is over ``g``."""
+    if x.group != g:
+        raise StructuralError(f"cannot {what} over {g.spec()} and {x.group.spec()}")
+    return x
+
+
 def concat(S: Sequence, T: Sequence) -> Sequence:
-    if S.group != T.group:
-        raise StructuralError(
-            f"cannot concatenate sequences over {S.group.spec()} and {T.group.spec()}"
-        )
+    _over(S.group, T, "concatenate sequences")
     counts = dict(S.items)
     for elem, mult in T.items:
         counts[elem] = counts.get(elem, 0) + mult
@@ -221,16 +225,12 @@ def concat(S: Sequence, T: Sequence) -> Sequence:
 
 def divides(T: Sequence, S: Sequence) -> bool:
     """True iff T is a sub-multiset of S."""
-    if S.group != T.group:
-        raise StructuralError(
-            f"cannot compare sequences over {T.group.spec()} and {S.group.spec()}"
-        )
+    _over(S.group, T, "compare sequences")
     return all(S.multiplicity(elem) >= mult for elem, mult in T.items)
 
 
 def subtract(S: Sequence, T: Sequence) -> Sequence:
-    if S.group != T.group:
-        raise StructuralError("sequence subtraction across different groups")
+    _over(S.group, T, "subtract sequences")
     return Sequence(S.group, _items_subtract(S.items, T.items))
 
 
@@ -523,6 +523,7 @@ def k_max_naive(S: Sequence) -> int:
 
 
 def apply_to_sequence(aut, S: Sequence) -> Sequence:
+    _over(S.group, aut, "apply automorphisms")
     return Sequence(S.group, ((aut(elem), mult) for elem, mult in S.items))
 
 
@@ -536,7 +537,7 @@ class _OrbitTable:
     them and ``to_leader[x]`` the positions in ``maps`` of the maps that
     send x there; only the given points are indexed.  ``keys`` holds, for
     each (s, mult) that ``_canonical_items`` has met, the lookup
-    y ↦ y·s + mult over all points y.
+    y ↦ (s − mult)·s^(n−1−y) over all n points y.
     """
 
     __slots__ = ("maps", "cols", "leader", "to_leader", "keys")
@@ -567,11 +568,6 @@ def _candidate_positions(items, table):
     return out
 
 
-# from this many candidates on, one pass over their columns beats sorting
-# each image in a Python loop
-_COLUMN_PASS_MAPS = 8
-
-
 def _canonical_items(items, table):
     """(least image, ties) of the int runs ``items`` under the maps of
     ``table`` (an ``_OrbitTable``, which holds the identity).
@@ -583,46 +579,44 @@ def _canonical_items(items, table):
     coset).  This uses no group structure, only the map set.  The maps are
     injective, so mapped runs never need merging.
 
-    With many candidates, each run (y, mult) of an image becomes the int
-    y·s + mult, s the largest multiplicity + 1: ints compare as the pairs
-    do, so the key lists sort and compare as the images.  They are read
-    off the candidates' columns through ``table.keys``, with no Python
-    loop over the maps.
+    Each candidate m scores its image by one int, K(m) = Σ over runs
+    (x, c) of (s − c)·s^(n−1−m(x)), s the largest multiplicity + 1 and n
+    the number of points: in base s its digit at point y is s − c for a
+    run (y, c) and 0 for a missing y.  Two images first differ, as run
+    lists and as digits, at the first point whose counts differ, where a
+    point present beats one absent (s − c ≥ 1 against 0) and the smaller
+    count the larger.  So the least image is that of any map of largest K,
+    and the ties are the maps of that K; the digits are read off the
+    candidates' columns through ``table.keys``, with no Python loop over
+    the maps.
     """
     maps = table.maps
     if not items or len(maps) == 1:  # every map fixes them
         return items, maps
     pos = _candidate_positions(items, table)
-    if len(pos) == 1:
-        m = maps[pos[0]]
-        return tuple(sorted([(m[elem], mult) for elem, mult in items])), [m]
-    if len(pos) < _COLUMN_PASS_MAPS:
-        images = [sorted([(m[elem], mult) for elem, mult in items])
-                  for m in map(maps.__getitem__, pos)]
-        least = min(images)
-        image = tuple(least)
-    else:
-        s = max([mult for _, mult in items]) + 1
+    ties = [maps[pos[0]]]
+    if len(pos) > 1:
+        s, n = max([mult for _, mult in items]) + 1, len(maps[0])
         gather, cols, keys = operator.itemgetter(*pos), table.cols, table.keys
-        runs = []
+        digits = []
         for elem, mult in items:
             key = keys.get((s, mult))
-            if key is None:  # y ↦ y·s + mult on the points y
-                key = keys[s, mult] = list(range(mult, s * len(maps[0]), s)).__getitem__
-            runs.append(map(key, gather(cols[elem])))
-        images = list(map(sorted, zip(*runs)))
-        least = min(images)
-        image = tuple(map(divmod, least, itertools.repeat(s)))
-    if images.count(least) == 1:  # the usual case, found without a Python loop
-        return image, [maps[pos[images.index(least)]]]
-    return image, [maps[j] for j, other in zip(pos, images) if other == least]
+            if key is None:  # y ↦ (s − mult)·s^(n−1−y) on the points y
+                key = keys[s, mult] = [(s - mult) * s**(n - 1 - y) for y in range(n)].__getitem__
+            digits.append(map(key, gather(cols[elem])))
+        scores = list(map(sum, zip(*digits)))
+        best = max(scores)
+        ties = list(itertools.compress(map(maps.__getitem__, pos), map(best.__eq__, scores)))
+    m = ties[0]
+    return tuple(sorted([(m[elem], mult) for elem, mult in items])), ties
 
 
 def canonical_form(S: Sequence, auts) -> Sequence:
     """Lexicographically least of S and its automorphism images.
 
     Constant on orbits and idempotent; with auts the full automorphism
-    group the result is a canonical orbit representative.
+    group the result is a canonical orbit representative.  An automorphism
+    of another group raises StructuralError.
 
     >>> from .groups import automorphism_group
     >>> g = AbelianGroup((3,))
@@ -632,7 +626,7 @@ def canonical_form(S: Sequence, auts) -> Sequence:
     """
     g = S.group
     runs = _to_indices(g, S.items)
-    maps = [tuple(range(g.order))] + [aut.perm for aut in auts]
+    maps = [tuple(range(g.order))] + [_over(g, aut, "apply automorphisms").perm for aut in auts]
     table = _OrbitTable(maps, [i for i, _ in runs])
     return Sequence(g, _to_elements(g, _canonical_items(runs, table)[0]))
 

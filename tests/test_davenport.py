@@ -525,14 +525,14 @@ def test_canonical_items_is_the_least_image_and_its_stabiliser(A, monkeypatch):
 
 @pytest.mark.parametrize("A", [Z2xZ2, AbelianGroup((3, 3))], ids=AbelianGroup.spec)
 def test_canonical_forms_are_exact_for_any_multiplicity(A, monkeypatch):
-    # mixed multiplicities up to 2^40 and more, on candidate sets on both
-    # sides of the column-pass crossover, against every map by brute force
+    # mixed multiplicities up to 2^40 and more, with one tie and with
+    # several among scored candidates, against every map by brute force
     auts = automorphism_group(A)
     perms = sorted(set(_permutations(A, auts)))
     table = _orbit_table(A, auts, monkeypatch)
     rng = random.Random(A.order)
     mults = [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**40 + 3, 3**50]
-    sizes = set()
+    scored = set()  # how many ties, when more than one candidate is scored
     for _ in range(150):
         support = rng.sample(range(A.order), rng.randint(1, min(A.order, 6)))
         items = tuple(sorted((x, rng.choice(mults)) for x in support))
@@ -540,11 +540,61 @@ def test_canonical_forms_are_exact_for_any_multiplicity(A, monkeypatch):
         found, ties = _canonical_items(items, table)
         assert found == least, items
         assert sorted(ties) == [perm for perm in perms if tuple(_image(perm, items)) == least]
-        sizes.add(len(_candidate_positions(items, table)) >= sequences._COLUMN_PASS_MAPS)
+        if len(_candidate_positions(items, table)) > 1:
+            scored.add(len(ties) > 1)
         S = Sequence(A, _to_elements(A, items))
         assert canonical_form(S, auts).items == _to_elements(A, least), items
-    # Aut(Z2×Z2) has 6 maps; Aut(Z3×Z3) reaches the column pass and falls short of it
-    assert sizes == ({False} if A.order == 4 else {False, True})
+    # the scored candidates reach one tie and several
+    assert scored == {False, True}
+
+
+def _key_cases(rng, n, mults):
+    """Int runs over n points that hold (0, 1), paired with a permutation of
+    the points that fixes 0: the two edge cases, then random ones that
+    permute the support among itself or move it anywhere."""
+    identity = list(range(n))
+    swap = identity[:]
+    swap[1], swap[2] = 2, 1
+    away = identity[:]
+    away[1], away[n - 1] = n - 1, 1
+    # same point, different counts: (1, 2) against (1, 2^64 + 1) first;
+    # a point in one image only: 1 against n − 1
+    yield ((0, 1), (1, 2), (2, 2**64 + 1)), tuple(swap)
+    yield ((0, 1), (1, 2**63), (5, 3)), tuple(away)
+    for _ in range(400):
+        support = rng.sample(range(1, n), rng.randint(1, 6))
+        items = tuple(sorted([(0, 1)] + [(x, rng.choice(mults)) for x in support]))
+        perm = identity[:]
+        moved = support if rng.random() < 0.5 else identity[1:]
+        for x, y in zip(moved, rng.sample(moved, len(moved))):
+            perm[x] = y
+        yield items, tuple(perm)
+
+
+def test_the_key_orders_images_opposite_to_their_run_lists():
+    # synthetic permutations of 64 points, counts past 2^63: every map fixes
+    # 0 and each image starts with (0, 1), so every map is a candidate and
+    # the key alone picks the least image and its ties.  Two maps compare
+    # one pair of images, and a table of 40 the key's maximum over them
+    n = 64
+    identity = tuple(range(n))
+    rng = random.Random(n)
+    mults = [1, 2, 3, 7, 2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 1, 3**50]
+    orders = set()
+    for items, perm in _key_cases(rng, n, mults):
+        images = [items, tuple(_image(perm, items))]
+        table = _OrbitTable([identity, perm], [x for x, _ in items])
+        least, ties = _canonical_items(items, table)
+        assert least == min(images), (items, perm)
+        assert ties == [m for m, image in zip((identity, perm), images) if image == least]
+        orders.add((images[0] > images[1]) - (images[0] < images[1]))
+    assert orders == {-1, 0, 1}
+    perms = [identity] + [perm for _, perm in itertools.islice(_key_cases(rng, n, mults), 2, 41)]
+    for items, _ in itertools.islice(_key_cases(rng, n, mults), 100):
+        table = _OrbitTable(perms, [x for x, _ in items])
+        least, ties = _canonical_items(items, table)
+        assert least == _least_image(items, perms), items
+        assert ties == [perm for perm in perms if tuple(_image(perm, items)) == least], items
 
 
 def test_each_canonicalisation_scans_the_candidate_maps_once(monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 import zerosumlab
 
 from zerosumlab.errors import DomainError, ParseError, StructuralError, VerificationError
-from zerosumlab.groups import AbelianGroup, automorphism_group, parse_groupspec
+from zerosumlab.groups import AbelianGroup, Automorphism, automorphism_group, parse_groupspec
 from zerosumlab import sequences
 from zerosumlab.suite import _ORACLE_POOL, _k_max_by_definition
 from zerosumlab.sequences import (
@@ -440,6 +440,21 @@ def test_canonical_form_is_orbit_invariant():
             image = apply_to_sequence(phi, s)
             assert canonical_form(image, auts) == canon
             assert k_max(image) == k_max(s)
+
+
+def test_canonical_form_refuses_automorphisms_of_another_group():
+    # Aut(Z2×Z2) would send 2 in Z4 to 1, out of its orbit; Aut(Z3) would
+    # read past the index range of Z5
+    Z5 = AbelianGroup((5,))
+    for S, auts in ((seq(Z4, 2), automorphism_group(V4)), (seq(Z5, 4), automorphism_group(Z3))):
+        with pytest.raises(StructuralError):
+            canonical_form(S, auts)
+
+
+def test_apply_to_sequence_refuses_an_automorphism_of_another_group():
+    # x ↦ 3x of Z5 would send 2 in Z3 to 1
+    with pytest.raises(StructuralError):
+        apply_to_sequence(Automorphism(AbelianGroup((5,)), [(3,)]), seq(Z3, 2))
 
 
 # Runs in a child process whose address space is capped, so that an engine

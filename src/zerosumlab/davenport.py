@@ -22,29 +22,50 @@ than exp(A) copies of each element, so it ends by length
 exactly one block, and appending a non-zero entry to a zero-free bad
 sequence shows zeros never lengthen extremal sequences, so the search runs
 over A∖{0}.  The scans work on element indices (see ``sequences``) and
-decode only the reported witness.  ``_levels`` keys each multiset by the
-sorted tuple of its element indices, (1, 1, 3) for 1^2·3.
+decode only the reported witness.
+
+``_levels`` keys each multiset C by one int, its code Σ c_x·2^(w·x) over
+the counts c_x of C: one w-bit digit per element, so 1^2·3 is
+2 + 2^(3w).  The digit width is w = (limit·exp(A)).bit_length().  A kept C
+has v(C) < limit, while v(x^(limit·ord(x))) = limit: it counts the
+zero-sum prefixes x^(j·ord(x)), j ≤ limit, all within the cap (the scans'
+cap is None or at least limit·exp(A)).  As v never falls, C holds fewer
+than limit·ord(x) copies of each x, and a candidate one more, at most
+limit·exp(A) < 2^w.  So no
+digit overflows and codes add as multisets do: P + x is the code of P plus
+W[x] = 2^(w·x).  A code takes |A|·w bits, and each addition and hash of
+it costs time in that size, where an index tuple's cost grew with the
+multiset's length instead.  So the scans refuse, before level 1, a group
+whose codes would pass ``CODE_BITS`` = 1024 bits, 35 Python digits; the
+widest scan in the tests and CI, D(Z4^3), takes 192.  Codes wider than
+61 bits hash less evenly than index tuples did (Python folds an int mod
+2^61 − 1, so digits 61 bits apart land on the same bits), which costs
+time on very large levels, such as D(Z4^3)'s six million at length 5.
 
 The scan takes one of two paths.  The identity path
 (``_identity_levels``) keeps every multiset, with no symmetry reduction:
 each C is built once, as P + g from its parent P = C − max(C), with
 g ≥ max(P), and every other parent C − x = (P − x) + g is looked up in
 the previous level.  This is McKay's canonical construction path under
-the trivial group.  On index tuples P + g is one concatenation and each
-lookup hashes one flat tuple of ints.  The symmetric path
+the trivial group.  On codes P + g is one addition, the heads P − x are
+built once per P from the non-zero digits of its code, and each lookup
+is one more addition and the hash of one int; σ of each survivor is kept
+beside it, so no multiset is walked.  The symmetric path
 (``_symmetric_levels``) keeps one multiset per Aut(A)-orbit, its least
 image, and is described below.  It works on int runs, which its
-canonicaliser and credits need, and converts only the survivors it
-keeps, |Aut(A)|-fold fewer, to index tuples as it yields them.
-``_levels`` takes the identity path when the Aut(A) listing is refused or
-holds at most ``_IDENTITY_MAX_MAPS`` maps: for so few maps, finding least
-images costs more than the |Aut(A)|-fold fewer candidates save.  Both
+canonicaliser and credits need, and codes only the survivors it keeps,
+|Aut(A)|-fold fewer, as it yields them.  ``_levels`` takes the identity
+path when Aut(A), counted in closed form, has at most
+``_IDENTITY_MAX_MAPS`` elements or its listing is refused: for so few
+maps, finding least images costs more than the |Aut(A)|-fold fewer
+candidates save.  Aut(A) is listed only for the symmetric path.  Both
 paths report the same D_k, η, witnesses and lengths; only the node counts
 differ.  v is constant on orbits, so the identity path's survivors are
 the whole orbits of the symmetric path's, and a level is empty on one
 path iff it is on the other.  The reported witness is the least survivor
-of a level with v < k in the order of int runs, which is not the order of
-index tuples: (1, 1, 1, 4) < (1, 4, 5, 5), but 1·4·5^2 < 1^3·4 as runs.
+of a level with v < k in the order of int runs (``davenport_table``
+decodes the codes of that level), which is not the order of sorted index
+tuples: (1, 1, 1, 4) < (1, 4, 5, 5), but 1·4·5^2 < 1^3·4 as runs.
 On the identity path that survivor is the least image of its own orbit,
 so it is the least such canonical survivor, the one the symmetric path
 reports.
@@ -99,8 +120,7 @@ import math
 import time
 
 from .errors import CapacityError, DomainError, VerificationError
-from .groups import (AUTOMORPHISM_INDEX_ENTRIES, AbelianGroup, automorphism_group,
-                     subgroup_embeddable)
+from .groups import AbelianGroup, automorphism_count, automorphism_group, subgroup_embeddable
 from .sequences import (
     Sequence,
     _OrbitTable,
@@ -112,6 +132,7 @@ from .sequences import (
 )
 
 GUARANTEED_ORDER = 16  # larger groups require an explicit time budget
+CODE_BITS = 1024  # most bits of a multiset code, |A|·w (see the module docstring)
 # groups with at most this many automorphisms are scanned with no symmetry
 # reduction: canonicalising costs them more than it saves
 _IDENTITY_MAX_MAPS = 24
@@ -186,11 +207,12 @@ def _check_budget(budget_seconds):
         raise DomainError(f"budget must be finite and positive, got {budget_seconds}")
 
 
-def _require_capacity(A: AbelianGroup, budget_seconds):
+def _require_capacity(A: AbelianGroup, limit, budget_seconds):
     _check_budget(budget_seconds)
-    if A.order > AUTOMORPHISM_INDEX_ENTRIES:  # as many as an Aut(A) listing may hold
-        raise CapacityError(f"scans index at most {AUTOMORPHISM_INDEX_ENTRIES} elements "
-                            f"(attempted |A| = {A.order})", limit=AUTOMORPHISM_INDEX_ENTRIES)
+    bits = A.order * _digit_width(A, limit)
+    if bits > CODE_BITS:
+        raise CapacityError(f"scans code a multiset in at most {CODE_BITS} bits "
+                            f"(attempted |A|·w = {bits} for {A.spec()})", limit=CODE_BITS)
     if A.order > GUARANTEED_ORDER and budget_seconds is None:
         raise CapacityError(
             f"groups of order > {GUARANTEED_ORDER} need an explicit time budget "
@@ -210,28 +232,45 @@ def _firsts(ties, order):
                    for h, orbit in enumerate(zip(*ties)) if h and min(orbit) == t[h]])
 
 
-def _flat(runs):
-    """The sorted index tuple of the int runs ``runs``."""
-    return sum([(x,) * mult for x, mult in runs], ())
+def _digit_width(A: AbelianGroup, limit):
+    """The bits w of one digit of a multiset code: a candidate holds at
+    most limit·exp(A) copies of an element (see the module docstring)."""
+    return (limit * A.exponent).bit_length()
 
 
-def _runs(flat):
-    """The int runs of the sorted index tuple ``flat``."""
-    return tuple([(x, flat.count(x)) for x in dict.fromkeys(flat)])
+def _encode(runs, width):
+    """The code Σ c·2^(width·x) of the int runs ``runs``."""
+    return sum([mult << width * x for x, mult in runs])
 
 
-def _sigma(flat, sums):
-    """σ of the sorted index tuple ``flat``, as an element index."""
+def _decode(code, width):
+    """The int runs of ``code``, one step per non-zero digit: its lowest
+    set bit lies in its least element's digit, which is then cleared."""
+    full = (1 << width) - 1
+    runs = []
+    while code:
+        shift = (code & -code).bit_length() - 1
+        shift -= shift % width
+        mult = code >> shift & full
+        runs.append((shift // width, mult))
+        code -= mult << shift
+    return tuple(runs)
+
+
+def _sigma(runs, sums):
+    """σ of the int runs ``runs``, as an element index."""
     total = 0
-    for x in flat:
-        total = sums[x][total]
+    for x, mult in runs:
+        row = sums[x]
+        for _ in range(mult):
+            total = row[total]
     return total
 
 
 def _budget_clock(A: AbelianGroup, budget_seconds, partial):
-    """The scans' budget check, called every 256 nodes with the length
-    being built: past ``budget_seconds`` from now it raises CapacityError
-    carrying ``partial``."""
+    """The scans' budget check, called each time the node count passes a
+    multiple of 256, with the length being built: past ``budget_seconds``
+    from now it raises CapacityError carrying ``partial``."""
     t0 = time.monotonic()
 
     def check(length):
@@ -251,19 +290,22 @@ def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
     for lengths 1, 2, … up to and including the first empty level.
 
     ``survivors`` maps each multiset of that length with every parent kept
-    and v < ``limit``, as the sorted tuple of its element indices, to its
-    v, the value of the module docstring with the zero-sum term counted up
-    to length ``cap`` (None: no cap).  They are
+    and v < ``limit``, as its code (digit width ``_digit_width(A, limit)``),
+    to its v, the value of the module docstring with the zero-sum term
+    counted up to length ``cap``: None (no cap), or at least
+    ``limit``·exp(A), so that the digits hold every count.  They are
     the canonical ones on the symmetric path and all of them on the
-    identity path, which runs when the Aut(A) listing is refused or holds
-    at most ``_IDENTITY_MAX_MAPS`` maps.  ``nodes`` counts the candidates
-    examined so far.  The clock is read every 256 candidates; past
-    ``budget_seconds`` the scan raises CapacityError carrying ``partial``.
+    identity path, which runs when Aut(A) has at most
+    ``_IDENTITY_MAX_MAPS`` elements or its listing is refused; Aut(A) is
+    listed only for the symmetric path.  ``nodes`` counts the candidates
+    examined so far.  The clock is read each time ``nodes`` passes a
+    multiple of 256; past ``budget_seconds`` the scan raises CapacityError
+    carrying ``partial``.
     """
-    _require_capacity(A, budget_seconds)
+    _require_capacity(A, limit, budget_seconds)
     check = _budget_clock(A, budget_seconds, partial)
-    maps = _canonical_maps(A)
-    if maps is None or len(maps) <= _IDENTITY_MAX_MAPS:
+    maps = None if automorphism_count(A) <= _IDENTITY_MAX_MAPS else _canonical_maps(A)
+    if maps is None:
         yield from _identity_levels(A, limit, cap, check)
     else:
         yield from _symmetric_levels(A, _OrbitTable(maps, range(A.order)), limit, cap, check)
@@ -275,46 +317,59 @@ def _identity_levels(A: AbelianGroup, limit, cap, check):
     kept iff every other parent C − x is a survivor of the previous level
     and v(C) < ``limit``.  ``nodes`` counts the candidates so built.
 
-    A multiset is the sorted tuple of its element indices, so P + g is
-    ``P + (g,)``.  Dropping one copy of each distinct x < g from P and
-    appending g gives the other parents, each one flat int tuple to look
-    up.
+    On codes P + g is ``code + W[g]``, and the parents of P + g are the
+    heads P − x, one per x in supp(P), each plus W[g]; the head of
+    x = max(P) gives P itself when g = max(P).  The heads are found once
+    per P, from the non-zero digits of its code.  σ of each survivor is
+    appended to ``sigmas`` as it is inserted, so the two stay in step.
     """
+    width = _digit_width(A, limit)
+    W = [1 << width * x for x in range(A.order)]
+    # digit x of ((code & low) + low) | code has its top bit set iff digit
+    # x of code is not zero; no digit of (code & low) + low carries over
+    low = sum(W) * ((1 << width - 1) - 1)
+    high = sum(W) << width - 1
     sums = A.sums()
-    survivors = {(): 0}
+    minus = [A.index(A.neg(A.element(x))) for x in range(A.order)]
+    survivors, sigmas = {0: 0}, [0]
     length = nodes = 0
     while survivors:
         length += 1
         counts_zero = cap is None or length <= cap
         frontier, survivors = survivors, {}
+        frontier_sigmas, sigmas = sigmas, []
         kept = frontier.get
-        for items, value in frontier.items():
-            row = sums[_sigma(items, sums)]
-            top = items[-1] if items else 0
-            # P less one copy of each element below max(P), and P less one
-            # max(P): with g appended, the other parents of P + g, where
-            # g = max(P) makes the last one P itself
-            inner = [items[:i - 1] + items[i:]
-                     for i in range(1, len(items)) if items[i - 1] != items[i]]
-            every = inner + [items[:-1]] if items else inner
-            for g in range(top or 1, A.order):
-                nodes += 1
-                if nodes % 256 == 0:
-                    check(length)
-                zero = counts_zero and row[g] == 0
+        for (code, value), total in zip(frontier.items(), frontier_sigmas):
+            row = sums[total]
+            # σ(P + g) = 0 iff g = zero_at; no g ≥ 1 is 0
+            zero_at = minus[total] if counts_zero else 0
+            heads = []
+            tops = ((code & low) + low | code) & high
+            while tops:
+                bit = tops & -tops
+                heads.append(code - (bit >> width - 1))
+                tops ^= bit
+            top = (code.bit_length() - 1) // width if code else 1
+            before = nodes
+            nodes += A.order - top
+            if nodes >> 8 != before >> 8:
+                check(length)
+            for g in range(top, A.order):
+                zero = g == zero_at
                 if value + zero >= limit:
                     continue
-                tail = (g,)
+                step = W[g]
                 best = value
-                for head in inner if g == top else every:
-                    other = kept(head + tail)
+                for head in heads:
+                    other = kept(head + step)
                     if other is None:
                         break
                     if other > best:
                         best = other
                 else:
                     if best + zero < limit:
-                        survivors[items + tail] = best + zero
+                        survivors[code + step] = best + zero
+                        sigmas.append(row[g])
         yield length, survivors, nodes
 
 
@@ -326,9 +381,10 @@ def _symmetric_levels(A: AbelianGroup, table, limit, cap, check):
     is the credit it still lacks and ``best`` the largest v(P) + [σ = 0]
     over the pairs met so far, which is v(C) once nothing is missing.
     ``cosets`` holds the ties of each kept item that has more than one.
-    The survivors are yielded keyed by index tuples (``_flat``), the one
+    The survivors are yielded keyed by their codes (``_encode``), the one
     format of ``_levels``.
     """
+    width = _digit_width(A, limit)
     order = len(table.maps)
     sums = A.sums()
     base = limit + 1
@@ -341,7 +397,7 @@ def _symmetric_levels(A: AbelianGroup, table, limit, cap, check):
         counts_zero = cap is None or length <= cap
         frontier, cands, cand_cosets = survivors, {}, {}
         for items, value in frontier.items():
-            total = _sigma(_flat(items), sums)
+            total = _sigma(items, sums)
             coset = cosets.get(items)
             for g, credit in plain if coset is None else _firsts(coset, order):
                 cand, ties = _canonical_items(_items_add_one(items, g), table)
@@ -362,7 +418,7 @@ def _symmetric_levels(A: AbelianGroup, table, limit, cap, check):
                     cands[cand] = packed
         survivors = {cand: packed for cand, packed in cands.items() if packed < limit}
         cosets = {cand: ties for cand, ties in cand_cosets.items() if cand in survivors}
-        yield length, {_flat(cand): value for cand, value in survivors.items()}, nodes
+        yield length, {_encode(cand, width): value for cand, value in survivors.items()}, nodes
 
 
 def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
@@ -374,10 +430,8 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
     (see the module docstring).
 
     The witness is the least survivor with v < k in the order of int runs,
-    so the resolving level's candidates are turned back into runs.  On the
-    symmetric path, which yields its run-keyed survivors as index tuples,
-    that is a round trip; it is there only for this witness and the one key
-    format ``_levels`` yields, and costs about 1 % of a symmetric scan.
+    so the codes with v < k of the level before the resolving one are
+    decoded (``_decode``, one step per element of the support).
 
     >>> [r.value_Dk for r in davenport_table(AbelianGroup((3,)), 2)]
     [3, 6]
@@ -398,9 +452,10 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
 
     t0 = time.monotonic()
     cutoff = k_upto * A.order + 1
+    width = _digit_width(A, k_upto)
     resolved_D: dict[int, int] = {}
     witnesses: dict[int, tuple] = {}
-    previous = {(): 0}
+    previous = {0: 0}
     for level, survivors, nodes in _levels(A, k_upto, None, budget_seconds, resolved_D):
         if level > cutoff:
             raise VerificationError(
@@ -412,7 +467,7 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
         # the previous length, in run order
         for k in range(len(resolved_D) + 1, min(survivors.values(), default=k_upto) + 1):
             resolved_D[k] = level
-            witnesses[k] = min(_runs(items) for items, km in previous.items() if km < k)
+            witnesses[k] = min(_decode(code, width) for code, km in previous.items() if km < k)
         previous = survivors
 
     seconds = time.monotonic() - t0

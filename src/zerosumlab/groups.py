@@ -15,10 +15,12 @@ so its size follows the sums a caller touches, never |A|².
 This module also owns the automorphisms on indices: ``Automorphism``
 builds its permutation ``perm`` once, and ``automorphism_group`` lists
 Aut(A) on indices; the scans and canonical forms only read ``perm``.
+``automorphism_count`` gives |Aut(A)| in closed form, with nothing listed.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -28,6 +30,7 @@ from .errors import (
     ParseError,
     StructuralError,
     ValidationError,
+    VerificationError,
 )
 
 AUTOMORPHISM_ENUMERATION_LIMIT = 64  # largest |A| whose automorphisms are listed
@@ -393,6 +396,34 @@ class Automorphism:
         return f"Automorphism({self.group.spec()}, {self.images})"
 
 
+def automorphism_count(A: AbelianGroup) -> int:
+    """|Aut(A)| in closed form, with nothing listed (Hillar–Rhea, Amer.
+    Math. Monthly 114 (2007), Thm 4.1).
+
+    |Aut(A)| is the product over the p-parts of A.  For the p-part
+    Z_{p^e_1} ⊕ … ⊕ Z_{p^e_n}, e_1 ≤ … ≤ e_n, let d_k and c_k be the last
+    and the first position l with e_l = e_k; then its automorphisms number
+    Π_k (p^{d_k} − p^{k−1}) · p^{e_k(n−d_k)} · p^{(e_k−1)(n−c_k+1)}.
+
+    >>> automorphism_count(AbelianGroup((2, 2, 2)))  # |GL(3,2)|
+    168
+    >>> automorphism_count(AbelianGroup((2, 2, 2, 2, 2)))  # |GL(5,2)|
+    9999360
+    """
+    exponents: dict[int, list[int]] = {}
+    for n in A.factors:
+        for p, e in factorize(n):
+            exponents.setdefault(p, []).append(e)
+    count = 1
+    for p, es in exponents.items():
+        # each invariant factor divides the next, so es ascends
+        n = len(es)
+        for k, e in enumerate(es, 1):
+            last, first = bisect.bisect_right(es, e), bisect.bisect_left(es, e) + 1
+            count *= (p**last - p ** (k - 1)) * p ** (e * (n - last) + (e - 1) * (n - first + 1))
+    return count
+
+
 def automorphism_group(A: AbelianGroup):
     """All automorphisms of A by generator-image enumeration.
 
@@ -403,11 +434,11 @@ def automorphism_group(A: AbelianGroup):
     images generate A is a surjective endomorphism of a finite group,
     hence an automorphism.  Images are tried in element order.
 
-    Raises CapacityError when |A| > AUTOMORPHISM_ENUMERATION_LIMIT, and
-    once the permutations found would hold more than
-    AUTOMORPHISM_INDEX_ENTRIES entries (|automorphisms found|·|A|); the
-    Automorphism objects are built from the index images only once the
-    whole listing fits.
+    Raises CapacityError when |A| > AUTOMORPHISM_ENUMERATION_LIMIT, or
+    when the permutations would hold more than AUTOMORPHISM_INDEX_ENTRIES
+    entries (|Aut(A)|·|A|, with |Aut(A)| from ``automorphism_count``),
+    before anything is enumerated; VerificationError when the listing
+    does not hold ``automorphism_count(A)`` automorphisms.
 
     >>> len(automorphism_group(AbelianGroup((3,))))
     2
@@ -420,6 +451,13 @@ def automorphism_group(A: AbelianGroup):
             f"{AUTOMORPHISM_ENUMERATION_LIMIT}, |A| = {A.order}",
             limit=AUTOMORPHISM_ENUMERATION_LIMIT,
         )
+    count = automorphism_count(A)
+    if count * A.order > AUTOMORPHISM_INDEX_ENTRIES:
+        raise CapacityError(
+            f"the {count} automorphisms of {A.spec()} hold more than "
+            f"{AUTOMORPHISM_INDEX_ENTRIES} permutation entries",
+            limit=AUTOMORPHISM_INDEX_ENTRIES,
+        )
     elems = A.elements()
     sums = A.sums()
     by_order: dict[int, list] = {}
@@ -429,12 +467,6 @@ def automorphism_group(A: AbelianGroup):
 
     def extend(i, images, span):
         if i == A.rank:
-            if (len(found) + 1) * A.order > AUTOMORPHISM_INDEX_ENTRIES:
-                raise CapacityError(
-                    f"the automorphisms of {A.spec()} hold more than "
-                    f"{AUTOMORPHISM_INDEX_ENTRIES} permutation entries",
-                    limit=AUTOMORPHISM_INDEX_ENTRIES,
-                )
             found.append(images)
             return
         need = len(span) * A.factors[i]
@@ -450,6 +482,10 @@ def automorphism_group(A: AbelianGroup):
                 extend(i + 1, images + [g], bigger)
 
     extend(0, [], {0})
+    if len(found) != count:
+        raise VerificationError(
+            f"listed {len(found)} automorphisms of {A.spec()}, but |Aut| = {count}"
+        )
     return [Automorphism._from_indices(A, images) for images in found]
 
 

@@ -305,15 +305,17 @@ HUGE = "Z99999999999999999999"
     ["eta", HUGE, "--budget-seconds", "1"],
     ["dk-table", HUGE, "--k-upto", "2", "--budget-seconds", "1"],
     ["linearity", HUGE, "--k-upto", "2", "--budget-seconds", "1"],
-    # more than 2^20 elements: refused before any |A|-sized table is built
+    # multiset codes of more than 1024 bits (|A|·w, 2000·11 for η(Z2000)):
+    # refused before any |A|-sized table is built
     ["davenport", "Z3000000", "--budget-seconds", "1"],
+    ["eta", "Z2000", "--budget-seconds", "60"],
     # the closure of reg(A) would hold |A| elements
     ["beta", "reg(Z999999999999)"],
     ["crosscheck", "Z999999999999", "--budget-seconds", "1"],
     # within the closure cap, but the beta_1 scan would pass the degree cap
     ["beta", "reg(Z4096)"],
     ["crosscheck", "Z4096", "--budget-seconds", "1"],
-], ids=["davenport", "eta", "dk-table", "linearity", "davenport-3e6", "beta-reg",
+], ids=["davenport", "eta", "dk-table", "linearity", "davenport-3e6", "eta-2000", "beta-reg",
         "crosscheck", "beta-reg-4096", "crosscheck-4096"])
 def test_a_huge_group_is_refused_with_exit_3(argv):
     proc = _zsl(*argv, timeout=10)

@@ -315,6 +315,38 @@ def test_the_identity_path_checks_its_budget_inside_a_level():
     assert time.monotonic() - start < 3.5
 
 
+def test_codes_past_the_bit_bound_are_refused_at_once():
+    # a code takes |A|·w bits, w = (limit·exp(A)).bit_length(): Z2000 needs
+    # 2000·11, refused before level 1; Z128 fills 1024 bits exactly and
+    # runs until its budget ends, Z129 passes them
+    start = time.monotonic()
+    with pytest.raises(CapacityError) as info:
+        eta(AbelianGroup((2000,)), budget_seconds=60)
+    assert time.monotonic() - start < 0.5
+    assert info.value.limit == davenport.CODE_BITS == 1024
+    with pytest.raises(CapacityError) as info:
+        eta(AbelianGroup((128,)), budget_seconds=1e-9)
+    assert info.value.limit == 1e-9
+    for A, k in ((AbelianGroup((129,)), 1), (AbelianGroup((128,)), 2)):
+        with pytest.raises(CapacityError) as info:
+            davenport_table(A, k, budget_seconds=60)
+        assert info.value.limit == 1024
+
+
+@pytest.mark.parametrize("A, k_upto, width, nodes, levels",
+                         [(Z3, 5, 4, 100, 15), (Z4, 4, 5, 348, 16)], ids=["Z3", "Z4"])
+def test_counts_fill_their_digits(A, k_upto, width, nodes, levels):
+    # limit·exp(A) = 15 = 2^4 − 1 fills a 4-bit digit and 16 needs a 5-bit
+    # one: 1^(k·n), a candidate of the last level, holds limit·exp(A) copies
+    n = A.exponent
+    assert davenport._digit_width(A, k_upto) == width
+    assert _table(A, k_upto) == [
+        _row(A.spec(), k, k * n, k * n - 1, "[" + ",".join(["1"] * (k * n - 1)) + "]",
+             nodes, levels)
+        for k in range(1, k_upto + 1)
+    ]
+
+
 def test_budget_allows_large_group():
     # order 17 > the no-budget ceiling, but the scan itself is quick
     assert davenport_table(AbelianGroup((17,)), 1, budget_seconds=60)[0].value_Dk == 17
@@ -660,9 +692,24 @@ def _value(A, items, cap):
 
 
 def _flat(runs):
-    """The sorted index tuple of the int runs ``runs``, as ``_levels`` keys
-    its survivors."""
+    """The sorted index tuple of the int runs ``runs``."""
     return tuple(x for x, m in runs for _ in range(m))
+
+
+def _by_tuples(A, limit, survivors):
+    """The survivors of ``_levels`` keyed by sorted index tuples, in their
+    order: each code read digit by digit, every element of A in turn, with
+    (limit·exp(A)).bit_length() bits a digit."""
+    width = (limit * A.exponent).bit_length()
+    full = (1 << width) - 1
+    return {tuple(x for x in range(A.order) for _ in range(code >> width * x & full)): value
+            for code, value in survivors.items()}
+
+
+def _tuple_levels(A, limit, cap):
+    """Every level of ``_levels``, its survivors keyed by sorted index tuples."""
+    return [(level, _by_tuples(A, limit, survivors), nodes)
+            for level, survivors, nodes in davenport._levels(A, limit, cap, None, None)]
 
 
 def _runs(flat):
@@ -679,6 +726,7 @@ def _check_levels(A, perms, limit, cap, depth):
     nodes = 0
     for level, survivors, seen in itertools.islice(
             davenport._levels(A, limit, cap, None, None), depth):
+        survivors = _by_tuples(A, limit, survivors)
         candidates = _unpruned_extensions(A, map(_runs, previous), perms)
         expected = {}
         for cand in candidates:
@@ -705,6 +753,7 @@ def _check_identity_levels(A, limit, cap, depth):
     previous, nodes = {(): 0}, 0
     for level, survivors, seen in itertools.islice(
             davenport._levels(A, limit, cap, None, None), depth):
+        survivors = _by_tuples(A, limit, survivors)
         expected, grown = {}, 0
         for cand in _multisets(A, level):
             grown += cand[:-1] in previous  # C − max(C)
@@ -826,7 +875,7 @@ def test_levels_run_to_the_first_empty_level(monkeypatch):
     # below limit 2 the value is k_max: a^3·b and a^2·b·c are the length-4
     # multisets with one block only, and D_2(Z2×Z2) = 5
     monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", 0)
-    assert list(davenport._levels(Z2xZ2, 2, None, None, None)) == [
+    assert _tuple_levels(Z2xZ2, 2, None) == [
         (1, {(1,): 0}, 1),
         (2, {(1, 1): 1, (1, 2): 0}, 3),
         (3, {(1, 1, 1): 1, (1, 2, 2): 1, (1, 2, 3): 1}, 6),
@@ -836,7 +885,7 @@ def test_levels_run_to_the_first_empty_level(monkeypatch):
     # |Aut(Z2×Z2)| = 6 takes the identity path by default: it keeps whole
     # orbits, and builds each multiset from the one kept C − max(C)
     monkeypatch.undo()
-    assert list(davenport._levels(Z2xZ2, 2, None, None, None)) == [
+    assert _tuple_levels(Z2xZ2, 2, None) == [
         (1, {(1,): 0, (2,): 0, (3,): 0}, 3),
         (2, {(1, 1): 1, (1, 2): 0, (1, 3): 0, (2, 2): 1, (2, 3): 0, (3, 3): 1}, 9),
         (3, {(1, 1, 1): 1, (1, 1, 2): 1, (1, 1, 3): 1, (1, 2, 2): 1, (1, 2, 3): 1,
@@ -847,9 +896,9 @@ def test_levels_run_to_the_first_empty_level(monkeypatch):
         (5, {}, 45),
     ]
     # the trivial group has no non-zero element: η(Z1) = 1, on either path
-    assert list(davenport._levels(TRIVIAL, 1, 1, None, None)) == [(1, {}, 0)]
+    assert _tuple_levels(TRIVIAL, 1, 1) == [(1, {}, 0)]
     monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", 0)
-    assert list(davenport._levels(TRIVIAL, 1, 1, None, None)) == [(1, {}, 0)]
+    assert _tuple_levels(TRIVIAL, 1, 1) == [(1, {}, 0)]
 
 
 def test_budget_is_checked_by_the_shared_scan():

@@ -12,14 +12,16 @@ from zerosumlab.errors import (
     ParseError,
     StructuralError,
     ValidationError,
+    VerificationError,
 )
-from zerosumlab import davenport
+from zerosumlab import davenport, groups
 from zerosumlab.davenport import _canonical_maps
 from zerosumlab.groups import (
     AUTOMORPHISM_INDEX_ENTRIES,
     AbelianGroup,
     Automorphism,
     SemidirectGroup,
+    automorphism_count,
     automorphism_group,
     direct_product,
     factorize,
@@ -191,16 +193,45 @@ def test_hillar_rhea_formula_on_known_groups():
 
 
 @pytest.mark.parametrize(
-    "A", [AbelianGroup(c) for c in _invariant_factor_chains(32)], ids=AbelianGroup.spec
+    "A", [AbelianGroup(c) for c in _invariant_factor_chains(64)], ids=AbelianGroup.spec
 )
 def test_automorphism_count_is_the_closed_form(A):
-    if A.factors == (2, 2, 2, 2, 2):
-        # 9,999,360 permutations of 32 entries pass AUTOMORPHISM_INDEX_ENTRIES
+    # every group of order <= 64, the most automorphism_group lists
+    assert automorphism_count(A) == _hillar_rhea(A)
+    if _hillar_rhea(A) * A.order > AUTOMORPHISM_INDEX_ENTRIES:
+        # Z2^5 (9,999,360 permutations of 32 entries) and six of order 48 or 64
         with pytest.raises(CapacityError) as info:
             automorphism_group(A)
         assert info.value.limit == AUTOMORPHISM_INDEX_ENTRIES
         return
-    assert len(automorphism_group(A)) == _hillar_rhea(A)
+    assert len(automorphism_group(A)) == automorphism_count(A)
+
+
+@pytest.mark.parametrize("factors", [(3, 3, 3, 3), (2, 6, 12), (8, 64), (5, 25, 125)],
+                         ids=["Z3^4", "Z2xZ6xZ12", "Z8xZ64", "Z5xZ25xZ125"])
+def test_automorphism_count_past_the_listing_order(factors):
+    A = AbelianGroup(factors)
+    assert automorphism_count(A) == _hillar_rhea(A)
+
+
+def test_a_refused_listing_enumerates_nothing(monkeypatch):
+    # the count refuses Z2^5 and Z4^3 before any element or sum is read
+    def unread(self):
+        raise AssertionError("a refused listing read the group")
+
+    monkeypatch.setattr(AbelianGroup, "elements", unread)
+    monkeypatch.setattr(AbelianGroup, "sums", unread)
+    for factors in ((2, 2, 2, 2, 2), (4, 4, 4)):
+        with pytest.raises(CapacityError) as info:
+            automorphism_group(AbelianGroup(factors))
+        assert info.value.limit == AUTOMORPHISM_INDEX_ENTRIES
+
+
+def test_a_listing_of_the_wrong_length_is_refused(monkeypatch):
+    for wrong in (5, 7):  # |Aut(Z2×Z2)| = 6
+        monkeypatch.setattr(groups, "automorphism_count", lambda A, wrong=wrong: wrong)
+        with pytest.raises(VerificationError, match="listed 6 automorphisms"):
+            automorphism_group(AbelianGroup((2, 2)))
 
 
 def test_a_refused_listing_builds_no_automorphism(monkeypatch):

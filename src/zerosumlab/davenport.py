@@ -55,20 +55,29 @@ beside it, so no multiset is walked.  The symmetric path
 image, and is described below.  It works on int runs, which its
 canonicaliser and credits need, and codes only the survivors it keeps,
 |Aut(A)|-fold fewer, as it yields them.  ``_levels`` takes the identity
-path when Aut(A), counted in closed form, has at most
-``_IDENTITY_MAX_MAPS`` elements or its listing is refused: for so few
-maps, finding least images costs more than the |Aut(A)|-fold fewer
-candidates save.  Aut(A) is listed only for the symmetric path.  Both
-paths report the same D_k, η, witnesses and lengths; only the node counts
-differ.  v is constant on orbits, so the identity path's survivors are
-the whole orbits of the symmetric path's, and a level is empty on one
-path iff it is on the other.  The reported witness is the least survivor
-of a level with v < k in the order of int runs (``davenport_table``
-decodes the codes of that level), which is not the order of sorted index
-tuples: (1, 1, 1, 4) < (1, 4, 5, 5), but 1·4·5^2 < 1^3·4 as runs.
-On the identity path that survivor is the least image of its own orbit,
-so it is the least such canonical survivor, the one the symmetric path
-reports.
+path (``_identity_path``) for every A of order at most
+``GUARANTEED_ORDER``, the groups scanned with no budget, whose Aut(A) is
+then neither counted nor listed.  Each path forced in turn, on D_1..3
+to order 9, D_1..2 above it and η, the identity path was as fast or
+faster on every such group, even where Aut(A) cuts the candidates
+20,160-fold (η(Z2^4): 0.1 s against 1.5 s): a candidate costs it one
+int addition and one lookup, and a least image costs far more.  It loses
+at larger k: D_1..3(Z2×Z2×Z4) and D_1..3(Z4×Z4) take about 20 % more
+time and 3–4× the memory on it, and D_1..5(Z2^3) a few ms more.  Above
+that order the symmetric path wins on D(Z3^3), D(Z5×Z5) and D(Z6×Z6),
+and the identity path runs only when Aut(A), counted in closed form,
+has at most ``_IDENTITY_MAX_MAPS`` elements or its listing is refused.
+Aut(A) is listed only for the symmetric path.
+Both paths report the same D_k, η, witnesses and lengths; only the node
+counts differ.  v is constant on orbits, so the identity path's
+survivors are the whole orbits of the symmetric path's, and a level is
+empty on one path iff it is on the other.  The reported witness is the
+least survivor of a level with v < k in the order of int runs
+(``davenport_table`` decodes the codes of that level), which is not the
+order of sorted index tuples: (1, 1, 1, 4) < (1, 4, 5, 5), but
+1·4·5^2 < 1^3·4 as runs.  On the identity path that survivor is the
+least image of its own orbit, so it is the least such canonical
+survivor, the one the symmetric path reports.
 
 Canonical forms are least images under Aut(A), found from an orbit table
 (``_OrbitTable`` of ``_canonical_maps``): cols[x] is the image of x under
@@ -133,8 +142,8 @@ from .sequences import (
 
 GUARANTEED_ORDER = 16  # larger groups require an explicit time budget
 CODE_BITS = 1024  # most bits of a multiset code, |A|·w (see the module docstring)
-# groups with at most this many automorphisms are scanned with no symmetry
-# reduction: canonicalising costs them more than it saves
+# larger groups with at most this many automorphisms are scanned with no
+# symmetry reduction: canonicalising costs them more than it saves
 _IDENTITY_MAX_MAPS = 24
 
 
@@ -285,6 +294,14 @@ def _budget_clock(A: AbelianGroup, budget_seconds, partial):
     return check
 
 
+def _identity_path(A: AbelianGroup):
+    """Whether the scans of A skip symmetry: every A of order at most
+    ``GUARANTEED_ORDER``, which is neither counted nor listed, and above
+    it every A with at most ``_IDENTITY_MAX_MAPS`` automorphisms, counted
+    in closed form (see the module docstring)."""
+    return A.order <= GUARANTEED_ORDER or automorphism_count(A) <= _IDENTITY_MAX_MAPS
+
+
 def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
     """The frontier scan behind D_k and η: yields (length, survivors, nodes)
     for lengths 1, 2, … up to and including the first empty level.
@@ -293,18 +310,17 @@ def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
     and v < ``limit``, as its code (digit width ``_digit_width(A, limit)``),
     to its v, the value of the module docstring with the zero-sum term
     counted up to length ``cap``: None (no cap), or at least
-    ``limit``·exp(A), so that the digits hold every count.  They are
-    the canonical ones on the symmetric path and all of them on the
-    identity path, which runs when Aut(A) has at most
-    ``_IDENTITY_MAX_MAPS`` elements or its listing is refused; Aut(A) is
-    listed only for the symmetric path.  ``nodes`` counts the candidates
-    examined so far.  The clock is read each time ``nodes`` passes a
-    multiple of 256; past ``budget_seconds`` the scan raises CapacityError
-    carrying ``partial``.
+    ``limit``·exp(A), so that the digits hold every count.  They are all
+    of them on the identity path, which runs where ``_identity_path(A)``
+    holds or the listing of Aut(A) is refused, and the canonical ones on
+    the symmetric path otherwise; Aut(A) is listed only for the symmetric
+    path.  ``nodes`` counts the candidates examined so far.  The clock is
+    read each time ``nodes`` passes a multiple of 256; past
+    ``budget_seconds`` the scan raises CapacityError carrying ``partial``.
     """
     _require_capacity(A, limit, budget_seconds)
     check = _budget_clock(A, budget_seconds, partial)
-    maps = None if automorphism_count(A) <= _IDENTITY_MAX_MAPS else _canonical_maps(A)
+    maps = None if _identity_path(A) else _canonical_maps(A)
     if maps is None:
         yield from _identity_levels(A, limit, cap, check)
     else:

@@ -25,8 +25,8 @@ def test_traced_smoke_run_is_correct():
     assert result["correct"], proc.stdout
     assert result["failed"] == 0
     # the wrapped span attributes are still the ones the β scans go through,
-    # and the D_k scans still report their nodes; Z3 has two automorphisms,
-    # so its scans take the identity path and canonicalise nothing (the
+    # and the D_k scans still report their nodes; Z3 has order 3, so its
+    # scans take the identity path and canonicalise nothing (the
     # tracer's ``davenport._canonical_items`` wrapper is kept honest by
     # tests/test_davenport.py, which patches that name on symmetric groups)
     metrics = result["metrics"]

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from zerosumlab import davenport, sequences
-from zerosumlab.groups import automorphism_group, factorize
+from zerosumlab import davenport, groups, sequences
+from zerosumlab.groups import automorphism_count, automorphism_group, factorize
 from zerosumlab.sequences import (
     Sequence,
     _OrbitTable,
@@ -143,8 +143,9 @@ def _table(A, k_upto, budget_seconds=None):
     return reports
 
 
-# Reports of the tuple-based scans, written out; "seconds" is dropped.  Z6,
-# Z11, Z17 and Z2×Z4 take the identity path, the others the symmetric one.
+# Reports of the scans, written out; "seconds" is dropped.  Every group of
+# order <= 16 takes the identity path, and so does Z17, whose Aut(A) has 16
+# elements; Z3×Z6, with 48, takes the symmetric one.
 @pytest.mark.parametrize(
     "compute, expected",
     [
@@ -159,16 +160,16 @@ def _table(A, k_upto, budget_seconds=None):
                  "[(0,1),(1,0),(1,1),(1,1),(1,1),(1,1),(1,1),(1,1)]", 2157, 9),
         ]),
         (lambda: _table(Z3xZ3, 2), [
-            _row("Z3xZ3", 1, 5, 4, "[(0,1),(1,0),(1,2),(1,2)]", 223, 8),
-            _row("Z3xZ3", 2, 8, 7, "[(0,1),(1,0),(1,1),(1,1),(1,1),(1,2),(1,2)]", 223, 8),
+            _row("Z3xZ3", 1, 5, 4, "[(0,1),(1,0),(1,2),(1,2)]", 5350, 8),
+            _row("Z3xZ3", 2, 8, 7, "[(0,1),(1,0),(1,1),(1,1),(1,1),(1,2),(1,2)]", 5350, 8),
         ]),
         (lambda: _table(Z2cubed, 3), [
-            _row("Z2xZ2xZ2", 1, 4, 3, "[(0,0,1),(0,1,0),(1,0,0)]", 108, 9),
+            _row("Z2xZ2xZ2", 1, 4, 3, "[(0,0,1),(0,1,0),(1,0,0)]", 4735, 9),
             _row("Z2xZ2xZ2", 2, 7, 6,
-                 "[(0,0,1),(0,1,0),(0,1,1),(1,0,0),(1,0,1),(1,1,0)]", 108, 9),
+                 "[(0,0,1),(0,1,0),(0,1,1),(1,0,0),(1,0,1),(1,1,0)]", 4735, 9),
             _row("Z2xZ2xZ2", 3, 9, 8,
                  "[(0,0,1),(0,1,0),(0,1,1),(1,0,0),(1,0,1),(1,1,0),(1,1,1),(1,1,1)]",
-                 108, 9),
+                 4735, 9),
         ]),
         (lambda: eta(Z2cubed), 8),
         (lambda: eta(Z3xZ3), 7),
@@ -179,16 +180,19 @@ def _table(A, k_upto, budget_seconds=None):
         (lambda: _table(Z2xZ4, 1),
          [_row("Z2xZ4", 1, 5, 4, "[(0,1),(1,0),(1,1),(1,1)]", 242, 5)]),
         (lambda: _table(Z3xZ3, 1),
-         [_row("Z3xZ3", 1, 5, 4, "[(0,1),(1,0),(1,2),(1,2)]", 31, 5)]),
+         [_row("Z3xZ3", 1, 5, 4, "[(0,1),(1,0),(1,2),(1,2)]", 532, 5)]),
         (lambda: _table(AbelianGroup((2, 2, 4)), 1),
-         [_row("Z2xZ2xZ4", 1, 6, 5, "[(0,0,1),(0,1,0),(0,1,1),(1,0,0),(1,0,1)]", 274, 6)]),
+         [_row("Z2xZ2xZ4", 1, 6, 5, "[(0,0,1),(0,1,0),(0,1,1),(1,0,0),(1,0,1)]", 9677, 6)]),
         (lambda: _table(AbelianGroup((2, 2, 2, 2)), 1),
-         [_row("Z2xZ2xZ2xZ2", 1, 5, 4, "[(0,0,0,1),(0,0,1,0),(0,1,0,0),(1,0,0,0)]", 14, 5)]),
+         [_row("Z2xZ2xZ2xZ2", 1, 5, 4, "[(0,0,0,1),(0,0,1,0),(0,1,0,0),(1,0,0,0)]", 4980, 5)]),
         (lambda: _table(AbelianGroup((17,)), 1, budget_seconds=60),
          [_row("Z17", 1, 17, 16, "[" + ",".join(["1"] * 16) + "]", 61488, 17)]),
+        # the symmetric path's default output: D(Z3×Z6) = 3 + 6 − 1
+        (lambda: _table(AbelianGroup((3, 6)), 1, budget_seconds=60),
+         [_row("Z3xZ6", 1, 8, 7, "[(0,1),(0,4),(1,0),(1,5),(1,5),(1,5),(1,5)]", 2354, 8)]),
     ],
     ids=["Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2", "eta-Z2xZ2xZ2", "eta-Z3xZ3", "D1-Z6", "D1-Z11",
-         "D1-Z2xZ4", "D1-Z3xZ3", "D1-Z2xZ2xZ4", "D1-Z2xZ2xZ2xZ2", "D1-Z17"],
+         "D1-Z2xZ4", "D1-Z3xZ3", "D1-Z2xZ2xZ4", "D1-Z2xZ2xZ2xZ2", "D1-Z17", "D1-Z3xZ6"],
 )
 def test_davenport_reports_are_pinned(compute, expected):
     assert compute() == expected
@@ -516,6 +520,12 @@ def _orbit_table(A, auts, monkeypatch):
     return _OrbitTable(davenport._canonical_maps(A), range(A.order))
 
 
+def _force_path(monkeypatch, identity):
+    """Route every scan to the identity path (True) or, where Aut(A) can be
+    listed, to the symmetric one (False)."""
+    monkeypatch.setattr(davenport, "_identity_path", lambda group: identity)
+
+
 def _random_runs(A, rng):
     counts = {}
     for _ in range(rng.randint(0, 8)):
@@ -646,6 +656,7 @@ def test_each_canonicalisation_scans_the_candidate_maps_once(monkeypatch):
 
     monkeypatch.setattr(davenport, "_canonical_items", counted)
     monkeypatch.setattr(sequences, "_candidate_positions", candidate_positions)
+    _force_path(monkeypatch, False)
     # the first 8 of the 14 levels of the D_1..3 scan: 5,206 of its 40,931 candidates
     levels = list(itertools.islice(davenport._levels(A, 3, None, None, None), 8))
     assert levels[-1][2] == 5206  # candidates examined
@@ -655,16 +666,72 @@ def test_each_canonicalisation_scans_the_candidate_maps_once(monkeypatch):
 @pytest.mark.parametrize("A", GROUPS_UP_TO_16, ids=AbelianGroup.spec)
 def test_the_two_paths_report_the_same(A, monkeypatch):
     # each path forced in turn; D_1..3 where a run takes under 1 s on a
-    # 2-vCPU VM, D_1..2 on the larger groups; only the node counts differ
+    # 2-vCPU VM, D_1..2 on the larger groups; only the node counts differ,
+    # and only the symmetric path canonicalises
     k = 3 if A.order <= 9 else 2
-    reports = []
-    for most in (0, math.inf):  # the symmetric path, then the identity path
-        monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", most)
+    reports, canonicalised = [], []
+    for identity in (False, True):  # the symmetric path, then the identity path
+        calls = []
+
+        def first_call(items, table, calls=calls):
+            # one call tells the paths apart; the rest skip this wrapper
+            calls.append(items)
+            monkeypatch.setattr(davenport, "_canonical_items", _canonical_items)
+            return _canonical_items(items, table)
+
+        monkeypatch.setattr(davenport, "_canonical_items", first_call)
+        _force_path(monkeypatch, identity)
         rows = _table(A, k)
         for row in rows:
             del row["search_stats"]["nodes"]
         reports.append((rows, eta(A)))
+        canonicalised.append(bool(calls))
     assert reports[0] == reports[1]
+    assert canonicalised == [True, False]
+
+
+def test_the_scans_route_by_order_then_by_automorphisms(monkeypatch):
+    # every group of order <= 16 takes the identity path with Aut(A) neither
+    # counted nor listed; above that order Z17 (16 automorphisms) takes it
+    # once counted, and Z2^5 once its listing is refused
+    counted, listed = [], []
+
+    def count(group):
+        counted.append(group.spec())
+        return automorphism_count(group)
+
+    def refuse(group):
+        listed.append(group.spec())
+        raise CapacityError("no automorphisms", limit=0)
+
+    monkeypatch.setattr(davenport, "automorphism_count", count)
+    for module in (davenport, groups):
+        monkeypatch.setattr(module, "automorphism_group", refuse)
+    for factors, D, eta_A in (((2, 2, 2), 4, 8), ((3, 3), 5, 7), ((4, 4), 7, 10),
+                              ((2, 2, 4), 6, 8), ((2, 2, 2, 2), 5, 16)):
+        A = AbelianGroup(factors)
+        assert (davenport_k(A).value_Dk, eta(A)) == (D, eta_A)
+    assert counted == listed == []
+    assert davenport_k(AbelianGroup((17,)), budget_seconds=60).value_Dk == 17
+    assert davenport_k(AbelianGroup((2,) * 5), budget_seconds=60).value_Dk == 6
+    assert counted == ["Z17", "Z2xZ2xZ2xZ2xZ2"] and listed == ["Z2xZ2xZ2xZ2xZ2"]
+    # Z3×Z6 (48 automorphisms) and Z3^3 (11,232) list Aut(A) and canonicalise
+    monkeypatch.undo()
+    listed, calls = [], []
+
+    def listing(group):
+        listed.append(group.spec())
+        return automorphism_group(group)
+
+    def canonical_items(items, table):
+        calls.append(items)
+        return _canonical_items(items, table)
+
+    monkeypatch.setattr(davenport, "automorphism_group", listing)
+    monkeypatch.setattr(davenport, "_canonical_items", canonical_items)
+    for factors, D in (((3, 6), 8), ((3, 3, 3), 7)):
+        assert davenport_k(AbelianGroup(factors), budget_seconds=60).value_Dk == D
+    assert listed == ["Z3xZ6", "Z3xZ3xZ3"] and calls
 
 
 def _unpruned_extensions(A, frontier, perms):
@@ -778,6 +845,7 @@ def test_extensions_match_the_unpruned_scan(A, monkeypatch):
         return _canonical_items(items, table)
 
     monkeypatch.setattr(davenport, "_canonical_items", counted)
+    _force_path(monkeypatch, False)
     next(davenport._levels(A, 1, None, None, None))
     # Aut(A) fixes the empty item: one call per orbit on A∖{0}
     assert len(calls) == len({table.leader[g] for g in range(1, A.order)})
@@ -805,7 +873,7 @@ def test_extensions_without_automorphisms_yield_every_extension(monkeypatch):
 @pytest.mark.parametrize("A", [Z2xZ2, Z6], ids=AbelianGroup.spec)
 def test_identity_levels_match_brute_force(A, monkeypatch):
     # Z2×Z4 is checked on this path above, through a refused Aut listing
-    monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", math.inf)
+    _force_path(monkeypatch, True)
     for limit in (1, 2, 3):
         _check_identity_levels(A, limit, None, 5)
     _check_identity_levels(A, 1, A.exponent, 5)
@@ -874,7 +942,7 @@ def test_levels_run_to_the_first_empty_level(monkeypatch):
     # Aut(Z2×Z2) = GL(2,2) leaves one orbit of length 1 and two of length 2;
     # below limit 2 the value is k_max: a^3·b and a^2·b·c are the length-4
     # multisets with one block only, and D_2(Z2×Z2) = 5
-    monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", 0)
+    _force_path(monkeypatch, False)
     assert _tuple_levels(Z2xZ2, 2, None) == [
         (1, {(1,): 0}, 1),
         (2, {(1, 1): 1, (1, 2): 0}, 3),
@@ -882,7 +950,7 @@ def test_levels_run_to_the_first_empty_level(monkeypatch):
         (4, {(1, 2, 2, 2): 1, (1, 2, 3, 3): 1}, 10),
         (5, {}, 14),
     ]
-    # |Aut(Z2×Z2)| = 6 takes the identity path by default: it keeps whole
+    # Z2×Z2, of order 4, takes the identity path by default: it keeps whole
     # orbits, and builds each multiset from the one kept C − max(C)
     monkeypatch.undo()
     assert _tuple_levels(Z2xZ2, 2, None) == [
@@ -897,7 +965,7 @@ def test_levels_run_to_the_first_empty_level(monkeypatch):
     ]
     # the trivial group has no non-zero element: η(Z1) = 1, on either path
     assert _tuple_levels(TRIVIAL, 1, 1) == [(1, {}, 0)]
-    monkeypatch.setattr(davenport, "_IDENTITY_MAX_MAPS", 0)
+    _force_path(monkeypatch, False)
     assert _tuple_levels(TRIVIAL, 1, 1) == [(1, {}, 0)]
 
 

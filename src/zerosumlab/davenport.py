@@ -73,11 +73,12 @@ counts differ.  v is constant on orbits, so the identity path's
 survivors are the whole orbits of the symmetric path's, and a level is
 empty on one path iff it is on the other.  The reported witness is the
 least survivor of a level with v < k in the order of int runs
-(``davenport_table`` decodes the codes of that level), which is not the
-order of sorted index tuples: (1, 1, 1, 4) < (1, 4, 5, 5), but
-1·4·5^2 < 1^3·4 as runs.  On the identity path that survivor is the
-least image of its own orbit, so it is the least such canonical
-survivor, the one the symmetric path reports.
+(``davenport_table`` narrows the codes of that level digit by digit and
+decodes only the least), which is not the order of sorted index tuples:
+(1, 1, 1, 4) < (1, 4, 5, 5), but 1·4·5^2 < 1^3·4 as runs.  On the
+identity path that survivor is the least image of its own orbit, so it
+is the least such canonical survivor, the one the symmetric path
+reports.
 
 Canonical forms are least images under Aut(A), found from an orbit table
 (``_OrbitTable`` of ``_canonical_maps``): cols[x] is the image of x under
@@ -266,6 +267,21 @@ def _decode(code, width):
     return tuple(runs)
 
 
+def _least_code(codes, width):
+    """The code of ``codes``, all of one length, whose int runs are least:
+    at the first element whose counts differ, a present element beats an
+    absent one and a smaller count a larger one, so the codes are narrowed
+    one digit at a time and none is decoded."""
+    full = (1 << width) - 1
+    shift = 0
+    while len(codes) > 1:
+        digits = [code >> shift & full for code in codes]
+        least = min([digit for digit in digits if digit], default=0)
+        codes = [code for code, digit in zip(codes, digits) if digit == least]
+        shift += width
+    return codes[0]
+
+
 def _sigma(runs, sums):
     """σ of the int runs ``runs``, as an element index."""
     total = 0
@@ -446,8 +462,8 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
     (see the module docstring).
 
     The witness is the least survivor with v < k in the order of int runs,
-    so the codes with v < k of the level before the resolving one are
-    decoded (``_decode``, one step per element of the support).
+    picked from the codes with v < k of the level before the resolving one
+    digit by digit (``_least_code``); only that code is decoded.
 
     >>> [r.value_Dk for r in davenport_table(AbelianGroup((3,)), 2)]
     [3, 6]
@@ -483,7 +499,8 @@ def davenport_table(A: AbelianGroup, k_upto: int, budget_seconds=None):
         # the previous length, in run order
         for k in range(len(resolved_D) + 1, min(survivors.values(), default=k_upto) + 1):
             resolved_D[k] = level
-            witnesses[k] = min(_decode(code, width) for code, km in previous.items() if km < k)
+            least = _least_code([code for code, km in previous.items() if km < k], width)
+            witnesses[k] = _decode(least, width)
         previous = survivors
 
     seconds = time.monotonic() - t0

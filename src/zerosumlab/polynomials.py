@@ -10,7 +10,9 @@ Membership is a reduction to zero, and a reduction looks up only the
 terms of the polynomial being reduced.  Reduction and insertion share
 one elimination kernel (``_eliminate``): it lifts f's terms once into a
 single coefficient dict, cancels each pivot there in place, and builds
-one polynomial at the end.
+one polynomial at the end.  A one-term insert skips that kernel unless
+its monomial is the pivot of a multi-term row: at a one-term row's pivot
+it is in the span, at no pivot it is already reduced.
 """
 
 from __future__ import annotations
@@ -361,12 +363,20 @@ class GradedSpan:
     def insert(self, f: MultiPoly) -> bool:
         """Add f to the span; True iff the dimension grew.
 
-        The new pivot is cleared from the multi-term rows alone: a one-term
-        row holds only its own pivot, and f, reduced, has no term there.
+        A one-term f = c·x^e takes one pivot lookup: in the span if e is
+        a one-term row's pivot, already reduced if e is no pivot; only a
+        multi-term row at e sends it through ``reduce``.  The new pivot is
+        cleared from the multi-term rows alone: a one-term row holds only
+        its own pivot, and f, reduced, has no term there.
         """
-        f = self.reduce(f)
-        if f.is_zero():
+        one = len(f.terms) == 1 and f.nvars == self.nvars
+        row = self._by_pivot.get(next(iter(f.terms))) if one else None
+        if row is not None and len(row.terms) == 1:
             return False
+        if row is not None or not one:
+            f = self.reduce(f)
+            if f.is_zero():
+                return False
         pivot, lead = f.leading()
         if lead != 1:
             f = f * lead.inverse()
@@ -414,11 +424,11 @@ def _complement(algebra, j: int, d: int) -> list[MultiPoly]:
     return rows
 
 
-def _monomial_exponent(f: MultiPoly):
-    """The exponent of f's one term, or None if f has several."""
+def _one_term(f: MultiPoly):
+    """The (exponent, coefficient) of f's one term, or None if f has several."""
     if len(f.terms) == 1:
-        (exp,) = f.terms
-        return exp
+        (term,) = f.terms.items()
+        return term
     return None
 
 
@@ -435,9 +445,11 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
     c·x^p and c'·x^q is built once per exponent p + q: a later pair with
     the same exponent gives a scalar multiple of a product already
     inserted, and ``normal_form`` is linear, so it cannot grow the span.
-    ``algebra`` is an invariant ring or a presented quotient: it provides
-    ``nvars``, ``degree_span(d)``, ``power_span(j, d)``, ``normal_form(f)``
-    and the dicts ``_power_cache`` and ``_complement_cache``.
+    That product is the one term c·c'·x^(p+q), with no ``MultiPoly``
+    multiplication; other pairs are multiplied.  ``algebra`` is an
+    invariant ring or a presented quotient: it provides ``nvars``,
+    ``degree_span(d)``, ``power_span(j, d)``, ``normal_form(f)`` and the
+    dicts ``_power_cache`` and ``_complement_cache``.
     """
     key = (j, d)
     cached = algebra._power_cache.get(key)
@@ -453,16 +465,20 @@ def power_span(algebra, j: int, d: int) -> GradedSpan:
             if not left:
                 continue
             right = algebra.power_span(j - 1, d - e).rows
-            right_exps = [_monomial_exponent(b) for b in right]
+            right_terms = [_one_term(b) for b in right]
             for a in left:
-                p = _monomial_exponent(a)
-                for b, q in zip(right, right_exps):
-                    if p is not None and q is not None:
-                        exp = tuple(map(add, p, q))
+                s = _one_term(a)
+                for b, t in zip(right, right_terms):
+                    if s is None or t is None:
+                        product = a * b
+                    else:
+                        exp = tuple(map(add, s[0], t[0]))
                         if exp in built:
                             continue
                         built.add(exp)
-                    span.insert(algebra.normal_form(a * b))
+                        m = math.lcm(a.conductor, b.conductor)
+                        product = MultiPoly._of(a.nvars, {exp: s[1].lift(m) * t[1].lift(m)}, m)
+                    span.insert(algebra.normal_form(product))
     algebra._power_cache[key] = span
     return span
 

@@ -351,6 +351,32 @@ def test_counts_fill_their_digits(A, k_upto, width, nodes, levels):
     ]
 
 
+@pytest.mark.parametrize("A, k_upto", [
+    (Z6, 3), (Z3xZ3, 2), (Z2cubed, 3), (AbelianGroup((2, 2, 4)), 1),
+    (AbelianGroup((2, 2, 2, 2)), 2), (AbelianGroup((16,)), 1),
+], ids=["Z6", "Z3xZ3", "Z2^3", "Z2xZ2xZ4", "Z2^4", "Z16"])
+def test_the_least_code_is_the_least_decoded_survivor(A, k_upto):
+    # every level and every k threshold the witness pick can meet
+    width = davenport._digit_width(A, k_upto)
+    for _, survivors, _ in davenport._levels(A, k_upto, None, None, {}):
+        for k in range(1, k_upto + 1):
+            codes = [code for code, km in survivors.items() if km < k]
+            if codes:
+                least = davenport._least_code(codes, width)
+                assert davenport._decode(least, width) == min(
+                    davenport._decode(code, width) for code in codes)
+
+
+def test_the_least_code_orders_runs_not_index_tuples():
+    # 1·4·5^2 < 1^3·4 as runs: the smaller count of 1 wins, though the
+    # sorted index tuples order them the other way
+    width = davenport._digit_width(Z6, 3)
+    codes = [davenport._encode(runs, width) for runs in (((1, 3), (4, 1)), ((1, 1), (4, 1), (5, 2)))]
+    for order in (codes, codes[::-1]):
+        assert davenport._decode(davenport._least_code(order, width), width) == (
+            (1, 1), (4, 1), (5, 2))
+
+
 def test_budget_allows_large_group():
     # order 17 > the no-budget ceiling, but the scan itself is quick
     assert davenport_table(AbelianGroup((17,)), 1, budget_seconds=60)[0].value_Dk == 17

@@ -410,6 +410,44 @@ def test_span_rows_match_dense_elimination(m, seed):
     _grow_and_check(span, inserted, [_hit_a_multi_term_row(span, rng)])
 
 
+# x^2; x·y + a·y^2 + b·z^2; x·z + y·z, which loses y·z to the last row
+# and keeps one term, though ``_multi`` still lists it; y·z
+_ONE_TERM_BASE = [
+    {(2, 0, 0, 0): 1},
+    {(1, 1, 0, 0): 1, (0, 2, 0, 0): "a", (0, 0, 2, 0): "b"},
+    {(1, 0, 1, 0): 1, (0, 1, 1, 0): 1},
+    {(0, 1, 1, 0): 1},
+]
+
+
+@pytest.mark.parametrize("m", [1, 4], ids=["Q", "Q(zeta_4)"])
+@pytest.mark.parametrize("scaled", [False, True], ids=["monic", "scaled"])
+@pytest.mark.parametrize("exp, grows, reduces", [
+    ((2, 0, 0, 0), False, False),
+    ((1, 0, 1, 0), False, False),
+    ((1, 1, 0, 0), True, True),
+    ((0, 2, 0, 0), True, False),
+    ((0, 0, 0, 2), True, False),
+], ids=["one-term-pivot", "once-multi-term-pivot", "multi-term-pivot",
+        "multi-term-non-pivot", "absent"])
+def test_a_one_term_insert_reduces_only_at_a_multi_term_pivot(m, scaled, exp, grows, reduces,
+                                                              monkeypatch):
+    coeffs = {1: 1, "a": Fraction(-2, 3) * zeta(m, 1 % m), "b": 3 * zeta(m, m - 1)}
+    base = [MultiPoly(4, {e: coeffs[c] for e, c in row.items()}, m) for row in _ONE_TERM_BASE]
+    span = GradedSpan(4)
+    span.extend(base)
+    assert [row.terms for row in span.rows] == _dense_rref(base)
+    assert len(span._by_pivot[(1, 0, 1, 0)].terms) == 1 and (1, 0, 1, 0) in span._multi
+    calls = []
+    reduce = GradedSpan.reduce
+    monkeypatch.setattr(GradedSpan, "reduce", lambda self, f: calls.append(f) or reduce(self, f))
+    f = MultiPoly(4, {exp: Fraction(5, 2) * zeta(m, m - 1) if scaled else 1}, m)
+    dim = span.dim
+    assert span.insert(f) is (span.dim > dim) is grows
+    assert [row.terms for row in span.rows] == _dense_rref(base + [f])
+    assert len(calls) == reduces
+
+
 def test_a_span_built_from_orbit_rows_clears_new_pivots():
     # Z4 permuting four variables: degree-2 rows such as x1^2 + x2^2 + x3^2 + x4^2
     rep = MonomialRep(4, 1, [((1, 2, 3, 0), (0, 0, 0, 0))], expected_order=4)
@@ -465,15 +503,15 @@ def test_power_span_matches_all_products(make, max_degree):
 def test_power_span_builds_one_product_per_distinct_one_term_exponent(monkeypatch):
     rep = regular_representation(AbelianGroup((6,)))
     products = 0
-    mul = MultiPoly.__mul__
+    normal_form = MonomialRep.normal_form
 
-    def counted(self, other):
+    def counted(self, f):
+        # power_span takes the normal form of each product it builds, once
         nonlocal products
-        if isinstance(other, MultiPoly):
-            products += 1
-        return mul(self, other)
+        products += 1
+        return normal_form(self, f)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MonomialRep, "normal_form", counted)
     assert beta_k(rep, 2)["beta"] == 12
     built = products
     # every invariant of reg(Z6) is a monomial, so every row has one term

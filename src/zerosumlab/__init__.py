@@ -31,7 +31,7 @@ _EXPORTS = {
         "sequences"),
     **dict.fromkeys(
         ("DavenportReport", "LinearityProfile", "davenport_k", "davenport_table", "eta",
-         "linearity_profile", "sigma_abelian", "sigma_diagonal", "verify_inequalities",
+         "linearity_profile", "sigma_diagonal", "verify_inequalities",
          "verify_subgroup_relations"),
         "davenport"),
     **dict.fromkeys(

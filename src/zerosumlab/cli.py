@@ -59,7 +59,8 @@ def _bound(name):
     return globals().get(name) or __getattr__(name)
 
 
-# the subcommands that can query k_max; only they read and write the cache
+# the subcommands that read and write the cache; of them only verify-all
+# queries k_max, the others write the file only when it is missing
 _KMAX_COMMANDS = frozenset(
     {"davenport", "dk-table", "linearity", "crosscheck", "product-bound", "verify-all"}
 )

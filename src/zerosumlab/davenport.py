@@ -3,8 +3,9 @@
 D_k and η come out of one frontier scan (``_levels``), which walks lengths
 upward keeping at each length the multisets over A∖{0} (one per
 Aut(A)-orbit, or all of them; see below) whose value stays below a limit.
-The value is the recurrence of the oracle ``k_max_naive``, with the
-zero-sum term capped by length:
+The value is the recurrence that k_max obeys (``sequences._kmax_codes``
+builds on it; the suite checks k_max against the block recursion
+``suite._k_max_by_definition``), with the zero-sum term capped by length:
 
     v(∅) = 0,  v(C) = [σ(C) = 0 and |C| ≤ cap] + max over x ∈ C of v(C − x).
 
@@ -64,10 +65,14 @@ faster on every such group, even where Aut(A) cuts the candidates
 int addition and one lookup, and a least image costs far more.  It loses
 at larger k: D_1..3(Z2×Z2×Z4) and D_1..3(Z4×Z4) take about 20 % more
 time and 3–4× the memory on it, and D_1..5(Z2^3) a few ms more.  Above
-that order the symmetric path wins on D(Z3^3), D(Z5×Z5) and D(Z6×Z6),
-and the identity path runs only when Aut(A), counted in closed form,
-has at most ``_IDENTITY_MAX_MAPS`` elements or its listing is refused.
-Aut(A) is listed only for the symmetric path.
+that order the identity path runs when Aut(A), counted in closed form,
+has fewer than 2|A| elements or its listing is refused.  That takes every
+cyclic group and Z2×Z2m, where it was faster on D of Z29 to Z37 and of
+Z2×Z14 to Z2×Z20 (D(Z2×Z16): 4.5 s against 11.8 s), and leaves D(Z3^3),
+D(Z5×Z5) and D(Z6×Z6) on the symmetric path, which wins there.
+The strict bound keeps Z3×Z18 (|Aut| = 108 = 2|A|) on the symmetric
+path, which its 3-part Z3×Z9 favours.  Aut(A) is listed only for the
+symmetric path.
 Both paths report the same D_k, η, witnesses and lengths; only the node
 counts differ.  v is constant on orbits, so the identity path's
 survivors are the whole orbits of the symmetric path's, and a level is
@@ -143,9 +148,6 @@ from .sequences import (
 
 GUARANTEED_ORDER = 16  # larger groups require an explicit time budget
 CODE_BITS = 1024  # most bits of a multiset code, |A|·w (see the module docstring)
-# larger groups with at most this many automorphisms are scanned with no
-# symmetry reduction: canonicalising costs them more than it saves
-_IDENTITY_MAX_MAPS = 24
 
 
 class DavenportReport:
@@ -313,9 +315,9 @@ def _budget_clock(A: AbelianGroup, budget_seconds, partial):
 def _identity_path(A: AbelianGroup):
     """Whether the scans of A skip symmetry: every A of order at most
     ``GUARANTEED_ORDER``, which is neither counted nor listed, and above
-    it every A with at most ``_IDENTITY_MAX_MAPS`` automorphisms, counted
-    in closed form (see the module docstring)."""
-    return A.order <= GUARANTEED_ORDER or automorphism_count(A) <= _IDENTITY_MAX_MAPS
+    it every A with fewer than 2|A| automorphisms, counted in closed form
+    (see the module docstring)."""
+    return A.order <= GUARANTEED_ORDER or automorphism_count(A) < 2 * A.order
 
 
 def _levels(A: AbelianGroup, limit, cap, budget_seconds, partial):
@@ -537,15 +539,6 @@ def eta(A: AbelianGroup, budget_seconds=None) -> int:
     # limit 1 and cap exp(A): a kept multiset has no short zero-sum block
     levels = _levels(A, 1, A.exponent, budget_seconds, None)
     return next(level for level, survivors, _ in levels if not survivors)
-
-
-def sigma_abelian(A: AbelianGroup) -> int:
-    """σ(A) = exp(A) for abelian groups.
-
-    >>> sigma_abelian(AbelianGroup((2, 4)))
-    4
-    """
-    return A.exponent
 
 
 def _min_zero_sum_length(A: AbelianGroup, steps) -> int:

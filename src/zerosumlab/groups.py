@@ -373,12 +373,6 @@ class Automorphism:
         g = self.group
         return g.element(self.perm[g.index(g.check(x))])
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self ∘ other, i.e. apply other first."""
-        if self.group != other.group:
-            raise StructuralError("cannot compose automorphisms of different groups")
-        return Automorphism(self.group, [self(g) for g in other.images])
-
     def element_map(self) -> dict:
         return {x: self(x) for x in self.group.elements()}
 

@@ -105,10 +105,6 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
     def leading(self):
         """(exponent, coefficient) of the grlex-largest term."""
         if not self.terms:
@@ -207,26 +203,6 @@ class MultiPoly:
         for exp in self.terms:
             used.update(i for i, e in enumerate(exp) if e)
         return used
-
-    def evaluate(self, point) -> CyclotomicNumber:
-        """Exact evaluation at a tuple of cyclotomic numbers."""
-        if len(point) != self.nvars:
-            raise StructuralError(
-                f"point arity {len(point)} does not match {self.nvars} variables"
-            )
-        point = [_as_coeff(v) for v in point]
-        m = self.conductor
-        for v in point:
-            m = math.lcm(m, v.m)
-        point = [v.lift(m) for v in point]
-        total = CyclotomicNumber.zero(m)
-        for exp, c in self.terms.items():
-            val = c.lift(m)
-            for v, e in zip(point, exp):
-                if e:
-                    val = val * v**e
-            total = total + val
-        return total
 
     # -- identity ---------------------------------------------------------------------
 

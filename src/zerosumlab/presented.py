@@ -12,8 +12,7 @@ Every presentation has a degree bound: with w_max the largest generator
 weight, a monomial of degree d > k·w_max has at least k+1 factors, so
 A_d ⊆ A_+^{k+1} and β_k ≤ k·w_max.  The β scan stops there and reports
 status ``exact``; a cutoff below the bound caps the scan, and the report
-then says ``verified-up-to-cutoff``.  For the same reason (k = 1) no
-minimal generator lives above w_max, which bounds the tail check.
+then says ``verified-up-to-cutoff``.
 """
 
 from __future__ import annotations
@@ -323,22 +322,4 @@ class PresentedGradedAlgebra:
             "failing_degrees": failing,
             "witness": self.render(witness) if witness is not None else None,
             "status": "exact" if limit == bound else "verified-up-to-cutoff",
-        }
-
-    def tail_generated(self, start: int, end: int) -> dict:
-        """Check that no slice in [start, end] needs a new ring generator.
-
-        A minimal generator lives in degree d exactly when R_d strictly
-        contains (R_+²)_d, so the window is clean when every slice lies
-        in the square of the positive-degree ideal.  That holds for every
-        d > w_max, so only start..min(end, w_max) is scanned.
-        """
-        if start < 1 or end < start:
-            raise DomainError(f"bad window [{start}, {end}]")
-        top = min(end, max(self.weights))
-        failures, _ = escaping_degrees(self, 2, range(start, top + 1))
-        return {
-            "window": [start, end],
-            "generated": not failures,
-            "failures": failures,
         }

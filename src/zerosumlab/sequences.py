@@ -130,9 +130,6 @@ class Sequence:
                 return mult
         return 0
 
-    def with_extra(self, x) -> "Sequence":
-        return Sequence(self.group, _items_add_one(self.items, self.group.check(x)))
-
     def __eq__(self, other):
         return (
             isinstance(other, Sequence)

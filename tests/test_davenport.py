@@ -29,7 +29,6 @@ from zerosumlab import (
     k_max_naive,
     linearity_profile,
     parse_sequence,
-    sigma_abelian,
     sigma_diagonal,
     verify_inequalities,
     verify_subgroup_relations,
@@ -409,12 +408,6 @@ def test_eta_needs_budget_past_ceiling():
 
 # --- sigma ----------------------------------------------------------------
 
-def test_sigma_abelian_is_exponent():
-    assert sigma_abelian(Z6) == 6
-    assert sigma_abelian(Z2xZ4) == 4
-    assert sigma_abelian(Z3xZ3) == 3
-
-
 def test_sigma_diagonal_mixed_orders():
     # characters of orders 3 and 2 inside Z6: the slowest subset is {2}
     assert sigma_diagonal(Z6, [(2,), (3,)]) == 3
@@ -718,8 +711,9 @@ def test_the_two_paths_report_the_same(A, monkeypatch):
 
 def test_the_scans_route_by_order_then_by_automorphisms(monkeypatch):
     # every group of order <= 16 takes the identity path with Aut(A) neither
-    # counted nor listed; above that order Z17 (16 automorphisms) takes it
-    # once counted, and Z2^5 once its listing is refused
+    # counted nor listed; above that order a group with fewer than 2|A|
+    # automorphisms takes it once counted (Z17: 16 < 34, Z29: 28 < 58,
+    # Z2×Z14: 36 < 56, Z2×Z16: 32 < 64), and Z2^5 once its listing is refused
     counted, listed = [], []
 
     def count(group):
@@ -739,9 +733,15 @@ def test_the_scans_route_by_order_then_by_automorphisms(monkeypatch):
         assert (davenport_k(A).value_Dk, eta(A)) == (D, eta_A)
     assert counted == listed == []
     assert davenport_k(AbelianGroup((17,)), budget_seconds=60).value_Dk == 17
+    assert davenport_k(AbelianGroup((29,)), budget_seconds=60).value_Dk == 29
+    # η(Z_m ⊕ Z_n) = 2m + n − 2
+    assert eta(AbelianGroup((2, 14)), budget_seconds=60) == 16
+    assert eta(AbelianGroup((2, 16)), budget_seconds=60) == 18
     assert davenport_k(AbelianGroup((2,) * 5), budget_seconds=60).value_Dk == 6
-    assert counted == ["Z17", "Z2xZ2xZ2xZ2xZ2"] and listed == ["Z2xZ2xZ2xZ2xZ2"]
-    # Z3×Z6 (48 automorphisms) and Z3^3 (11,232) list Aut(A) and canonicalise
+    assert counted == ["Z17", "Z29", "Z2xZ14", "Z2xZ16", "Z2xZ2xZ2xZ2xZ2"]
+    assert listed == ["Z2xZ2xZ2xZ2xZ2"]
+    # Z3×Z6 (48 automorphisms ≥ 36), Z5×Z5 (480 ≥ 50), Z4×Z8 (128 ≥ 64) and
+    # Z3^3 (11,232) list Aut(A) and canonicalise; Z4×Z8 for two levels only
     monkeypatch.undo()
     listed, calls = [], []
 
@@ -755,9 +755,14 @@ def test_the_scans_route_by_order_then_by_automorphisms(monkeypatch):
 
     monkeypatch.setattr(davenport, "automorphism_group", listing)
     monkeypatch.setattr(davenport, "_canonical_items", canonical_items)
-    for factors, D in (((3, 6), 8), ((3, 3, 3), 7)):
+    for factors, D in (((3, 6), 8), ((5, 5), 9), ((3, 3, 3), 7)):
+        calls.clear()
         assert davenport_k(AbelianGroup(factors), budget_seconds=60).value_Dk == D
-    assert listed == ["Z3xZ6", "Z3xZ3xZ3"] and calls
+        assert calls
+    calls.clear()
+    levels = davenport._levels(AbelianGroup((4, 8)), 1, None, 60, None)
+    assert [length for length, _, _ in itertools.islice(levels, 2)] == [1, 2] and calls
+    assert listed == ["Z3xZ6", "Z5xZ5", "Z3xZ3xZ3", "Z4xZ8"]
 
 
 def _unpruned_extensions(A, frontier, perms):

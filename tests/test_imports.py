@@ -34,8 +34,8 @@ EXPORTS = {
                   "minimal_zero_sum_subsequences", "parse_sequence", "save_kmax_cache",
                   "sequence_sum"],
     "davenport": ["DavenportReport", "LinearityProfile", "davenport_k", "davenport_table",
-                  "eta", "linearity_profile", "sigma_abelian", "sigma_diagonal",
-                  "verify_inequalities", "verify_subgroup_relations"],
+                  "eta", "linearity_profile", "sigma_diagonal", "verify_inequalities",
+                  "verify_subgroup_relations"],
     "lemmas": ["direct_product_witness", "verify_direct_product_bound",
                "zero_sum_with_support"],
     "cyclotomic": ["CyclotomicNumber", "cyclotomic_polynomial", "euler_phi"],

@@ -218,37 +218,6 @@ def test_degree_cap_guard(monkeypatch):
         R.dimension(11)
 
 
-def test_tail_window_has_no_new_generators():
-    R = example_ring()
-    report = R.tail_generated(10, 20)
-    assert report["generated"]
-    assert report["failures"] == []
-
-
-def test_tail_window_detects_missing_generator():
-    # degree-3 slice contains b, which a alone cannot produce
-    R = example_ring()
-    report = R.tail_generated(3, 3)
-    assert not report["generated"]
-    assert report["failures"] == [3]
-
-
-def test_tail_window_past_the_largest_weight_needs_no_scan(monkeypatch):
-    # no minimal generator lives above w_max = 3, so no slice of this
-    # window is built, not even those over the degree cap
-    monkeypatch.setattr(presented, "DEGREE_CAP", 10)
-    R = example_ring()
-    assert R.tail_generated(4, 1000) == {
-        "window": [4, 1000], "generated": True, "failures": []}
-
-
-def test_tail_window_validation():
-    with pytest.raises(DomainError):
-        example_ring().tail_generated(0, 5)
-    with pytest.raises(DomainError):
-        example_ring().tail_generated(5, 4)
-
-
 # --- a second presentation ---------------------------------------------------------
 
 def test_polynomial_ring_without_relations():

@@ -422,7 +422,7 @@ def test_k_max_monotone_under_extension():
         elems = A.elements()
         s = Sequence.from_elements(A, [rng.choice(elems) for _ in range(rng.randint(0, 6))])
         g = rng.choice(elems)
-        assert k_max(s.with_extra(g)) >= k_max(s)
+        assert k_max(concat(s, Sequence.from_elements(A, [g]))) >= k_max(s)
 
 
 def test_canonical_form_is_orbit_invariant():
